@@ -159,7 +159,8 @@ def _write_report(config: RunConfig, kind: str, payload: dict, out: str | None) 
     path = Path(out) if out else directory / f"{kind}.json"
     document = {"kind": kind, "config": config.to_dict()}
     document.update(payload)
-    path.write_text(json.dumps(_json_ready(document), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_json_ready(document), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
     print(f"wrote {path}")
     return path
 
@@ -246,7 +247,7 @@ def _cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
     path = _events_out_path(config, args.out)
     mesonlab.write_events_csv(events, path)
     echo = {"kind": "generate", "config": config.to_dict(), "events_file": str(path)}
-    print(json.dumps(_json_ready(echo), sort_keys=True))
+    print(json.dumps(_json_ready(echo), sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

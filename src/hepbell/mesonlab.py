@@ -8,8 +8,9 @@ evaluation, the detection-efficiency threshold, and two-body kinematics.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -83,7 +84,12 @@ def derive_kappa(n_points: int = 2048) -> float:
     state rather than hard-coded; evaluates to pi/2.
     """
     grid = np.arange(n_points) * (TWO_PI / n_points)
-    values = [joint_direction_probability(0.0, float(phi)) for phi in grid]
+    state = transverse_state()
+    reference = _transverse_projector(0.0)
+    values = [
+        born_probability(state, [reference, _transverse_projector(float(phi))])
+        for phi in grid
+    ]
     return float(np.sum(values) * (TWO_PI / n_points))
 
 
@@ -235,8 +241,9 @@ class EventSample(Sequence):
         sizes = {a.size for a in (self.phi, self.detected_1, self.detected_2, self.is_background)}
         if len(sizes) != 1:
             raise ValueError("event columns have mismatched lengths")
-        if self.phi.size and (self.phi.min() < 0.0 or self.phi.max() >= TWO_PI):
-            raise ValueError("phi must lie in [0, 2*pi)")
+        # Phrased so that NaN, whose comparisons are all false, fails too.
+        if self.phi.size and not (self.phi.min() >= 0.0 and self.phi.max() < TWO_PI):
+            raise ValueError("phi must be finite and lie in [0, 2*pi)")
         for arr in (self.phi, self.detected_1, self.detected_2, self.is_background):
             arr.setflags(write=False)
 
@@ -507,49 +514,116 @@ def efficiency_threshold(search_tol: float = 1e-9, joint_max: float | None = Non
 
 
 CSV_HEADER = ["event_id", "phi", "detected_1", "detected_2", "is_background"]
+_CSV_ROW = "%d,%.9g,%d,%d,%d\r\n"
+_CSV_CHUNK_ROWS = 65_536
+# The largest 9-significant-digit token below 2*pi.  Every phi at or above it
+# would otherwise be written as 6.28318531, which reads back as >= 2*pi.
+_PHI_TOKEN_MAX = 6.2831853
+_CSV_DTYPE = np.dtype(
+    [
+        ("event_id", np.int64),
+        ("phi", np.float64),
+        ("detected_1", np.int8),
+        ("detected_2", np.int8),
+        ("is_background", np.int8),
+    ]
+)
 
 
 def write_events_csv(events, path) -> None:
-    """Write the append-only, order-significant event file."""
+    """Write the append-only, order-significant event file.
+
+    Rows are formatted a chunk at a time, so memory stays bounded by the
+    chunk, not the file.
+    """
     sample = _as_sample(events)
+    n = len(sample)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i in range(len(sample)):
-            writer.writerow(
-                [
-                    i,
-                    f"{sample.phi[i]:.9g}",
-                    int(sample.detected_1[i]),
-                    int(sample.detected_2[i]),
-                    int(sample.is_background[i]),
-                ]
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for start in range(0, n, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, n)
+            columns = (
+                range(start, stop),
+                np.minimum(sample.phi[start:stop], _PHI_TOKEN_MAX).tolist(),
+                sample.detected_1[start:stop].view(np.uint8).tolist(),
+                sample.detected_2[start:stop].view(np.uint8).tolist(),
+                sample.is_background[start:stop].view(np.uint8).tolist(),
             )
+            values = tuple(itertools.chain.from_iterable(zip(*columns)))
+            fh.write(_CSV_ROW * (stop - start) % values)
+
+
+def _line_error(path: Path, lineno: int, problem: str) -> ValueError:
+    return ValueError(f"{path}, line {lineno}: {problem}")
+
+
+def _first_malformed_line(path: Path) -> ValueError | None:
+    """The error for the first data line that is not five comma-separated
+    fields of the form id,phi,flag,flag,flag; None if every line has it."""
+    with open(path, newline="") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                return _line_error(path, lineno, "blank line")
+            fields = line.rstrip("\r\n").split(",")
+            if len(fields) != len(CSV_HEADER):
+                return _line_error(
+                    path, lineno, f"expected {len(CSV_HEADER)} fields, got {len(fields)}"
+                )
+            try:
+                int(fields[0])
+            except ValueError:
+                return _line_error(path, lineno, f"event_id {fields[0]!r} is not an integer")
+            try:
+                float(fields[1])
+            except ValueError:
+                return _line_error(path, lineno, f"phi {fields[1]!r} is not a number")
+            for name, token in zip(CSV_HEADER[2:], fields[2:]):
+                if token not in ("0", "1"):
+                    return _line_error(path, lineno, f"{name} {token!r} is not 0 or 1")
+    return None
+
+
+def _count_lines(path: Path) -> int:
+    with open(path, "rb") as fh:
+        count, last = 0, b"\n"
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            count += block.count(b"\n")
+            last = block[-1:]
+    return count + (last != b"\n")
 
 
 def read_events_csv(path) -> EventSample:
-    """Read an event file, enforcing the header and strictly increasing ids."""
+    """Read an event file, enforcing the header and strictly increasing ids.
+
+    A malformed row raises ValueError naming the file and its line.
+    """
     path = Path(path)
-    phis, d1, d2, bg = [], [], [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = fh.readline().rstrip("\r\n").split(",")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected event file header {header} in {path}")
-        expected_id = 0
-        for row in reader:
-            if int(row[0]) != expected_id:
-                raise ValueError(
-                    f"event_id {row[0]} out of order in {path} (expected {expected_id})"
-                )
-            expected_id += 1
-            phis.append(float(row[1]))
-            d1.append(bool(int(row[2])))
-            d2.append(bool(int(row[3])))
-            bg.append(bool(int(row[4])))
-    return EventSample(
-        np.array(phis, dtype=np.float64),
-        np.array(d1, dtype=bool),
-        np.array(d2, dtype=bool),
-        np.array(bg, dtype=bool),
-    )
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is an empty sample, not a warning.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise _first_malformed_line(path) or ValueError(f"{path}: {exc}") from None
+    # np.loadtxt skips blank lines silently and takes any int8 as a flag.
+    flags = [rows[name] for name in CSV_HEADER[2:]]
+    if _count_lines(path) != rows.size + 1 or np.any((flags[0] | flags[1] | flags[2]) & ~1):
+        raise _first_malformed_line(path) or ValueError(f"{path}: malformed event file")
+
+    # Row i is on line i + 2: the header is line 1 and no line was skipped.
+    ids = rows["event_id"]
+    out_of_order = np.flatnonzero(ids != np.arange(rows.size))
+    if out_of_order.size:
+        i = int(out_of_order[0])
+        raise _line_error(path, i + 2, f"event_id {ids[i]} out of order (expected {i})")
+    try:
+        return EventSample(rows["phi"], *flags)
+    except ValueError:
+        phi = rows["phi"]
+        i = int(np.flatnonzero(~((phi >= 0.0) & (phi < TWO_PI)))[0])
+        raise _line_error(path, i + 2, f"phi {float(phi[i])} is not in [0, 2*pi)") from None

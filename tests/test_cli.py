@@ -175,6 +175,38 @@ class TestEventPipeline:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            "1,0.5,1,1",  # truncated row
+            "",  # blank line
+            "1.5,0.5,1,1,0",  # non-integer id
+            "1,0.5,2,1,0",  # flag other than 0/1
+            "1,nan,1,1,0",  # non-finite phi
+            "1,6.3,1,1,0",  # phi at or above 2*pi
+        ],
+    )
+    def test_malformed_event_file_is_usage_error_naming_line(self, tmp_path, capsys, bad_row):
+        events = tmp_path / "bad.csv"
+        events.write_text(
+            "event_id,phi,detected_1,detected_2,is_background\r\n"
+            "0,0.5,1,1,0\r\n"
+            f"{bad_row}\r\n"
+            "2,0.5,1,1,0\r\n",
+            newline="",
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--output-dir", str(tmp_path), "estimate", "--events", str(events)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{events}, line 3:" in err
+        assert "Traceback" not in err
+
+    def test_reports_refuse_nan(self, tmp_path):
+        config = cli.RunConfig(output_dir=str(tmp_path))
+        with pytest.raises(ValueError):
+            cli._write_report(config, "kinematics", {"beta": math.nan}, None)
+
     def test_config_file_with_flag_overrides(self, tmp_path, schema):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

@@ -1,7 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hepbell import mesonlab
 from hepbell.mesonlab import (
@@ -19,6 +22,7 @@ from hepbell.mesonlab import (
     efficiency_threshold,
     estimate_probability,
     generate_events,
+    joint_direction_probability,
     read_events_csv,
     transverse_state,
     two_body_beta,
@@ -75,6 +79,12 @@ class TestAngularDensity:
 
     def test_kappa_derived_from_state(self):
         assert abs(derive_kappa() - np.pi / 2) < 1e-12
+
+    def test_kappa_matches_per_call_reference_bit_for_bit(self):
+        n_points = 2048
+        grid = np.arange(n_points) * (TWO_PI / n_points)
+        values = [joint_direction_probability(0.0, float(phi)) for phi in grid]
+        assert derive_kappa() == float(np.sum(values) * (TWO_PI / n_points))
 
 
 class TestGenerateEvents:
@@ -134,6 +144,13 @@ class TestGenerateEvents:
         assert len(events[2:5]) == 3
         rebuilt = EventSample.from_records(list(events))
         assert np.array_equal(rebuilt.phi, events.phi)
+
+    @pytest.mark.parametrize("bad_phi", [math.nan, math.inf, -math.inf])
+    def test_event_sample_rejects_non_finite_phi(self, bad_phi):
+        phi = np.array([0.5, bad_phi, 1.0])
+        flags = np.ones(3, dtype=bool)
+        with pytest.raises(ValueError, match="finite"):
+            EventSample(phi, flags, flags, ~flags)
 
 
 class TestEstimateProbability:
@@ -333,3 +350,97 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(ValueError):
             read_events_csv(path)
+
+
+CSV_HEADER = ["event_id", "phi", "detected_1", "detected_2", "is_background"]
+
+
+def reference_write_events_csv(sample, path):
+    """Row-by-row csv.writer implementation the chunked writer must match."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for i in range(len(sample)):
+            writer.writerow(
+                [
+                    i,
+                    f"{sample.phi[i]:.9g}",
+                    int(sample.detected_1[i]),
+                    int(sample.detected_2[i]),
+                    int(sample.is_background[i]),
+                ]
+            )
+
+
+def reference_read_events_csv(path):
+    """Row-by-row csv.reader implementation the vectorized reader must match."""
+    phis, d1, d2, bg = [], [], [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == CSV_HEADER
+        for expected_id, row in enumerate(reader):
+            assert int(row[0]) == expected_id
+            phis.append(float(row[1]))
+            d1.append(bool(int(row[2])))
+            d2.append(bool(int(row[3])))
+            bg.append(bool(int(row[4])))
+    return EventSample(np.array(phis), np.array(d1), np.array(d2), np.array(bg))
+
+
+def assert_same_events(a, b):
+    for field in ("phi", "detected_1", "detected_2", "is_background"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+class TestCsvMatchesReference:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_chunked_writer_and_reader_match_row_loops(self, tmp_path, workers):
+        n = mesonlab._CSV_CHUNK_ROWS + 1001  # one full chunk and a partial one
+        det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
+        events = generate_events(n, det, seed=17, workers=workers)
+        phi = events.phi.copy()
+        phi[:4] = [0.0, 1e-05, 3.14159265e-05, 9.99e-05]  # '0' and exponent-form tokens
+        sample = EventSample(phi, events.detected_1, events.detected_2, events.is_background)
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        write_events_csv(sample, ours)
+        reference_write_events_csv(sample, reference)
+        assert ours.read_bytes() == reference.read_bytes()
+        assert b"\r\n1,1e-05," in ours.read_bytes()
+        assert_same_events(read_events_csv(ours), reference_read_events_csv(ours))
+
+    def test_largest_phi_below_two_pi_reads_back(self, tmp_path):
+        phi = np.array([0.5, np.nextafter(TWO_PI, 0.0), 6.283185305])
+        flags = np.ones(3, dtype=bool)
+        path = tmp_path / "edge.csv"
+        write_events_csv(EventSample(phi, flags, flags, ~flags), path)
+        reread = read_events_csv(path)
+        assert float(reread.phi.max()) < TWO_PI
+        assert float(np.max(np.abs(reread.phi - phi))) < 1e-8
+        assert path.read_text().splitlines()[2] == "1,6.2831853,1,1,0"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True),
+                st.booleans(),
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_write_read_write_property(self, tmp_path_factory, rows):
+        phi, d1, d2, bg = (np.array(column) for column in zip(*rows))
+        sample = EventSample(phi, d1, d2, bg)
+        directory = tmp_path_factory.mktemp("roundtrip")
+        first, second = directory / "first.csv", directory / "second.csv"
+        write_events_csv(sample, first)
+        reread = read_events_csv(first)
+        write_events_csv(reread, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert_same_events(read_events_csv(second), reread)
+        assert float(np.max(np.abs(reread.phi - sample.phi))) < 1e-8
+        for field in ("detected_1", "detected_2", "is_background"):
+            assert np.array_equal(getattr(reread, field), getattr(sample, field))
