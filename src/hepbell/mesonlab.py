@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,9 +87,11 @@ def derive_kappa(n_points: int = 2048) -> float:
     grid = np.arange(n_points) * (TWO_PI / n_points)
     state = transverse_state()
     reference = _transverse_projector(0.0)
+    # math.cos/sin, as _transverse_projector uses: np.cos can differ in the last bit.
+    directions = [(math.cos(phi), math.sin(phi)) for phi in grid.tolist()]
     values = [
-        born_probability(state, [reference, _transverse_projector(float(phi))])
-        for phi in grid
+        born_probability(state, [reference, projector])
+        for projector in Projector.onto_each(directions)
     ]
     return float(np.sum(values) * (TWO_PI / n_points))
 
@@ -286,6 +289,19 @@ def _as_sample(events) -> EventSample:
     return EventSample.from_records(events)
 
 
+def _philox_stream(seed: int, worker: int, offset: int) -> np.random.Generator:
+    """Worker ``worker``'s Philox stream, positioned ``offset`` doubles in.
+
+    Philox is counter-based: each counter value yields four doubles, so
+    ``advance`` jumps to any block and the remainder is drawn and dropped.
+    """
+    bit_generator = np.random.Philox(key=np.array([seed, worker], dtype=np.uint64))
+    bit_generator.advance(offset // 4)
+    rng = np.random.Generator(bit_generator)
+    rng.random(offset % 4)
+    return rng
+
+
 def generate_events(
     n: int, det: DetectorModel | None = None, seed: int = 0, workers: int = 1
 ) -> EventSample:
@@ -295,9 +311,14 @@ def generate_events(
     angles are uniform, and each side is reconstructed independently.
     Randomness comes from numpy's Philox (4x64, 10 rounds) counter-based
     generator; worker ``w`` of ``workers`` handles a contiguous index range
-    with its own stream keyed by (seed, w) and draws, in order, the
-    background flags, the angles, then the two detection flags.  Identical
-    (seed, n, workers) therefore reproduce bit-identical samples.
+    of ``count`` events with its own stream keyed by (seed, w), whose draws
+    are, in order, ``count`` background flags, ``count`` angles, then the two
+    detection flags.  Identical (seed, n, workers) therefore reproduce
+    bit-identical samples.
+
+    Each segment is read in chunks of ``_CSV_CHUNK_ROWS`` draws from its own
+    offset in the stream, so memory beyond the 11-byte-per-event result is
+    bounded by one chunk.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -306,36 +327,32 @@ def generate_events(
     if seed < 0 or seed >= 2**64:
         raise ValueError("seed must be a non-negative 64-bit integer")
     det = det or DetectorModel()
+    p_1 = det.side_detection_probability(1)
+    p_2 = det.side_detection_probability(2)
 
-    base = n // workers
-    remainder = n % workers
-    chunks = [base + (1 if w < remainder else 0) for w in range(workers)]
-
-    phi_parts, d1_parts, d2_parts, bg_parts = [], [], [], []
-    for w, count in enumerate(chunks):
+    phi = np.empty(n, dtype=np.float64)
+    detected_1 = np.empty(n, dtype=bool)
+    detected_2 = np.empty(n, dtype=bool)
+    is_background = np.empty(n, dtype=bool)
+    base, remainder = divmod(n, workers)
+    start = 0
+    for w in range(workers):
+        count = base + (1 if w < remainder else 0)
         if count == 0:
             continue
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, w], dtype=np.uint64))
-        )
-        u_bg = rng.random(count)
-        u_phi = rng.random(count)
-        u_d1 = rng.random(count)
-        u_d2 = rng.random(count)
-
-        is_bg = u_bg < det.background_fraction
-        phi = np.where(is_bg, TWO_PI * u_phi, _invert_signal_cdf(u_phi))
-        phi_parts.append(phi)
-        bg_parts.append(is_bg)
-        d1_parts.append(u_d1 < det.side_detection_probability(1))
-        d2_parts.append(u_d2 < det.side_detection_probability(2))
-
-    return EventSample(
-        np.concatenate(phi_parts),
-        np.concatenate(d1_parts),
-        np.concatenate(d2_parts),
-        np.concatenate(bg_parts),
-    )
+        # Background, angle, detection-1 and detection-2 segments.
+        streams = [_philox_stream(seed, w, segment * count) for segment in range(4)]
+        for lo in range(0, count, _CSV_CHUNK_ROWS):
+            k = min(_CSV_CHUNK_ROWS, count - lo)
+            u_bg, u_phi, u_d1, u_d2 = (rng.random(k) for rng in streams)
+            out = slice(start + lo, start + lo + k)
+            is_bg = u_bg < det.background_fraction
+            is_background[out] = is_bg
+            phi[out] = np.where(is_bg, TWO_PI * u_phi, _invert_signal_cdf(u_phi))
+            detected_1[out] = u_d1 < p_1
+            detected_2[out] = u_d2 < p_2
+        start += count
+    return EventSample(phi, detected_1, detected_2, is_background)
 
 
 @dataclass(frozen=True)
@@ -515,10 +532,15 @@ def efficiency_threshold(search_tol: float = 1e-9, joint_max: float | None = Non
 
 CSV_HEADER = ["event_id", "phi", "detected_1", "detected_2", "is_background"]
 _CSV_ROW = "%d,%.9g,%d,%d,%d\r\n"
+# Events per chunk, both when they are drawn and when they are written.
 _CSV_CHUNK_ROWS = 65_536
 # The largest 9-significant-digit token below 2*pi.  Every phi at or above it
 # would otherwise be written as 6.28318531, which reads back as >= 2*pi.
 _PHI_TOKEN_MAX = 6.2831853
+# What np.loadtxt accepts in an integer field, once surrounding whitespace
+# is stripped: sign, leading zeros, then at most the 19 digits of an int64
+# (also below the digit limit of Python's int()).
+_INTEGER_TOKEN = re.compile(r"([+-]?)0*([0-9]{1,19})")
 _CSV_DTYPE = np.dtype(
     [
         ("event_id", np.int64),
@@ -553,16 +575,53 @@ def write_events_csv(events, path) -> None:
             fh.write(_CSV_ROW * (stop - start) % values)
 
 
+def _open_event_file(path: Path):
+    """Event files are ASCII; any other byte reads as a character that no
+    field accepts instead of failing to decode."""
+    return open(path, newline="", encoding="ascii", errors="surrogateescape")
+
+
 def _line_error(path: Path, lineno: int, problem: str) -> ValueError:
     return ValueError(f"{path}, line {lineno}: {problem}")
 
 
+def _integer_field(token: str, bits: int) -> int | None:
+    """The value np.loadtxt reads from a ``bits``-bit integer field, or None
+    where it rejects the field: it takes a sign and ASCII digits between
+    optional whitespace, but none of the underscores, other digits or
+    unbounded values that Python's int() takes."""
+    match = _INTEGER_TOKEN.fullmatch(token.strip())
+    if match is None:
+        return None
+    value = int(match[1] + match[2])
+    return value if -(1 << (bits - 1)) <= value < 1 << (bits - 1) else None
+
+
+def _float_field(token: str) -> float | None:
+    """The value np.loadtxt reads from a float field, or None where it rejects
+    the field: Python's float() grammar without digit underscores or
+    non-ASCII characters."""
+    text = token.strip()
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def _first_malformed_line(path: Path) -> ValueError | None:
-    """The error for the first data line that is not five comma-separated
-    fields of the form id,phi,flag,flag,flag; None if every line has it."""
-    with open(path, newline="") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
+    """The error for the first malformed line, found line by line by the rules
+    np.loadtxt and the reader's checks apply, with lines ended by LF or CRLF
+    only; None if no line breaks them."""
+    with _open_event_file(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # newline="" ends a line at LF, CRLF or a bare CR; the last alone
+            # leaves the CR at its end.
+            if line.endswith("\r"):
+                return _line_error(path, lineno, "carriage return without a line feed")
+            if lineno == 1:
+                continue  # the header, checked before parsing
             if not line.strip():
                 return _line_error(path, lineno, "blank line")
             fields = line.rstrip("\r\n").split(",")
@@ -570,17 +629,23 @@ def _first_malformed_line(path: Path) -> ValueError | None:
                 return _line_error(
                     path, lineno, f"expected {len(CSV_HEADER)} fields, got {len(fields)}"
                 )
-            try:
-                int(fields[0])
-            except ValueError:
-                return _line_error(path, lineno, f"event_id {fields[0]!r} is not an integer")
-            try:
-                float(fields[1])
-            except ValueError:
+            event_id = _integer_field(fields[0], 64)
+            if event_id is None:
+                return _line_error(
+                    path, lineno, f"event_id {fields[0]!r} is not a 64-bit integer"
+                )
+            phi = _float_field(fields[1])
+            if phi is None:
                 return _line_error(path, lineno, f"phi {fields[1]!r} is not a number")
             for name, token in zip(CSV_HEADER[2:], fields[2:]):
-                if token not in ("0", "1"):
+                if _integer_field(token, 8) not in (0, 1):
                     return _line_error(path, lineno, f"{name} {token!r} is not 0 or 1")
+            if event_id != lineno - 2:
+                return _line_error(
+                    path, lineno, f"event_id {event_id} out of order (expected {lineno - 2})"
+                )
+            if not 0.0 <= phi < TWO_PI:
+                return _line_error(path, lineno, f"phi {phi} is not in [0, 2*pi)")
     return None
 
 
@@ -596,10 +661,10 @@ def _count_lines(path: Path) -> int:
 def read_events_csv(path) -> EventSample:
     """Read an event file, enforcing the header and strictly increasing ids.
 
-    A malformed row raises ValueError naming the file and its line.
+    A malformed row raises ValueError naming the file and its first bad line.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with _open_event_file(path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected event file header {header} in {path}")
@@ -608,22 +673,20 @@ def read_events_csv(path) -> EventSample:
                 # A header-only file is an empty sample, not a warning.
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
-            raise _first_malformed_line(path) or ValueError(f"{path}: {exc}") from None
-    # np.loadtxt skips blank lines silently and takes any int8 as a flag.
-    flags = [rows[name] for name in CSV_HEADER[2:]]
-    if _count_lines(path) != rows.size + 1 or np.any((flags[0] | flags[1] | flags[2]) & ~1):
-        raise _first_malformed_line(path) or ValueError(f"{path}: malformed event file")
-
-    # Row i is on line i + 2: the header is line 1 and no line was skipped.
-    ids = rows["event_id"]
-    out_of_order = np.flatnonzero(ids != np.arange(rows.size))
-    if out_of_order.size:
-        i = int(out_of_order[0])
-        raise _line_error(path, i + 2, f"event_id {ids[i]} out of order (expected {i})")
-    try:
-        return EventSample(rows["phi"], *flags)
-    except ValueError:
-        phi = rows["phi"]
-        i = int(np.flatnonzero(~((phi >= 0.0) & (phi < TWO_PI)))[0])
-        raise _line_error(path, i + 2, f"phi {float(phi[i])} is not in [0, 2*pi)") from None
+        except ValueError:
+            rows = None
+    # np.loadtxt skips blank lines silently, also ends a line at a bare CR
+    # (the LF count catches both unless they offset each other) and takes
+    # any int8 as a flag.  The line-by-line search runs only to name the
+    # line of a fault.
+    if rows is not None and _count_lines(path) == rows.size + 1:
+        flags = [rows[name] for name in CSV_HEADER[2:]]
+        ids = rows["event_id"]
+        if not np.any((flags[0] | flags[1] | flags[2]) & ~1) and np.array_equal(
+            ids, np.arange(rows.size)
+        ):
+            try:
+                return EventSample(rows["phi"], *flags)
+            except ValueError:
+                pass  # phi out of range or not finite
+    raise _first_malformed_line(path) or ValueError(f"{path}: malformed event file")

@@ -184,6 +184,18 @@ class Observable:
         return np.linalg.eigvalsh(self.matrix)
 
 
+def _check_projector(mat: np.ndarray) -> None:
+    """Raise unless ``mat``, or every matrix of a stack of them, is Hermitian,
+    idempotent and has eigenvalues in {0, 1}."""
+    if np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj())) > HERMITIAN_TOL:
+        raise ValueError("projector matrix is not Hermitian within 1e-12")
+    if np.max(np.abs(mat @ mat - mat)) > IDEMPOTENT_TOL:
+        raise ValueError("projector matrix is not idempotent within 1e-10")
+    evals = np.linalg.eigvalsh(mat)
+    if np.max(np.minimum(np.abs(evals), np.abs(evals - 1.0))) > 1e-8:
+        raise ValueError("projector eigenvalues are not in {0, 1}")
+
+
 @dataclass(frozen=True)
 class Projector:
     """Hermitian idempotent matrix (eigenvalues 0/1)."""
@@ -192,13 +204,7 @@ class Projector:
 
     def __post_init__(self):
         mat = _complex_matrix(self.matrix, "projector matrix")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("projector matrix is not Hermitian within 1e-12")
-        if np.max(np.abs(mat @ mat - mat)) > IDEMPOTENT_TOL:
-            raise ValueError("projector matrix is not idempotent within 1e-10")
-        evals = np.linalg.eigvalsh(mat)
-        if np.max(np.minimum(np.abs(evals), np.abs(evals - 1.0))) > 1e-8:
-            raise ValueError("projector eigenvalues are not in {0, 1}")
+        _check_projector(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -218,6 +224,33 @@ class Projector:
                 raise ValueError("cannot project onto a zero vector")
             vec = vec / norm
         return cls(np.outer(vec, vec.conj()))
+
+    @classmethod
+    def onto_each(cls, vectors) -> list["Projector"]:
+        """``[Projector.onto(v) for v in vectors]`` for the rows of ``vectors``.
+
+        The matrices are the same bit for bit, but the projector checks run
+        once over the stacked batch instead of once per matrix.
+        """
+        vecs = np.array(vectors, dtype=np.complex128)
+        if vecs.ndim != 2:
+            raise DimensionError(f"vectors must be a 2-d array of rows, got {vecs.shape}")
+        if not np.all(np.isfinite(vecs.real)) or not np.all(np.isfinite(vecs.imag)):
+            raise ValueError("vector contains non-finite entries")
+        # Row by row, as onto() does: a norm along an axis sums in another order.
+        norms = np.array([np.linalg.norm(vec) for vec in vecs])
+        if np.any(norms < NORM_TOL):
+            raise ValueError("cannot project onto a zero vector")
+        vecs = vecs / norms[:, np.newaxis]
+        mats = vecs[:, :, np.newaxis] * vecs.conj()[:, np.newaxis, :]
+        _check_projector(mats)
+        mats.setflags(write=False)
+        projectors = []
+        for mat in mats:
+            projector = object.__new__(cls)
+            object.__setattr__(projector, "matrix", mat)
+            projectors.append(projector)
+        return projectors
 
     @classmethod
     def identity(cls, dim: int) -> "Projector":

@@ -13,14 +13,12 @@ import numpy as np
 
 from ._search import maximize_on_grid
 from .qcore import Observable, Projector, StateVector, born_probability, eigenvector_for_eigenvalue
-from .reports import InequalityReport, make_report
+from .reports import VIOLATION_TOL, InequalityReport, make_report
 
 SPIN1_LABELS = ("+1", "0", "-1")
 
 # Closed-form vs projector-route disagreement above this raises.
 _CROSS_CHECK_TOL = 1e-8
-
-_VIOLATION_TOL = 1e-12
 
 
 class InternalInconsistency(RuntimeError):
@@ -173,7 +171,7 @@ def hardy_probabilities(settings: HardySettings) -> HardyReport:
         p_x_aneq=p_x_aneq,
         p_x_g=p_x_g,
         lhs_minus_rhs=diff,
-        violated=diff > _VIOLATION_TOL,
+        violated=diff > VIOLATION_TOL,
     )
 
 

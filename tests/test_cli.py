@@ -5,6 +5,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hepbell import cli
 
@@ -201,6 +203,40 @@ class TestEventPipeline:
         err = capsys.readouterr().err
         assert f"{events}, line 3:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "99999999999999999999,0.5,1,1,0\r\n",  # id beyond int64
+            "0,1_5,1,1,0\r\n",  # digit underscore, which float() takes
+            "0,0.5,1,1,0\r1,0.5,1,1,0\r",  # CR-only line ends
+        ],
+    )
+    def test_tokens_loadtxt_rejects_name_their_line(self, tmp_path, capsys, rows):
+        events = tmp_path / "bad.csv"
+        events.write_text(
+            "event_id,phi,detected_1,detected_2,is_background\r\n" + rows, newline=""
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--output-dir", str(tmp_path), "estimate", "--events", str(events)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{events}, line 2:" in err
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(body=st.binary(max_size=64))
+    def test_estimate_on_arbitrary_bytes_exits_cleanly(self, tmp_path_factory, body):
+        directory = tmp_path_factory.mktemp("fuzz")
+        events = directory / "events.csv"
+        events.write_bytes(b"event_id,phi,detected_1,detected_2,is_background\r\n" + body)
+        args = ["--output-dir", str(directory), "estimate", "--events", str(events)]
+        try:
+            code = run(args)
+        except SystemExit as exc:
+            assert exc.code == 2
+        else:
+            assert code in (0, 4)
 
     def test_reports_refuse_nan(self, tmp_path):
         config = cli.RunConfig(output_dir=str(tmp_path))

@@ -1,5 +1,10 @@
 import csv
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,3 +449,124 @@ class TestCsvMatchesReference:
         assert float(np.max(np.abs(reread.phi - sample.phi))) < 1e-8
         for field in ("detected_1", "detected_2", "is_background"):
             assert np.array_equal(getattr(reread, field), getattr(sample, field))
+
+
+def reference_generate_events(n, det, seed, workers):
+    """Whole-array draws per worker, the loop the chunked generator must match."""
+    base, remainder = divmod(n, workers)
+    phi_parts, d1_parts, d2_parts, bg_parts = [], [], [], []
+    for w in range(workers):
+        count = base + (1 if w < remainder else 0)
+        if count == 0:
+            continue
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, w], dtype=np.uint64)))
+        u_bg = rng.random(count)
+        u_phi = rng.random(count)
+        u_d1 = rng.random(count)
+        u_d2 = rng.random(count)
+        is_bg = u_bg < det.background_fraction
+        phi_parts.append(np.where(is_bg, TWO_PI * u_phi, mesonlab._invert_signal_cdf(u_phi)))
+        bg_parts.append(is_bg)
+        d1_parts.append(u_d1 < det.side_detection_probability(1))
+        d2_parts.append(u_d2 < det.side_detection_probability(2))
+    return EventSample(*(np.concatenate(p) for p in (phi_parts, d1_parts, d2_parts, bg_parts)))
+
+
+GENERATE_PEAK_SCRIPT = """
+import resource, sys
+from hepbell.mesonlab import DetectorModel, generate_events
+generate_events(int(sys.argv[1]), DetectorModel(0.9, 0.9, 0.02), seed=7, workers=2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def generate_peak_bytes(n):
+    """Peak RSS of a fresh interpreter that imports hepbell and draws n events."""
+    src = str(Path(mesonlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", GENERATE_PEAK_SCRIPT, str(n)],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)
+
+
+class TestChunkedGeneration:
+    @pytest.mark.parametrize("chunk_rows", [mesonlab._CSV_CHUNK_ROWS, 1001])
+    @pytest.mark.parametrize(
+        "det",
+        [DetectorModel(), DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)],
+        ids=["perfect", "lossy"],
+    )
+    @pytest.mark.parametrize("n, workers", [(1_000_001, 3), (131_073, 2), (7, 5)])
+    def test_matches_whole_array_draws(self, monkeypatch, n, workers, det, chunk_rows):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk_rows)
+        ours = generate_events(n, det, seed=7, workers=workers)
+        reference = reference_generate_events(n, det, seed=7, workers=workers)
+        assert ours.phi.tobytes() == reference.phi.tobytes()
+        assert_same_events(ours, reference)
+
+    def test_peak_memory_grows_by_the_result_only(self):
+        # The result holds 11 B per event (float64 phi, three bool flags);
+        # whole-array draws held about 70.
+        slope = (generate_peak_bytes(2_000_000) - generate_peak_bytes(200_000)) / 1_800_000
+        assert slope < 16.0
+
+
+HEADER_BYTES = b"event_id,phi,detected_1,detected_2,is_background\r\n"
+FUZZ_TOKENS = [
+    b"0", b"1", b"2", b"-1", b"+1", b"0.5", b"6.3", b"1e-05", b"nan", b"inf", b"1_5",
+    b"99999999999999999999", b",", b" ", b"\t", b".", b"\r\n", b"\n", b"\r", b"\x00", b"\xff",
+]
+
+
+class TestReaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        valid_rows=st.integers(min_value=0, max_value=3),
+        tail=st.lists(st.one_of(st.binary(max_size=6), st.sampled_from(FUZZ_TOKENS)), max_size=24),
+    )
+    def test_arbitrary_bytes_read_or_name_the_first_bad_line(
+        self, tmp_path_factory, valid_rows, tail
+    ):
+        body = b"".join(b"%d,0.5,1,1,0\r\n" % i for i in range(valid_rows)) + b"".join(tail)
+        directory = tmp_path_factory.mktemp("fuzz")
+        path = directory / "events.csv"
+        path.write_bytes(HEADER_BYTES + body)
+        try:
+            sample = read_events_csv(path)
+        except ValueError as exc:
+            match = re.match(rf"{re.escape(str(path))}, line (\d+): ", str(exc))
+            assert match, str(exc)
+            # Every line before the named one reads back.
+            lines = (HEADER_BYTES + body).splitlines(keepends=True)
+            prefix = directory / "prefix.csv"
+            prefix.write_bytes(b"".join(lines[: int(match[1]) - 1]))
+            read_events_csv(prefix)
+        else:
+            assert isinstance(sample, EventSample)
+
+    @pytest.mark.parametrize(
+        "body, lineno",
+        [
+            (b"event_id,phi,detected_1,detected_2,is_background\r0,0.5,1,1,0\r", 1),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r1,0.5,1,1,0\r\n", 2),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,1, +01 \r\n2,0.5,1,1,0\n3,0.5,1,1,0", None),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,1,0\xa0\r\n", 3),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n9223372036854775808,0.5,1,1,0\r\n", 3),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,1,128\r\n", 3),
+            (HEADER_BYTES + b"0" * 5000 + b",0.5,1,1,0\r\n1,0.5,1,1,0\r\n1" + b"0" * 5000 + b",0.5,1,1,0", 4),
+        ],
+        ids=[
+            "cr-only", "bare-cr", "loadtxt-spacing-and-sign", "non-ascii", "int64-overflow",
+            "int8-overflow", "long-digit-strings",
+        ],
+    )
+    def test_line_ends_and_tokens_follow_loadtxt(self, tmp_path, body, lineno):
+        path = tmp_path / "events.csv"
+        path.write_bytes(body)
+        if lineno is None:
+            assert len(read_events_csv(path)) == 4
+        else:
+            with pytest.raises(ValueError, match=rf", line {lineno}: "):
+                read_events_csv(path)

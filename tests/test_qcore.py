@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from hepbell import qcore
 from hepbell.qcore import (
     DegenerateEigenspace,
     DimensionError,
@@ -112,6 +115,32 @@ class TestProjector:
     def test_complement(self):
         p = Projector.onto([1.0, 0.0])
         assert np.allclose(p.complement().matrix, [[0, 0], [0, 1]])
+
+    def test_onto_each_matches_onto_bit_for_bit(self, rng):
+        angles = rng.uniform(0.0, 2 * np.pi, 500).tolist()
+        real = [(math.cos(t), math.sin(t)) for t in angles]
+        complex3 = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+        for vectors in (real, complex3, [[2.0, 0.0]]):
+            batch = Projector.onto_each(vectors)
+            assert len(batch) == len(vectors)
+            for projector, vector in zip(batch, vectors):
+                assert type(projector) is Projector
+                assert projector.matrix.tobytes() == Projector.onto(vector).matrix.tobytes()
+                assert not projector.matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [[[1.0, 0.0], [0.0, 0.0]], [[1.0, np.nan]], [[1.0, np.inf]], [1.0, 0.0]],
+    )
+    def test_onto_each_rejects_what_onto_rejects(self, vectors):
+        with pytest.raises(ValueError):
+            Projector.onto_each(vectors)
+
+    def test_stacked_check_rejects_any_bad_matrix(self):
+        good = Projector.onto([1.0, 0.0]).matrix
+        for bad in ([[0.5, 0.0], [0.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]]):
+            with pytest.raises(ValueError):
+                qcore._check_projector(np.stack([good, np.array(bad, dtype=complex), good]))
 
 
 class TestBornProbability:
