@@ -10,7 +10,6 @@ is reproduced by seeded Monte Carlo.
 
 from .mesonlab import (
     DetectorModel,
-    EventRecord,
     EventSample,
     HistogramEstimate,
     KinematicsConfig,
@@ -29,7 +28,6 @@ from .photon3 import (
     ch_value_3gamma,
     circular_linear_transform,
     make_ortho_ps_state,
-    make_para_ps_state,
     outcome_probability,
     three_tangle,
 )
@@ -47,7 +45,6 @@ from .spin1 import (
     HardySettings,
     ch_value_vv,
     hardy_probabilities,
-    hardy_violation,
     j_alpha,
     make_singlet_like,
     maximize_ch_vv,

@@ -11,8 +11,6 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import lhv, mesonlab, photon3, spin1
 
 EXIT_OK = 0
@@ -23,7 +21,7 @@ EXIT_INSUFFICIENT_STATS = 4
 _PI = math.pi
 
 
-class AngleSyntaxError(ValueError):
+class AngleSyntaxError(argparse.ArgumentTypeError, ValueError):
     def __init__(self, token: str):
         super().__init__(f"malformed angle token {token!r}")
         self.token = token
@@ -118,39 +116,13 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """Every flag stores under its RunConfig field name; unset flags are None."""
     updates = {}
-    for flag, field_name in (
-        ("n", "n_events"),
-        ("seed", "seed"),
-        ("workers", "workers"),
-        ("eta1", "eta_1"),
-        ("eta2", "eta_2"),
-        ("background", "background_fraction"),
-        ("br_weight", "br_weight"),
-        ("m_parent", "m_parent"),
-        ("m_vector", "m_vector"),
-        ("bin_width", "bin_width"),
-        ("settings", "settings"),
-        ("output_dir", "output_dir"),
-    ):
-        value = getattr(args, flag, None)
+    for field in fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            updates[field_name] = value
+            updates[field.name] = value
     return replace(config, **updates) if updates else config
-
-
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def _write_report(config: RunConfig, kind: str, payload: dict, out: str | None) -> Path:
@@ -159,15 +131,10 @@ def _write_report(config: RunConfig, kind: str, payload: dict, out: str | None) 
     path = Path(out) if out else directory / f"{kind}.json"
     document = {"kind": kind, "config": config.to_dict()}
     document.update(payload)
-    text = json.dumps(_json_ready(document), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n")
     print(f"wrote {path}")
     return path
-
-
-def angle(token: str) -> float:
-    """argparse type for a single angle; accepts 'Npi/M' fractions."""
-    return parse_angle(token)
 
 
 def four_angles(text: str) -> tuple[float, float, float, float]:
@@ -207,7 +174,7 @@ def _cmd_tripartite(config: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_hardy(config: RunConfig, args: argparse.Namespace) -> int:
     settings = spin1.HardySettings(args.alpha, args.beta, args.gamma)
-    report = spin1.hardy_violation(settings)
+    report = spin1.hardy_probabilities(settings)
     lhv_max, _ = lhv.max_hardy_spin1_lhv()
     payload = {
         "settings": {
@@ -247,7 +214,7 @@ def _cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
     path = _events_out_path(config, args.out)
     mesonlab.write_events_csv(events, path)
     echo = {"kind": "generate", "config": config.to_dict(), "events_file": str(path)}
-    print(json.dumps(_json_ready(echo), sort_keys=True, allow_nan=False))
+    print(json.dumps(echo, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -320,29 +287,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_tripartite)
 
     p = sub.add_parser("hardy", help="spin-1 Hardy probabilities and violation")
-    p.add_argument("--alpha", type=angle, default=3 * _PI / 8)
-    p.add_argument("--beta", type=angle, default=_PI / 4)
-    p.add_argument("--gamma", type=angle, default=5 * _PI / 8)
+    p.add_argument("--alpha", type=parse_angle, default=3 * _PI / 8)
+    p.add_argument("--beta", type=parse_angle, default=_PI / 4)
+    p.add_argument("--gamma", type=parse_angle, default=5 * _PI / 8)
     p.add_argument("--optimize", action="store_true", help="also search for the maximum")
-    p.add_argument("--grid-step", dest="grid_step", type=angle, default=_PI / 16)
+    p.add_argument("--grid-step", dest="grid_step", type=parse_angle, default=_PI / 16)
     p.add_argument("--refine-tol", dest="refine_tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_hardy)
 
     p = sub.add_parser("generate", help="simulate decays and write the event CSV")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", dest="n_events", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
-    p.add_argument("--eta1", type=float)
-    p.add_argument("--eta2", type=float)
-    p.add_argument("--background", type=float)
+    p.add_argument("--eta1", dest="eta_1", type=float)
+    p.add_argument("--eta2", dest="eta_2", type=float)
+    p.add_argument("--background", dest="background_fraction", type=float)
     p.add_argument("--br-weight", dest="br_weight", type=float)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("estimate", help="histogram probability estimate from events")
     p.add_argument("--events", required=True)
-    p.add_argument("--bin-width", dest="bin_width", type=angle)
+    p.add_argument("--bin-width", dest="bin_width", type=parse_angle)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_estimate)
 
@@ -353,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=four_angles,
         help="four angles t1,t1',t2,t2' (accepts Npi/M)",
     )
-    p.add_argument("--eta1", type=float)
-    p.add_argument("--eta2", type=float)
-    p.add_argument("--bin-width", dest="bin_width", type=angle)
+    p.add_argument("--eta1", dest="eta_1", type=float)
+    p.add_argument("--eta2", dest="eta_2", type=float)
+    p.add_argument("--bin-width", dest="bin_width", type=parse_angle)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_chtest)
 
@@ -375,27 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-    except AngleSyntaxError as exc:
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
-    try:
-        config = _load_config(args.config)
-        config = _apply_overrides(config, args)
+        config = _apply_overrides(_load_config(args.config), args)
         return args.handler(config, args)
-    except AngleSyntaxError as exc:
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
-    except FileNotFoundError as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except (mesonlab.InsufficientStatistics, mesonlab.NoData) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT_STATS
-    except OSError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except (ValueError, TypeError) as exc:
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
+        if isinstance(exc, OSError):
+            return EXIT_MISSING_INPUT
+        if isinstance(exc, (mesonlab.InsufficientStatistics, mesonlab.NoData)):
+            return EXIT_INSUFFICIENT_STATS
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -60,15 +60,12 @@ def enumerate_spin1_strategies() -> tuple[StrategySpin1, ...]:
     )
 
 
-def ch_3gamma_strategy_value(
-    strategy: Strategy3Gamma, labeling: tuple[int, int, int] = (0, 1, 2)
-) -> float:
+def ch_3gamma_strategy_value(strategy: Strategy3Gamma) -> float:
     """CH expression value for one deterministic strategy (0/1 indicators)."""
-    i, j, k = labeling
     lin, circ = strategy.linear, strategy.circular
-    t1 = lin[i] == "V" and lin[j] == "V"
-    t2 = lin[i] == "V" and circ[j] != circ[k]
-    t3 = circ[i] != circ[k] and lin[j] == "V"
+    t1 = lin[0] == "V" and lin[1] == "V"
+    t2 = lin[0] == "V" and circ[1] != circ[2]
+    t3 = circ[0] != circ[2] and lin[1] == "V"
     t4 = circ[0] == circ[1] == circ[2]
     return float(t1) - float(t2) - float(t3) - float(t4)
 
@@ -82,43 +79,43 @@ def hardy_spin1_strategy_value(strategy: StrategySpin1) -> float:
     return float(lhs) - float(r1) - float(r2) - float(r3)
 
 
-def max_ch_3gamma_lhv(
-    labeling: tuple[int, int, int] = (0, 1, 2)
-) -> tuple[float, Strategy3Gamma]:
+@lru_cache(maxsize=None)
+def _strategy_table(kind: str) -> tuple[tuple, np.ndarray]:
+    """The strategies of ``kind`` in enumeration order and their read-only values."""
+    if kind == "3gamma":
+        strategies, value = enumerate_3gamma_strategies(), ch_3gamma_strategy_value
+    elif kind == "spin1":
+        strategies, value = enumerate_spin1_strategies(), hardy_spin1_strategy_value
+    else:
+        raise ValueError(f"unknown strategy kind {kind!r}")
+    values = np.array([value(s) for s in strategies])
+    values.setflags(write=False)
+    return strategies, values
+
+
+def max_ch_3gamma_lhv() -> tuple[float, Strategy3Gamma]:
     """Exhaustive maximum of the CH expression over all 64 strategies.
 
-    By convexity this also bounds every stochastic local model.  The witness
-    is the first maximizer in canonical (lexicographic) enumeration order.
+    By convexity this also bounds every stochastic local model, and since the
+    strategy set is closed under relabeling the photons, it holds for every
+    labeling.  The witness is the first maximizer in canonical
+    (lexicographic) enumeration order.
     """
-    best_value, best_strategy = -np.inf, None
-    for strategy in enumerate_3gamma_strategies():
-        value = ch_3gamma_strategy_value(strategy, labeling)
-        if value > best_value:
-            best_value, best_strategy = value, strategy
-    return best_value, best_strategy
+    strategies, values = _strategy_table("3gamma")
+    best = int(np.argmax(values))
+    return float(values[best]), strategies[best]
 
 
 def max_hardy_spin1_lhv() -> tuple[float, StrategySpin1]:
     """Exhaustive maximum of the spin-1 constraint gap over all 81 strategies."""
-    best_value, best_strategy = -np.inf, None
-    for strategy in enumerate_spin1_strategies():
-        value = hardy_spin1_strategy_value(strategy)
-        if value > best_value:
-            best_value, best_strategy = value, strategy
-    return best_value, best_strategy
+    strategies, values = _strategy_table("spin1")
+    best = int(np.argmax(values))
+    return float(values[best]), strategies[best]
 
 
 def strategy_values(kind: str) -> np.ndarray:
-    """Vector of deterministic inequality values in enumeration order."""
-    if kind == "3gamma":
-        return np.array(
-            [ch_3gamma_strategy_value(s) for s in enumerate_3gamma_strategies()]
-        )
-    if kind == "spin1":
-        return np.array(
-            [hardy_spin1_strategy_value(s) for s in enumerate_spin1_strategies()]
-        )
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    """Read-only vector of deterministic inequality values in enumeration order."""
+    return _strategy_table(kind)[1]
 
 
 def mixture_expectation(weights: Sequence[float], kind: str) -> float:
@@ -153,10 +150,7 @@ class LhvSample:
         self.kind = kind
         self.indices = indices
         self.indices.setflags(write=False)
-        self._values = strategy_values(kind)
-        self._strategies = (
-            enumerate_3gamma_strategies() if kind == "3gamma" else enumerate_spin1_strategies()
-        )
+        self._strategies, self._values = _strategy_table(kind)
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -167,12 +161,6 @@ class LhvSample:
 
     def empirical_value(self) -> float:
         return float(self._values[self.indices].mean())
-
-    def empirical_stderr(self) -> float:
-        n = len(self)
-        if n < 2:
-            return float("inf")
-        return float(self._values[self.indices].std(ddof=1) / np.sqrt(n))
 
 
 def lhv_event_stream(

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -77,13 +76,14 @@ def angular_density(phi):
 
 
 @lru_cache(maxsize=1)
-def derive_kappa(n_points: int = 2048) -> float:
+def derive_kappa() -> float:
     """Normalization constant relating the joint probability to the density.
 
     kappa = integral over [0, 2*pi) of the joint direction probability at
     relative angle phi, computed by periodic quadrature on the transverse
     state rather than hard-coded; evaluates to pi/2.
     """
+    n_points = 2048
     grid = np.arange(n_points) * (TWO_PI / n_points)
     state = transverse_state()
     reference = _transverse_projector(0.0)
@@ -96,24 +96,18 @@ def derive_kappa(n_points: int = 2048) -> float:
     return float(np.sum(values) * (TWO_PI / n_points))
 
 
-def _signal_cdf(phi: np.ndarray) -> np.ndarray:
-    return (2.0 * phi - np.sin(2.0 * phi)) / (4.0 * math.pi)
-
-
-def _core_inverse_knot(m: float) -> float:
-    """Scalar bisection for x - sin(x) = m on [0, pi] (table construction)."""
-    lo, hi = 0.0, math.pi
+def _core_inverse_knots(m: np.ndarray) -> np.ndarray:
+    """Bisection for x - sin(x) = m on [0, pi], every knot of the table at once."""
+    lo, hi = np.zeros_like(m), np.full_like(m, math.pi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if mid - math.sin(mid) < m:
-            lo = mid
-        else:
-            hi = mid
+        below = mid - np.sin(mid) < m
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
 _CORE_KNOTS_M = np.linspace(0.0, math.pi, 257)
-_CORE_KNOTS_X = np.array([_core_inverse_knot(m) for m in _CORE_KNOTS_M])
+_CORE_KNOTS_X = _core_inverse_knots(_CORE_KNOTS_M)
 
 
 def _core_inverse(m: np.ndarray) -> np.ndarray:
@@ -213,22 +207,9 @@ def effective_statistics(n_produced: int, det: DetectorModel) -> float:
     return float(n_produced) * det.br_weight * det.eta_1 * det.eta_2
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One simulated decay: plane angle, per-side detection, truth tag."""
-
-    phi: float
-    detected_1: bool
-    detected_2: bool
-    is_background: bool
-
-
-class EventSample(Sequence):
-    """Immutable column-oriented event collection.
-
-    Behaves as a sequence of :class:`EventRecord` while keeping numpy arrays
-    underneath so million-event estimators stay fast.
-    """
+class EventSample:
+    """Immutable column-oriented event collection: per event the plane angle,
+    the detection on each side and the background truth tag."""
 
     def __init__(
         self,
@@ -250,43 +231,12 @@ class EventSample(Sequence):
         for arr in (self.phi, self.detected_1, self.detected_2, self.is_background):
             arr.setflags(write=False)
 
-    @classmethod
-    def from_records(cls, records: Iterable[EventRecord]) -> "EventSample":
-        records = list(records)
-        return cls(
-            np.array([r.phi for r in records], dtype=np.float64),
-            np.array([r.detected_1 for r in records], dtype=bool),
-            np.array([r.detected_2 for r in records], dtype=bool),
-            np.array([r.is_background for r in records], dtype=bool),
-        )
-
     def __len__(self) -> int:
         return int(self.phi.size)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return EventSample(
-                self.phi[index],
-                self.detected_1[index],
-                self.detected_2[index],
-                self.is_background[index],
-            )
-        return EventRecord(
-            phi=float(self.phi[index]),
-            detected_1=bool(self.detected_1[index]),
-            detected_2=bool(self.detected_2[index]),
-            is_background=bool(self.is_background[index]),
-        )
 
     @property
     def coincidence_mask(self) -> np.ndarray:
         return self.detected_1 & self.detected_2
-
-
-def _as_sample(events) -> EventSample:
-    if isinstance(events, EventSample):
-        return events
-    return EventSample.from_records(events)
 
 
 def _philox_stream(seed: int, worker: int, offset: int) -> np.random.Generator:
@@ -391,14 +341,15 @@ class HistogramEstimate:
         }
 
 
-def estimate_probability(events, bin_width: float = TWO_PI / DEFAULT_BIN_COUNT) -> HistogramEstimate:
+def estimate_probability(
+    events: EventSample, bin_width: float = TWO_PI / DEFAULT_BIN_COUNT
+) -> HistogramEstimate:
     """Histogram estimator of the joint probability versus plane angle."""
-    sample = _as_sample(events)
     n_bins_float = TWO_PI / bin_width
     n_bins = round(n_bins_float)
     if n_bins < 1 or abs(TWO_PI - n_bins * bin_width) > 1e-9:
         raise ValueError(f"bin_width {bin_width} does not divide 2*pi within 1e-9")
-    phis = sample.phi[sample.coincidence_mask]
+    phis = events.phi[events.coincidence_mask]
     if phis.size == 0:
         raise NoData("no detected coincidences in the event sample")
     edges = np.linspace(0.0, TWO_PI, n_bins + 1)
@@ -422,7 +373,7 @@ def _window_count(phis: np.ndarray, center: float, width: float) -> int:
 
 
 def ch_from_events(
-    events,
+    events: EventSample,
     settings: tuple[float, float, float, float],
     det: DetectorModel | None = None,
     window: float = DEFAULT_CH_WINDOW,
@@ -459,8 +410,7 @@ def ch_from_events(
                     "(mod 2*pi), separated by at least one window width"
                 )
 
-    sample = _as_sample(events)
-    phis = sample.phi[sample.coincidence_mask]
+    phis = events.phi[events.coincidence_mask]
     if phis.size == 0:
         raise NoData("no detected coincidences in the event sample")
     n_detected = int(phis.size)
@@ -552,24 +502,23 @@ _CSV_DTYPE = np.dtype(
 )
 
 
-def write_events_csv(events, path) -> None:
+def write_events_csv(events: EventSample, path) -> None:
     """Write the append-only, order-significant event file.
 
     Rows are formatted a chunk at a time, so memory stays bounded by the
     chunk, not the file.
     """
-    sample = _as_sample(events)
-    n = len(sample)
+    n = len(events)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         for start in range(0, n, _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, n)
             columns = (
                 range(start, stop),
-                np.minimum(sample.phi[start:stop], _PHI_TOKEN_MAX).tolist(),
-                sample.detected_1[start:stop].view(np.uint8).tolist(),
-                sample.detected_2[start:stop].view(np.uint8).tolist(),
-                sample.is_background[start:stop].view(np.uint8).tolist(),
+                np.minimum(events.phi[start:stop], _PHI_TOKEN_MAX).tolist(),
+                events.detected_1[start:stop].view(np.uint8).tolist(),
+                events.detected_2[start:stop].view(np.uint8).tolist(),
+                events.is_background[start:stop].view(np.uint8).tolist(),
             )
             values = tuple(itertools.chain.from_iterable(zip(*columns)))
             fh.write(_CSV_ROW * (stop - start) % values)

@@ -57,12 +57,6 @@ def _rl_amps_of_linear(label: str) -> np.ndarray:
     return m.conj() @ e
 
 
-def make_para_ps_state() -> StateVector:
-    """Antisymmetric two-photon linear-polarization state (|xy> - |yx>)/sqrt(2)."""
-    amps = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / np.sqrt(2.0)
-    return StateVector((2, 2), amps, (("x", "y"), ("x", "y")))
-
-
 @lru_cache(maxsize=8)
 def make_ortho_ps_state(
     basis: tuple[PolBasis, PolBasis, PolBasis] = (

@@ -103,22 +103,9 @@ def zero_projector(theta: float) -> Projector:
 
 
 def nonzero_projector(theta: float) -> Projector:
-    """Projector onto J != 0, as the complement of the J=0 eigenprojector.
-
-    Cross-checked against the sum of the +1 and -1 eigenprojectors, which is
-    the decomposition the probabilities are defined through.
-    """
-    op = j_alpha(theta)
-    complement = zero_projector(theta).complement()
-    explicit = (
-        Projector.onto(eigenvector_for_eigenvalue(op, 1.0)).matrix
-        + Projector.onto(eigenvector_for_eigenvalue(op, -1.0)).matrix
-    )
-    if np.max(np.abs(complement.matrix - explicit)) > _CROSS_CHECK_TOL:
-        raise InternalInconsistency(
-            "complement and eigenprojector-sum forms of J!=0 disagree"
-        )
-    return complement
+    """Projector onto J != 0, the complement of the J=0 eigenprojector (equal
+    to the sum of the +1 and -1 eigenprojectors)."""
+    return zero_projector(theta).complement()
 
 
 def hardy_closed_forms(
@@ -139,7 +126,11 @@ def hardy_difference_closed(alpha, beta, gamma):
 
 
 def hardy_probabilities(settings: HardySettings) -> HardyReport:
-    """The four joint probabilities, computed two independent ways.
+    """The four joint probabilities, computed two independent ways, and the
+    gap they give in the local-realism constraint
+
+        P(J_x=0, J_gamma=0) <= P(J_x=0, J_alpha!=0) + P(J_beta!=0, J_gamma=0)
+                               + P(J_beta=0, J_alpha=0).
 
     Closed trigonometric forms are returned; a Born-rule evaluation with
     eigenprojectors on the singlet-like state must agree within 1e-10, and a
@@ -173,16 +164,6 @@ def hardy_probabilities(settings: HardySettings) -> HardyReport:
         lhs_minus_rhs=diff,
         violated=diff > VIOLATION_TOL,
     )
-
-
-def hardy_violation(settings: HardySettings) -> HardyReport:
-    """Evaluate the local-realism constraint
-
-        P(J_x=0, J_gamma=0) <= P(J_x=0, J_alpha!=0) + P(J_beta!=0, J_gamma=0)
-                               + P(J_beta=0, J_alpha=0)
-
-    and report the (possibly positive) gap."""
-    return hardy_probabilities(settings)
 
 
 def maximize_violation(

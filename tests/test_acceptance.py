@@ -98,7 +98,7 @@ def test_criterion_03_basis_transform_fidelity():
 
 def test_criterion_04_hardy_maximum():
     settings = spin1.HardySettings(3 * math.pi / 8, math.pi / 4, 5 * math.pi / 8)
-    gap = spin1.hardy_violation(settings).lhs_minus_rhs
+    gap = spin1.hardy_probabilities(settings).lhs_minus_rhs
     expected = (2 + SQ2) / 8 - (6 - 3 * SQ2) / 8
     assert abs(gap - expected) < 1e-12
     assert abs(gap - 0.2071068) < 1e-6

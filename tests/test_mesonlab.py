@@ -15,7 +15,6 @@ from hepbell import mesonlab
 from hepbell.mesonlab import (
     BelowThreshold,
     DetectorModel,
-    EventRecord,
     EventSample,
     InsufficientStatistics,
     KinematicsConfig,
@@ -107,6 +106,20 @@ class TestGenerateEvents:
         assert float(np.max(np.abs(signal_cdf(phi) - u))) < 1e-12
         assert phi.min() >= 0.0 and phi.max() < TWO_PI
 
+    def test_knot_table_matches_scalar_bisection_bit_for_bit(self):
+        def scalar_knot(m):
+            lo, hi = 0.0, math.pi
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if mid - math.sin(mid) < m:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        reference = np.array([scalar_knot(m) for m in mesonlab._CORE_KNOTS_M.tolist()])
+        assert reference.view(np.uint64).tolist() == mesonlab._CORE_KNOTS_X.view(np.uint64).tolist()
+
     def test_zero_efficiency_gives_no_coincidences(self):
         det = DetectorModel(eta_1=0.0, eta_2=0.0)
         events = generate_events(10_000, det, seed=1)
@@ -140,15 +153,6 @@ class TestGenerateEvents:
             generate_events(10, seed=1, workers=0)
         with pytest.raises(ValueError):
             DetectorModel(eta_1=1.5)
-
-    def test_event_sample_record_access(self):
-        events = generate_events(10, seed=3)
-        record = events[0]
-        assert isinstance(record, EventRecord)
-        assert 0.0 <= record.phi < TWO_PI
-        assert len(events[2:5]) == 3
-        rebuilt = EventSample.from_records(list(events))
-        assert np.array_equal(rebuilt.phi, events.phi)
 
     @pytest.mark.parametrize("bad_phi", [math.nan, math.inf, -math.inf])
     def test_event_sample_rejects_non_finite_phi(self, bad_phi):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hepbell.mesonlab import transverse_state
 from hepbell.photon3 import (
     ConditionOnNullEvent,
     PolBasis,
@@ -11,7 +12,6 @@ from hepbell.photon3 import (
     circular_linear_transform,
     different_circular,
     make_ortho_ps_state,
-    make_para_ps_state,
     outcome_probability,
     same_circular,
     three_tangle,
@@ -27,14 +27,14 @@ MIXED = (PolBasis.CIRCULAR, PolBasis.CIRCULAR, PolBasis.LINEAR)
 
 class TestParaState:
     def test_joint_probabilities(self):
-        state = make_para_ps_state()
+        state = transverse_state()
         p_x = Projector.onto([1.0, 0.0])
         p_y = Projector.onto([0.0, 1.0])
         assert abs(born_probability(state, [p_x, p_y]) - 0.5) < 1e-12
         assert born_probability(state, [p_x, p_x]) < 1e-12
 
     def test_rotation_invariance_of_antisymmetric_form(self, rng):
-        state = make_para_ps_state()
+        state = transverse_state()
         for theta in rng.uniform(0, 2 * np.pi, 15):
             c, s = np.cos(theta), np.sin(theta)
             rot = np.array([[c, -s], [s, c]])

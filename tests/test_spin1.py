@@ -11,7 +11,6 @@ from hepbell.spin1 import (
     hardy_closed_forms,
     hardy_difference_closed,
     hardy_probabilities,
-    hardy_violation,
     j_alpha,
     make_singlet_like,
     maximize_ch_vv,
@@ -143,6 +142,15 @@ class TestHardyProbabilities:
             p_n0 = born_probability(state, [nonzero_projector(beta), zero_projector(alpha)])
             assert abs(p_00 + p_n0 - 0.5) < 1e-10
 
+    def test_nonzero_projector_is_sum_of_plus_and_minus_eigenprojectors(self, rng):
+        for theta in [0.0, np.pi / 2, np.pi, *rng.uniform(0, 2 * np.pi, 200)]:
+            op = j_alpha(theta)
+            explicit = (
+                Projector.onto(eigenvector_for_eigenvalue(op, 1.0)).matrix
+                + Projector.onto(eigenvector_for_eigenvalue(op, -1.0)).matrix
+            )
+            assert np.max(np.abs(nonzero_projector(theta).matrix - explicit)) < 1e-10
+
     def test_internal_inconsistency_raised_on_route_mismatch(self, monkeypatch):
         def broken(alpha, beta, gamma):
             return 0.3, 0.3, 0.3, 0.3
@@ -158,7 +166,7 @@ class TestHardyProbabilities:
 
 class TestHardyViolation:
     def test_paper_settings_gap(self):
-        report = hardy_violation(PAPER_SETTINGS)
+        report = hardy_probabilities(PAPER_SETTINGS)
         assert abs(report.p_x_g - (2 + SQ2) / 8) < 1e-12
         rhs = report.p_x_aneq + report.p_bneq_g + report.p_bb_aa
         assert abs(rhs - (6 - 3 * SQ2) / 8) < 1e-12
@@ -168,7 +176,7 @@ class TestHardyViolation:
     def test_all_zero_settings_not_violated(self):
         # Faithful evaluation: lhs = 0 and rhs = 1 (each closed form checked
         # against the Born oracle), so the gap is -1.
-        report = hardy_violation(HardySettings(0.0, 0.0, 0.0))
+        report = hardy_probabilities(HardySettings(0.0, 0.0, 0.0))
         assert report.p_x_g < 1e-12
         assert abs(report.lhs_minus_rhs + 1.0) < 1e-12
         assert not report.violated
