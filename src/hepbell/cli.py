@@ -141,7 +141,9 @@ def four_angles(text: str) -> tuple[float, float, float, float]:
     """argparse type for a comma-separated list of four angles."""
     tokens = [t for t in text.split(",") if t.strip()]
     if len(tokens) != 4:
-        raise AngleSyntaxError(text)
+        raise argparse.ArgumentTypeError(
+            f"expected four angles t1,t1',t2,t2', got {len(tokens)}: {text!r}"
+        )
     return tuple(parse_angle(t) for t in tokens)
 
 

@@ -8,7 +8,6 @@ evaluation, the detection-efficiency threshold, and two-body kinematics.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import warnings
@@ -481,12 +480,22 @@ def efficiency_threshold(search_tol: float = 1e-9, joint_max: float | None = Non
 
 
 CSV_HEADER = ["event_id", "phi", "detected_1", "detected_2", "is_background"]
-_CSV_ROW = "%d,%.9g,%d,%d,%d\r\n"
 # Events per chunk, both when they are drawn and when they are written.
 _CSV_CHUNK_ROWS = 65_536
 # The largest 9-significant-digit token below 2*pi.  Every phi at or above it
 # would otherwise be written as 6.28318531, which reads back as >= 2*pi.
 _PHI_TOKEN_MAX = 6.2831853
+# Bytes of the phi field: "4.94065646e-324" is the widest "%.9g" token of a
+# float in [0, 2*pi).
+_PHI_WIDTH = 15
+# Decade thresholds of phi in [1e-4, 10).  No double lies in [10**-j,
+# double(10**-j)), so comparing against them is exact.
+_PHI_DECADES = np.array([1e-3, 1e-2, 1e-1, 1.0])
+# For phi in [10**e, 10**(e + 1)), j = e + 4: 10**(12 - j) scales phi to its
+# 9 significant digits, and 10**j those digits to phi * 10**12.  Every power
+# is exact.
+_PHI_TO_MANTISSA = np.array([1e12, 1e11, 1e10, 1e9, 1e8])
+_MANTISSA_TO_FIXED = 1e12 / _PHI_TO_MANTISSA
 # What np.loadtxt accepts in an integer field, once surrounding whitespace
 # is stripped: sign, leading zeros, then at most the 19 digits of an int64
 # (also below the digit limit of Python's int()).
@@ -502,6 +511,93 @@ _CSV_DTYPE = np.dtype(
 )
 
 
+def _ascii_digits(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the last ``len(out)`` decimal digits of unsigned integers as
+    ASCII into ``out``, one row per digit, most significant first."""
+    for row in range(len(out) - 1, -1, -1):
+        quotient = values // 10
+        out[row] = values - quotient * 10
+        values = quotient
+    out += ord("0")
+
+
+def _phi_tokens(phi: np.ndarray, out: np.ndarray) -> None:
+    """Write ``b"%.9g" % phi`` for phi in [0, 2*pi) into ``out``, one
+    NUL-padded column of ``_PHI_WIDTH`` bytes per angle.
+
+    From 1e-4 up, "%.9g" writes phi in fixed point.  For phi in
+    [10**e, 10**(e + 1)) its 9 significant digits are m = rint(y), y =
+    phi * 10**(8 - e), and m * 10**(4 + e) = phi * 10**12 is laid out as one
+    integer digit, a point and 12 decimals, trailing zeros dropped.  A carry
+    of m to 10**9 gives 10**(e + 1), which this layout writes as "%.9g"
+    does.  y lies within y * 2**-53 of the exact product, so Python formats
+    the rows within 4 * y * 2**-53 of a tie, where rint could round to the
+    other side, and the exponent-form rows below 1e-4.
+    """
+    decade = sum(phi >= edge for edge in _PHI_DECADES)
+    y = phi * _PHI_TO_MANTISSA[decade]
+    mantissa = np.rint(y)
+    python_rows = np.flatnonzero(
+        (phi < 1e-4) | (np.abs(y - np.floor(y) - 0.5) <= 4.0 * 2.0**-53 * y)
+    )
+    fixed = mantissa * _MANTISSA_TO_FIXED[decade]  # phi * 10**12, below 2**53
+    high = np.floor(fixed / 1e7)
+    # The 13 digits go one row down, then the integer digit moves up to
+    # make room for the point.
+    _ascii_digits(high.astype(np.uint32), out[1:7])
+    _ascii_digits((fixed - high * 1e7).astype(np.uint32), out[7:14])
+    out[0] = out[1]
+    decimals = out[2:14]
+    # A decimal stays if it or any decimal after it is not zero.
+    kept = decimals != ord("0")
+    for row in range(10, -1, -1):
+        kept[row] |= kept[row + 1]
+    decimals *= kept
+    out[1] = kept[0] * ord(".")
+    out[14] = 0
+    if python_rows.size:
+        text = b"".join(
+            (b"%.9g" % value).ljust(_PHI_WIDTH, b"\0") for value in phi[python_rows].tolist()
+        )
+        out[:, python_rows] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _PHI_WIDTH).T
+
+
+def _csv_rows(
+    start: int,
+    phi: np.ndarray,
+    detected_1: np.ndarray,
+    detected_2: np.ndarray,
+    is_background: np.ndarray,
+) -> bytes:
+    """Event rows with ids from ``start``, byte for byte
+    ``b"%d,%.9g,%d,%d,%d\r\n"`` of each event, phi in [0, 2*pi).
+
+    Each output byte column is one row of a NUL-padded table; the table is
+    transposed and the NULs dropped.
+    """
+    k = phi.size
+    last = start + k - 1
+    id_width = len(str(last))
+    ids = np.arange(start, start + k, dtype=np.uint64 if last >= 1 << 32 else np.uint32)
+    table = np.empty((id_width + 1 + _PHI_WIDTH + 8, k), dtype=np.uint8)
+    _ascii_digits(ids, table[:id_width])
+    for row in range(id_width - 1):
+        # Ids are consecutive, so those with this digit as a leading zero
+        # are a prefix.
+        table[row, : max(0, 10 ** (id_width - 1 - row) - start)] = 0
+    at = id_width
+    table[at] = ord(",")
+    _phi_tokens(phi, table[at + 1 : at + 1 + _PHI_WIDTH])
+    at += 1 + _PHI_WIDTH
+    for flag in (detected_1, detected_2, is_background):
+        table[at] = ord(",")
+        table[at + 1] = flag.view(np.uint8) + ord("0")
+        at += 2
+    table[at] = ord("\r")
+    table[at + 1] = ord("\n")
+    return table.T.tobytes().translate(None, b"\0")
+
+
 def write_events_csv(events: EventSample, path) -> None:
     """Write the append-only, order-significant event file.
 
@@ -509,19 +605,19 @@ def write_events_csv(events: EventSample, path) -> None:
     chunk, not the file.
     """
     n = len(events)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(CSV_HEADER).encode("ascii") + b"\r\n")
         for start in range(0, n, _CSV_CHUNK_ROWS):
-            stop = min(start + _CSV_CHUNK_ROWS, n)
-            columns = (
-                range(start, stop),
-                np.minimum(events.phi[start:stop], _PHI_TOKEN_MAX).tolist(),
-                events.detected_1[start:stop].view(np.uint8).tolist(),
-                events.detected_2[start:stop].view(np.uint8).tolist(),
-                events.is_background[start:stop].view(np.uint8).tolist(),
+            rows = slice(start, min(start + _CSV_CHUNK_ROWS, n))
+            fh.write(
+                _csv_rows(
+                    start,
+                    np.minimum(events.phi[rows], _PHI_TOKEN_MAX),
+                    events.detected_1[rows],
+                    events.detected_2[rows],
+                    events.is_background[rows],
+                )
             )
-            values = tuple(itertools.chain.from_iterable(zip(*columns)))
-            fh.write(_CSV_ROW * (stop - start) % values)
 
 
 def _open_event_file(path: Path):
@@ -598,13 +694,19 @@ def _first_malformed_line(path: Path) -> ValueError | None:
     return None
 
 
-def _count_lines(path: Path) -> int:
+def _count_lines(path: Path) -> int | None:
+    """Lines ended by LF, or None if a CR stands without its LF."""
     with open(path, "rb") as fh:
         count, last = 0, b"\n"
         for block in iter(lambda: fh.read(1 << 20), b""):
-            count += block.count(b"\n")
+            # The previous block's last byte in front: a CRLF may straddle two.
+            data = np.frombuffer(last + block, dtype=np.uint8)
+            lf = data[1:] == ord("\n")
+            count += int(np.count_nonzero(lf))
+            if np.any((data[:-1] == ord("\r")) & ~lf):
+                return None
             last = block[-1:]
-    return count + (last != b"\n")
+    return None if last == b"\r" else count + (last != b"\n")
 
 
 def read_events_csv(path) -> EventSample:
@@ -624,10 +726,10 @@ def read_events_csv(path) -> EventSample:
                 rows = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
         except ValueError:
             rows = None
-    # np.loadtxt skips blank lines silently, also ends a line at a bare CR
-    # (the LF count catches both unless they offset each other) and takes
-    # any int8 as a flag.  The line-by-line search runs only to name the
-    # line of a fault.
+    # np.loadtxt skips blank lines silently (the LF count catches them),
+    # also ends a line at a bare CR (the CR count catches it) and takes any
+    # int8 as a flag.  The line-by-line search runs only to name the line of
+    # a fault.
     if rows is not None and _count_lines(path) == rows.size + 1:
         flags = [rows[name] for name in CSV_HEADER[2:]]
         ids = rows["event_id"]

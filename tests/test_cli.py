@@ -53,6 +53,19 @@ class TestAngleParsing:
         with pytest.raises(cli.AngleSyntaxError):
             cli.parse_angle(token)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ("0,1", "expected four angles t1,t1',t2,t2', got 2: '0,1'"),
+            ("0,1,2,3x", "malformed angle token '3x'"),
+        ],
+    )
+    def test_bad_settings_name_their_fault(self, tmp_path, capsys, settings, message):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--output-dir", str(tmp_path), "chtest", "--settings", settings])
+        assert excinfo.value.code == 2
+        assert f"argument --settings: {message}" in capsys.readouterr().err
+
 
 class TestTripartiteCommand:
     def test_default_run(self, tmp_path, schema):
@@ -206,6 +219,7 @@ class TestEventPipeline:
             "99999999999999999999,0.5,1,1,0\r\n",  # id beyond int64
             "0,1_5,1,1,0\r\n",  # digit underscore, which float() takes
             "0,0.5,1,1,0\r1,0.5,1,1,0\r",  # CR-only line ends
+            "0,0.5,1,1,0\r1,0.5,1,1,0\r\n\r\n",  # bare CR offset by a blank line
         ],
     )
     def test_tokens_loadtxt_rejects_name_their_line(self, tmp_path, capsys, rows):

@@ -408,13 +408,22 @@ class TestCsvMatchesReference:
         det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
         events = generate_events(n, det, seed=17, workers=workers)
         phi = events.phi.copy()
-        phi[:4] = [0.0, 1e-05, 3.14159265e-05, 9.99e-05]  # '0' and exponent-form tokens
+        edges = [0.0, 1e-05, 3.14159265e-05, 9.99e-05, 5e-324]  # '0' and exponent-form tokens
+        # Products phi * 10**k that round to the wrong side of a tie in binary.
+        edges += [1.770842505, 0.8389495205, 0.09037967345, 0.005697999515, 0.0007800132025]
+        for decade in (1e-4, 1e-3, 0.01, 0.1, 1.0):
+            edges += [np.nextafter(decade, 0.0), decade, np.nextafter(decade, 1.0)]
+        # The 9 digits carry into the next decade, at a tie and past one.
+        edges += [0.9999999995, 0.09999999995, 0.99999999996, 0.0099999999996]
+        edges += [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        phi[: len(edges)] = edges
         sample = EventSample(phi, events.detected_1, events.detected_2, events.is_background)
         ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
         write_events_csv(sample, ours)
         reference_write_events_csv(sample, reference)
         assert ours.read_bytes() == reference.read_bytes()
         assert b"\r\n1,1e-05," in ours.read_bytes()
+        assert b"\r\n5,1.77084251," in ours.read_bytes()
         assert_same_events(read_events_csv(ours), reference_read_events_csv(ours))
 
     def test_largest_phi_below_two_pi_reads_back(self, tmp_path):
@@ -426,6 +435,34 @@ class TestCsvMatchesReference:
         assert float(reread.phi.max()) < TWO_PI
         assert float(np.max(np.abs(reread.phi - phi))) < 1e-8
         assert path.read_text().splitlines()[2] == "1,6.2831853,1,1,0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        phi=st.lists(
+            st.floats(min_value=0.0, max_value=mesonlab._PHI_TOKEN_MAX, exclude_max=True),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_writer_matches_row_loop_property(self, tmp_path_factory, phi):
+        flags = np.arange(len(phi)) % 2 == 0
+        sample = EventSample(np.array(phi), flags, ~flags, flags)
+        directory = tmp_path_factory.mktemp("writer")
+        ours, reference = directory / "ours.csv", directory / "reference.csv"
+        write_events_csv(sample, ours)
+        reference_write_events_csv(sample, reference)
+        assert ours.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("start", [2**32 - 3, 99_998, 10**15 - 2])
+    def test_row_formatter_at_id_width_changes(self, start):
+        phi = np.array([0.0, 1e-05, 0.5, 1.25, 3.0, 6.2831853])
+        d1 = np.array([True, False, True, True, False, False])
+        bg = d1[::-1].copy()
+        expected = b"".join(
+            b"%d,%.9g,%d,%d,%d\r\n" % (start + i, *row)
+            for i, row in enumerate(zip(phi.tolist(), d1.tolist(), (~d1).tolist(), bg.tolist()))
+        )
+        assert mesonlab._csv_rows(start, phi, d1, ~d1, bg) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -477,15 +514,17 @@ def reference_generate_events(n, det, seed, workers):
 
 
 GENERATE_PEAK_SCRIPT = """
-import resource, sys
-from hepbell.mesonlab import DetectorModel, generate_events
-generate_events(int(sys.argv[1]), DetectorModel(0.9, 0.9, 0.02), seed=7, workers=2)
+import os, resource, sys
+from hepbell.mesonlab import DetectorModel, generate_events, write_events_csv
+events = generate_events(int(sys.argv[1]), DetectorModel(0.9, 0.9, 0.02), seed=7, workers=2)
+write_events_csv(events, os.devnull)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
 def generate_peak_bytes(n):
-    """Peak RSS of a fresh interpreter that imports hepbell and draws n events."""
+    """Peak RSS of a fresh interpreter that imports hepbell, draws n events
+    and writes them as an event file."""
     src = str(Path(mesonlab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", GENERATE_PEAK_SCRIPT, str(n)],
@@ -550,11 +589,35 @@ class TestReaderFuzz:
         else:
             assert isinstance(sample, EventSample)
 
+    @pytest.mark.parametrize("bare_cr", [False, True], ids=["crlf", "bare-cr"])
+    def test_line_end_across_read_blocks(self, tmp_path, bare_cr):
+        block = 1 << 20  # _count_lines reads the file in blocks of this size
+        rows, size = [HEADER_BYTES], len(HEADER_BYTES)
+        while size < block - 64:
+            rows.append(b"%d,0.5,1,1,0\r\n" % (len(rows) - 1))
+            size += len(rows[-1])
+        # Trailing zeros on one phi put its CR last in the first block.
+        last = len(rows) - 1
+        pad = block - 1 - size - len(b"%d,0.5,1,1,0" % last)
+        rows.append(b"%d,0.5%s,1,1,0\r%s" % (last, b"0" * pad, b"" if bare_cr else b"\n"))
+        # A blank line makes up for the line feed the bare CR lacks.
+        rows.append(b"%d,0.5,1,1,0\r\n%s" % (last + 1, b"\r\n" if bare_cr else b""))
+        data = b"".join(rows)
+        assert data[block - 1 : block] == b"\r"
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        if bare_cr:
+            with pytest.raises(ValueError, match=rf", line {last + 2}: carriage return"):
+                read_events_csv(path)
+        else:
+            assert len(read_events_csv(path)) == last + 2
+
     @pytest.mark.parametrize(
         "body, lineno",
         [
             (b"event_id,phi,detected_1,detected_2,is_background\r0,0.5,1,1,0\r", 1),
             (HEADER_BYTES + b"0,0.5,1,1,0\r1,0.5,1,1,0\r\n", 2),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r", 2),
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,1, +01 \r\n2,0.5,1,1,0\n3,0.5,1,1,0", None),
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,1,0\xa0\r\n", 3),
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n9223372036854775808,0.5,1,1,0\r\n", 3),
@@ -562,8 +625,8 @@ class TestReaderFuzz:
             (HEADER_BYTES + b"0" * 5000 + b",0.5,1,1,0\r\n1,0.5,1,1,0\r\n1" + b"0" * 5000 + b",0.5,1,1,0", 4),
         ],
         ids=[
-            "cr-only", "bare-cr", "loadtxt-spacing-and-sign", "non-ascii", "int64-overflow",
-            "int8-overflow", "long-digit-strings",
+            "cr-only", "bare-cr", "final-bare-cr", "loadtxt-spacing-and-sign", "non-ascii",
+            "int64-overflow", "int8-overflow", "long-digit-strings",
         ],
     )
     def test_line_ends_and_tokens_follow_loadtxt(self, tmp_path, body, lineno):
