@@ -1,12 +1,14 @@
 """Deterministic grid + golden-section maximization over angle boxes.
 
 Used by the violation maximizers.  Everything here is order-independent:
-grid candidates are refined one by one and ties are broken by the
-lexicographically smallest canonicalized coordinate tuple.
+all grid candidates are refined together, as rows of one array in lockstep
+golden sections, and ties are broken by the lexicographically smallest
+canonicalized coordinate tuple.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,63 +21,83 @@ _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
 _MAX_CANDIDATES = 512
 
 
-def golden_section_max(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    x_tol: float = 1e-8,
-) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi]; returns (x, f(x))."""
-    a, b = float(lo), float(hi)
+def _golden_section_max(
+    func_vec: Callable[..., np.ndarray],
+    point: np.ndarray,
+    axis: int,
+    half_width: float,
+    x_tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden section along coordinate ``axis`` of every row of ``point``.
+
+    Row r brackets [point[r, axis] - half_width, point[r, axis] + half_width].
+    The rows step in lockstep, each branching on its own ``fc >= fd`` and
+    retiring once its bracket is within ``x_tol``; per row this is the
+    arithmetic of a scalar golden section.  Returns the arrays (x, f(x)).
+    """
+
+    def func(rows, x):
+        args = [col[rows] for col in point.T]
+        args[axis] = x
+        return func_vec(*args)
+
+    lo, hi = point[:, axis] - half_width, point[:, axis] + half_width
+    rows = np.flatnonzero(hi - lo > x_tol)
+    a, b = lo[rows], hi[rows]
     h = b - a
-    if h <= x_tol:
-        mid = 0.5 * (a + b)
-        return mid, func(mid)
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc, fd = func(c), func(d)
-    while h > x_tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = func(d)
-    x = 0.5 * (a + b)
-    return x, func(x)
+    c, d = a + _INVPHI2 * h, a + _INVPHI * h
+    if rows.size:
+        fc, fd = func(rows, c), func(rows, d)
+    while rows.size:
+        # The maximum stays in [a, d] (left) or [c, b]; the interior point
+        # kept becomes d (left) or c, and the other one is new.
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        h = b - a
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        new = a + np.where(left, _INVPHI2, _INVPHI) * h
+        f_new = func(rows, new)
+        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
+        done = h <= x_tol
+        if done.any():
+            lo[rows[done]], hi[rows[done]] = a[done], b[done]
+            rows, a, b, c, d, fc, fd = (v[~done] for v in (rows, a, b, c, d, fc, fd))
+    x = 0.5 * (lo + hi)
+    return x, func(slice(None), x)
 
 
-def refine_coordinatewise(
-    func: Callable[[Sequence[float]], float],
-    start: Sequence[float],
+def refine_lockstep(
+    func_vec: Callable[..., np.ndarray],
+    starts: np.ndarray,
     half_width: float,
     x_tol: float = 1e-8,
     max_sweeps: int = 60,
-) -> tuple[tuple[float, ...], float]:
-    """Cyclic per-coordinate golden-section ascent around ``start``."""
-    point = [float(v) for v in start]
-    best = func(point)
-    for _ in range(max_sweeps):
-        improved = 0.0
-        for i in range(len(point)):
-            def slice_func(x, i=i):
-                trial = list(point)
-                trial[i] = x
-                return func(trial)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic per-coordinate golden-section ascent around each row of ``starts``.
 
-            x, fx = golden_section_max(
-                slice_func, point[i] - half_width, point[i] + half_width, x_tol
-            )
-            if fx > best:
-                improved += fx - best
-                point[i], best = x, fx
-        if improved < 1e-15:
+    ``func_vec`` takes one array per coordinate.  A sweep runs one lockstep
+    golden section per coordinate over the rows still live; a row takes a
+    coordinate's result only where it beats the row's best value, and
+    retires after a sweep that improved it by less than 1e-15.  Returns the
+    refined points, shape ``(rows, coordinates)``, and their values.
+    """
+    point = np.array(starts, dtype=float)
+    best = func_vec(*point.T)
+    live = np.arange(len(point))
+    for _ in range(max_sweeps):
+        sub, sub_best = point[live], best[live]
+        improved = np.zeros(live.size)
+        for i in range(point.shape[1]):
+            x, fx = _golden_section_max(func_vec, sub, i, half_width, x_tol)
+            up = fx > sub_best
+            improved[up] += fx[up] - sub_best[up]
+            sub[up, i], sub_best[up] = x[up], fx[up]
+        point[live], best[live] = sub, sub_best
+        live = live[improved >= 1e-15]
+        if not live.size:
             break
-    return tuple(point), best
+    return point, best
 
 
 def _lex_less(a: Sequence[float], b: Sequence[float], tol: float) -> bool:
@@ -124,52 +146,44 @@ def _grid_candidates(
 def maximize_on_grid(
     func_vec: Callable[..., np.ndarray],
     n_axes: int,
-    period: float,
     grid_step: float,
     refine: bool = True,
-    x_tol: float = 1e-8,
-    value_slack: float | None = None,
+    refine_tol: float = 1e-9,
 ) -> tuple[tuple[float, ...], float]:
-    """Grid scan over [0, period)^n followed by local refinement.
+    """Grid scan over [0, pi)^n followed by local refinement.
 
-    ``func_vec`` must accept ``n_axes`` broadcastable arguments.  All grid
-    points within ``value_slack`` of the grid maximum are refined so every
-    member of a discrete family of maximizers is found; the winner is the
-    lexicographically smallest canonical representative (coordinates reduced
-    mod ``period``).
+    ``func_vec`` must accept ``n_axes`` broadcastable arguments and be
+    pi-periodic in each.  All grid points within a slack of the grid maximum
+    are refined so every member of a discrete family of maximizers is found;
+    the winner is the lexicographically smallest canonical representative
+    (coordinates reduced mod pi).  ``grid_step`` must be in (0, pi/16] and
+    ``refine_tol``, which sets the refinement's x_tol, finite and >= 1e-12.
     """
-    axis = np.arange(0.0, period, grid_step)
-    if value_slack is None:
-        # Covers the quadratic drop to the nearest grid point for the O(1)
-        # curvature trigonometric functionals used here.
-        value_slack = max(2.0 * grid_step**2, 1e-12)
-    candidates = _grid_candidates(func_vec, axis, n_axes, value_slack)
-    grid_best = candidates[0][0]
-
-    if not refine:
-        winners = [pt for val, pt in candidates if val >= grid_best - 1e-15]
-        best_val = grid_best
-    else:
-        refined = []
-        for _, cand in candidates:
-            point, val = refine_coordinatewise(
-                lambda p: float(func_vec(*p)), cand, half_width=grid_step, x_tol=x_tol
-            )
-            refined.append((point, val))
-        best_val = max(val for _, val in refined)
+    if not (0.0 < grid_step <= math.pi / 16 + 1e-15):
+        raise ValueError("grid_step must be in (0, pi/16]")
+    if not math.isfinite(refine_tol):
+        raise ValueError(f"refine_tol must be finite, got {refine_tol!r}")
+    if refine_tol < 1e-12:
+        raise ValueError("refine_tol must be >= 1e-12")
+    x_tol = min(1e-8, math.sqrt(refine_tol))
+    axis = np.arange(0.0, math.pi, grid_step)
+    # The slack covers the quadratic drop to the nearest grid point for the
+    # O(1) curvature trigonometric functionals used here.
+    slack = max(2.0 * grid_step**2, 1e-12)
+    candidates = _grid_candidates(func_vec, axis, n_axes, slack)
+    points = np.array([pt for _, pt in candidates])
+    values = np.array([val for val, _ in candidates])
+    keep_tol = 1e-15
+    if refine:
+        points, values = refine_lockstep(func_vec, points, half_width=grid_step, x_tol=x_tol)
         keep_tol = max(10.0 * x_tol**2, 1e-12)
-        winners = [
-            tuple(float(np.mod(x, period)) for x in point)
-            for point, val in refined
-            if val >= best_val - keep_tol
-        ]
-
+    best_val = float(values.max())
+    winners = np.mod(points[values >= best_val - keep_tol], math.pi)
     pos_tol = max(10.0 * x_tol, 1e-9)
-    winners = [
-        tuple(0.0 if period - x < pos_tol else x for x in w) for w in winners
-    ]
+    winners[math.pi - winners < pos_tol] = 0.0
+    winners = [tuple(w) for w in winners.tolist()]
     best = winners[0]
     for cand in winners[1:]:
         if _lex_less(cand, best, pos_tol):
             best = cand
-    return best, float(best_val)
+    return best, best_val

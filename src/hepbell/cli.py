@@ -139,7 +139,10 @@ def _write_report(config: RunConfig, kind: str, payload: dict, out: str | None) 
 
 def four_angles(text: str) -> tuple[float, float, float, float]:
     """argparse type for a comma-separated list of four angles."""
-    tokens = [t for t in text.split(",") if t.strip()]
+    tokens = text.split(",")
+    for field, token in enumerate(tokens, 1):
+        if not token.strip():
+            raise argparse.ArgumentTypeError(f"empty angle field {field} in {text!r}")
     if len(tokens) != 4:
         raise argparse.ArgumentTypeError(
             f"expected four angles t1,t1',t2,t2', got {len(tokens)}: {text!r}"

@@ -464,6 +464,8 @@ def efficiency_threshold(search_tol: float = 1e-9, joint_max: float | None = Non
     transverse state.  Capping the joints at the classical bound (C <= 1)
     makes violation impossible, reported as threshold 1.0.
     """
+    if not math.isfinite(search_tol):
+        raise ValueError(f"search_tol must be finite, got {search_tol!r}")
     if search_tol < 1e-9:
         raise ValueError("search_tol must be >= 1e-9")
     c = _max_joint_combination() if joint_max is None else float(joint_max)

@@ -177,17 +177,8 @@ def maximize_violation(
     every near-maximal grid point; ties across the discrete symmetry family
     are broken by the lexicographically smallest (alpha, beta, gamma).
     """
-    if not (0.0 < grid_step <= math.pi / 16 + 1e-15):
-        raise ValueError("grid_step must be in (0, pi/16]")
-    if refine_tol < 1e-12:
-        raise ValueError("refine_tol must be >= 1e-12")
     point, value = maximize_on_grid(
-        hardy_difference_closed,
-        n_axes=3,
-        period=math.pi,
-        grid_step=grid_step,
-        refine=refine,
-        x_tol=min(1e-8, math.sqrt(refine_tol)),
+        hardy_difference_closed, 3, grid_step, refine=refine, refine_tol=refine_tol
     )
     return HardySettings(*point), value
 
@@ -229,20 +220,8 @@ def maximize_ch_vv(
     refine: bool = True,
 ) -> tuple[tuple[float, float, float, float], float]:
     """Grid + refinement maximum of the CH combination over all four angles."""
-    if not (0.0 < grid_step <= math.pi / 16 + 1e-15):
-        raise ValueError("grid_step must be in (0, pi/16]")
-    if refine_tol < 1e-12:
-        raise ValueError("refine_tol must be >= 1e-12")
 
     def objective(t1, t1p, t2, t2p):
         return ch_vv_joint_combination(t1, t1p, t2, t2p) - 1.0
 
-    point, value = maximize_on_grid(
-        objective,
-        n_axes=4,
-        period=math.pi,
-        grid_step=grid_step,
-        refine=refine,
-        x_tol=min(1e-8, math.sqrt(refine_tol)),
-    )
-    return point, value
+    return maximize_on_grid(objective, 4, grid_step, refine=refine, refine_tol=refine_tol)

@@ -58,6 +58,7 @@ class TestAngleParsing:
         [
             ("0,1", "expected four angles t1,t1',t2,t2', got 2: '0,1'"),
             ("0,1,2,3x", "malformed angle token '3x'"),
+            ("0,,1,2,3", "empty angle field 2 in '0,,1,2,3'"),
         ],
     )
     def test_bad_settings_name_their_fault(self, tmp_path, capsys, settings, message):
@@ -114,6 +115,12 @@ class TestHardyCommand:
         validate(doc, schema)
         assert abs(doc["optimum"]["value"] - (SQ2 - 1) / 2) < 1e-9
         assert abs(doc["optimum"]["alpha"] - 3 * math.pi / 8) < 1e-4
+        assert {k: float.hex(v) for k, v in doc["optimum"].items()} == {
+            "alpha": "0x1.2d97c7f3321d2p+0",
+            "beta": "0x1.921fb54442d18p-1",
+            "gamma": "0x1.f6a7a2955385ep+0",
+            "value": "0x1.a827999fcef34p-3",
+        }
 
     def test_zero_settings_not_violated(self, tmp_path, schema):
         out = tmp_path / "h.json"
@@ -289,6 +296,25 @@ class TestScalarCommands:
         validate(doc, schema)
         assert abs(doc["threshold"] - 0.828427) < 1e-6
         assert len(doc["eta_grid"]) == len(doc["max_s"])
+
+    def test_efficiency_threshold_bits(self, tmp_path):
+        out = tmp_path / "e.json"
+        assert run(["--output-dir", str(tmp_path), "efficiency", "--out", str(out)]) == 0
+        assert float.hex(load(out)["threshold"]) == "0x1.a827999dcd1f0p-1"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["efficiency", "--tol", "nan"],
+            ["efficiency", "--tol", "inf"],
+            ["hardy", "--optimize", "--refine-tol", "nan"],
+            ["hardy", "--optimize", "--refine-tol", "inf"],
+        ],
+    )
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, args):
+        assert run(["--output-dir", str(tmp_path), *args, "--out", str(tmp_path / "r.json")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_idempotent_reports(self, tmp_path):
         out_a = tmp_path / "a.json"

@@ -283,8 +283,9 @@ class TestEfficiencyThreshold:
         assert mesonlab.max_s_of_eta(threshold - 1e-3) < 0.0
 
     def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            efficiency_threshold(search_tol=1e-12)
+        for search_tol in (1e-12, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                efficiency_threshold(search_tol=search_tol)
 
 
 class TestKinematics:

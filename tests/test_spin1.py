@@ -206,10 +206,12 @@ class TestMaximizeViolation:
         assert float(values.max()) <= 1e-12
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            maximize_violation(grid_step=np.pi / 8)
-        with pytest.raises(ValueError):
-            maximize_violation(refine_tol=1e-15)
+        for maximize in (maximize_violation, maximize_ch_vv):
+            with pytest.raises(ValueError, match="grid_step"):
+                maximize(grid_step=np.pi / 8)
+            for refine_tol in (1e-15, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="refine_tol"):
+                    maximize(refine_tol=refine_tol)
 
 
 class TestChValueVV:
