@@ -5,9 +5,11 @@ embedded for provenance."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -213,34 +215,49 @@ def _events_out_path(config: RunConfig, out: str | None) -> Path:
 
 
 def _cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
-    events = mesonlab.generate_events(
-        config.n_events, config.detector(), seed=config.seed, workers=config.workers
-    )
+    n, det, step = config.n_events, config.detector(), mesonlab._CSV_CHUNK_ROWS
+
+    def draw(start: int) -> mesonlab.EventSample:
+        return mesonlab.generate_events(
+            n,
+            det,
+            seed=config.seed,
+            workers=config.workers,
+            start=start,
+            stop=min(start + step, n),
+        )
+
+    # The first chunk is drawn before the file is opened, so that a bad
+    # configuration leaves no file behind.
+    chunks = itertools.chain([draw(0)], map(draw, range(step, n, step)))
     path = _events_out_path(config, args.out)
-    mesonlab.write_events_csv(events, path)
+    mesonlab.write_events_csv(chunks, path)
     echo = {"kind": "generate", "config": config.to_dict(), "events_file": str(path)}
     print(json.dumps(echo, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
-def _read_events(path_text: str) -> mesonlab.EventSample:
+def _event_chunks(path_text: str) -> Iterator[mesonlab.EventSample]:
     path = Path(path_text)
     if not path.exists():
         raise FileNotFoundError(f"event file not found: {path}")
-    return mesonlab.read_events_csv(path)
+    return mesonlab.iter_events_csv(path)
 
 
 def _cmd_estimate(config: RunConfig, args: argparse.Namespace) -> int:
-    events = _read_events(args.events)
-    estimate = mesonlab.estimate_probability(events, bin_width=config.bin_width)
+    estimate = mesonlab.estimate_probability(
+        _event_chunks(args.events), bin_width=config.bin_width
+    )
     _write_report(config, "estimate", estimate.to_dict(), args.out)
     return EXIT_OK
 
 
 def _cmd_chtest(config: RunConfig, args: argparse.Namespace) -> int:
-    events = _read_events(args.events)
     report = mesonlab.ch_from_events(
-        events, config.settings, det=config.detector(), window=config.bin_width
+        _event_chunks(args.events),
+        config.settings,
+        det=config.detector(),
+        window=config.bin_width,
     )
     payload = {"settings": list(config.settings)}
     payload.update(report.to_dict())

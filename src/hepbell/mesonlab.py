@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -29,9 +30,11 @@ SPACE_LIKE_BETA_MIN = 0.59
 
 DEFAULT_BIN_COUNT = 64
 
-# ch_from_events reads windows centered on the setting differences; half the
-# default bin width keeps the window-average bias an order below the
-# statistical error even at 1e7 events.
+# ch_from_events reads windows centered on the setting differences.  The
+# window-average bias at the paper settings grows as width**2.5 * sqrt(N) in
+# units of the statistical error.  With eta = 0.9 this default keeps it near
+# 0.12 sigma at 1e7 events, but `chtest` passes its `bin_width` (2*pi/64),
+# whose bias is 0.70 sigma at 1e7 and 2.2 sigma at 1e8 (ROADMAP item 2).
 DEFAULT_CH_WINDOW = TWO_PI / 128
 
 
@@ -252,9 +255,15 @@ def _philox_stream(seed: int, worker: int, offset: int) -> np.random.Generator:
 
 
 def generate_events(
-    n: int, det: DetectorModel | None = None, seed: int = 0, workers: int = 1
+    n: int,
+    det: DetectorModel | None = None,
+    seed: int = 0,
+    workers: int = 1,
+    start: int = 0,
+    stop: int | None = None,
 ) -> EventSample:
-    """Simulate ``n`` decays with the given detector model.
+    """Simulate decays ``start`` to ``stop`` (default ``n``) of an ``n``-decay
+    sample with the given detector model.
 
     Signal angles follow sin^2(phi)/pi (drawn by CDF inversion), background
     angles are uniform, and each side is reconstructed independently.
@@ -263,11 +272,12 @@ def generate_events(
     of ``count`` events with its own stream keyed by (seed, w), whose draws
     are, in order, ``count`` background flags, ``count`` angles, then the two
     detection flags.  Identical (seed, n, workers) therefore reproduce
-    bit-identical samples.
+    bit-identical samples, and any row range is the matching slice of the
+    whole sample.
 
-    Each segment is read in chunks of ``_CSV_CHUNK_ROWS`` draws from its own
-    offset in the stream, so memory beyond the 11-byte-per-event result is
-    bounded by one chunk.
+    Each segment is entered at the range's first row and read in chunks of
+    ``_CSV_CHUNK_ROWS`` draws, so memory beyond the 11-byte-per-event result
+    is bounded by one chunk.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -275,33 +285,43 @@ def generate_events(
         raise ValueError("workers must be >= 1")
     if seed < 0 or seed >= 2**64:
         raise ValueError("seed must be a non-negative 64-bit integer")
+    stop = n if stop is None else stop
+    if not 0 <= start < stop <= n:
+        raise ValueError(f"rows [{start}, {stop}) are not a non-empty range of [0, {n})")
     det = det or DetectorModel()
     p_1 = det.side_detection_probability(1)
     p_2 = det.side_detection_probability(2)
 
-    phi = np.empty(n, dtype=np.float64)
-    detected_1 = np.empty(n, dtype=bool)
-    detected_2 = np.empty(n, dtype=bool)
-    is_background = np.empty(n, dtype=bool)
+    phi = np.empty(stop - start, dtype=np.float64)
+    detected_1 = np.empty(stop - start, dtype=bool)
+    detected_2 = np.empty(stop - start, dtype=bool)
+    is_background = np.empty(stop - start, dtype=bool)
     base, remainder = divmod(n, workers)
-    start = 0
+    first = 0
     for w in range(workers):
         count = base + (1 if w < remainder else 0)
-        if count == 0:
-            continue
-        # Background, angle, detection-1 and detection-2 segments.
-        streams = [_philox_stream(seed, w, segment * count) for segment in range(4)]
-        for lo in range(0, count, _CSV_CHUNK_ROWS):
-            k = min(_CSV_CHUNK_ROWS, count - lo)
-            u_bg, u_phi, u_d1, u_d2 = (rng.random(k) for rng in streams)
-            out = slice(start + lo, start + lo + k)
-            is_bg = u_bg < det.background_fraction
-            is_background[out] = is_bg
-            phi[out] = np.where(is_bg, TWO_PI * u_phi, _invert_signal_cdf(u_phi))
-            detected_1[out] = u_d1 < p_1
-            detected_2[out] = u_d2 < p_2
-        start += count
+        lo, hi = max(start, first), min(stop, first + count)
+        if lo < hi:
+            # Background, angle, detection-1 and detection-2 segments.
+            streams = [
+                _philox_stream(seed, w, segment * count + lo - first) for segment in range(4)
+            ]
+            for at in range(lo, hi, _CSV_CHUNK_ROWS):
+                k = min(_CSV_CHUNK_ROWS, hi - at)
+                u_bg, u_phi, u_d1, u_d2 = (rng.random(k) for rng in streams)
+                out = slice(at - start, at - start + k)
+                is_bg = u_bg < det.background_fraction
+                is_background[out] = is_bg
+                phi[out] = np.where(is_bg, TWO_PI * u_phi, _invert_signal_cdf(u_phi))
+                detected_1[out] = u_d1 < p_1
+                detected_2[out] = u_d2 < p_2
+        first += count
     return EventSample(phi, detected_1, detected_2, is_background)
+
+
+def _samples(events: EventSample | Iterable[EventSample]) -> Iterable[EventSample]:
+    """One sample, or the chunks of a sample in order, as an iterable of samples."""
+    return (events,) if isinstance(events, EventSample) else events
 
 
 @dataclass(frozen=True)
@@ -341,19 +361,27 @@ class HistogramEstimate:
 
 
 def estimate_probability(
-    events: EventSample, bin_width: float = TWO_PI / DEFAULT_BIN_COUNT
+    events: EventSample | Iterable[EventSample], bin_width: float = TWO_PI / DEFAULT_BIN_COUNT
 ) -> HistogramEstimate:
-    """Histogram estimator of the joint probability versus plane angle."""
+    """Histogram estimator of the joint probability versus plane angle.
+
+    ``events`` may be one sample or its chunks: the integer counts are summed
+    over the chunks and ``kappa`` and the scale applied once, so the estimate
+    does not depend on how the sample is split.
+    """
     n_bins_float = TWO_PI / bin_width
     n_bins = round(n_bins_float)
     if n_bins < 1 or abs(TWO_PI - n_bins * bin_width) > 1e-9:
         raise ValueError(f"bin_width {bin_width} does not divide 2*pi within 1e-9")
-    phis = events.phi[events.coincidence_mask]
-    if phis.size == 0:
-        raise NoData("no detected coincidences in the event sample")
     edges = np.linspace(0.0, TWO_PI, n_bins + 1)
-    counts, _ = np.histogram(phis, bins=edges)
-    n_detected = int(phis.size)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    n_detected = 0
+    for sample in _samples(events):
+        phis = sample.phi[sample.coincidence_mask]
+        counts += np.histogram(phis, bins=edges)[0]
+        n_detected += int(phis.size)
+    if n_detected == 0:
+        raise NoData("no detected coincidences in the event sample")
     kappa = derive_kappa()
     scale = kappa / (n_detected * bin_width)
     p_hat = counts * scale
@@ -372,7 +400,7 @@ def _window_count(phis: np.ndarray, center: float, width: float) -> int:
 
 
 def ch_from_events(
-    events: EventSample,
+    events: EventSample | Iterable[EventSample],
     settings: tuple[float, float, float, float],
     det: DetectorModel | None = None,
     window: float = DEFAULT_CH_WINDOW,
@@ -387,7 +415,8 @@ def ch_from_events(
 
         S = eta1*eta2*(joint combination) - (eta1 + eta2)/2,
 
-    so branching fractions thin the sample but do not change S.
+    so branching fractions thin the sample but do not change S.  ``events``
+    may be one sample or its chunks, whose window counts are summed.
     """
     det = det or DetectorModel()
     t1, t1p, t2, t2p = (float(v) for v in settings)
@@ -399,27 +428,30 @@ def ch_from_events(
     ]
     # The four joints must come from disjoint histogram windows so their
     # Poisson errors are independent.
-    reduced = [d % TWO_PI for _, d, _ in diffs]
-    for a in range(len(reduced)):
-        for b in range(a + 1, len(reduced)):
-            gap = abs(reduced[a] - reduced[b])
+    centers = [d % TWO_PI for _, d, _ in diffs]
+    for a in range(len(centers)):
+        for b in range(a + 1, len(centers)):
+            gap = abs(centers[a] - centers[b])
             if min(gap, TWO_PI - gap) < window - 1e-12:
                 raise ValueError(
                     "settings must give four distinct angle differences "
                     "(mod 2*pi), separated by at least one window width"
                 )
 
-    phis = events.phi[events.coincidence_mask]
-    if phis.size == 0:
+    counts = [0] * len(diffs)
+    n_detected = 0
+    for sample in _samples(events):
+        phis = sample.phi[sample.coincidence_mask]
+        n_detected += int(phis.size)
+        for i, center in enumerate(centers):
+            counts[i] += _window_count(phis, center, window)
+    if n_detected == 0:
         raise NoData("no detected coincidences in the event sample")
-    n_detected = int(phis.size)
     kappa = derive_kappa()
     scale = kappa / (n_detected * window)
 
     terms, errors, signs = [], [], []
-    for label, diff, sign in diffs:
-        center = diff % TWO_PI
-        count = _window_count(phis, center, window)
+    for (label, _, sign), center, count in zip(diffs, centers, counts):
         if count == 0:
             raise InsufficientStatistics(
                 f"empty histogram window for {label} at phi={center:.6f} "
@@ -482,8 +514,10 @@ def efficiency_threshold(search_tol: float = 1e-9, joint_max: float | None = Non
 
 
 CSV_HEADER = ["event_id", "phi", "detected_1", "detected_2", "is_background"]
-# Events per chunk, both when they are drawn and when they are written.
-_CSV_CHUNK_ROWS = 65_536
+# Events per chunk when they are drawn, written and read.  Measured at 1e6
+# events, `generate` peaks at 46 MiB with 65 536 rows and 38 MiB with 16 384
+# (30 MiB of that is the interpreter and numpy), in the same time.
+_CSV_CHUNK_ROWS = 16_384
 # The largest 9-significant-digit token below 2*pi.  Every phi at or above it
 # would otherwise be written as 6.28318531, which reads back as >= 2*pi.
 _PHI_TOKEN_MAX = 6.2831853
@@ -600,26 +634,30 @@ def _csv_rows(
     return table.T.tobytes().translate(None, b"\0")
 
 
-def write_events_csv(events: EventSample, path) -> None:
-    """Write the append-only, order-significant event file.
+def write_events_csv(events: EventSample | Iterable[EventSample], path) -> None:
+    """Write the append-only, order-significant event file from one sample
+    or from its chunks in order.
 
-    Rows are formatted a chunk at a time, so memory stays bounded by the
-    chunk, not the file.
+    Rows are formatted ``_CSV_CHUNK_ROWS`` at a time, so memory stays
+    bounded by the chunk, not the file.
     """
-    n = len(events)
     with open(path, "wb") as fh:
         fh.write(",".join(CSV_HEADER).encode("ascii") + b"\r\n")
-        for start in range(0, n, _CSV_CHUNK_ROWS):
-            rows = slice(start, min(start + _CSV_CHUNK_ROWS, n))
-            fh.write(
-                _csv_rows(
-                    start,
-                    np.minimum(events.phi[rows], _PHI_TOKEN_MAX),
-                    events.detected_1[rows],
-                    events.detected_2[rows],
-                    events.is_background[rows],
+        start = 0
+        for sample in _samples(events):
+            for lo in range(0, len(sample), _CSV_CHUNK_ROWS):
+                rows = slice(lo, lo + _CSV_CHUNK_ROWS)
+                phi = sample.phi[rows]
+                fh.write(
+                    _csv_rows(
+                        start,
+                        np.minimum(phi, _PHI_TOKEN_MAX),
+                        sample.detected_1[rows],
+                        sample.detected_2[rows],
+                        sample.is_background[rows],
+                    )
                 )
-            )
+                start += phi.size
 
 
 def _open_event_file(path: Path):
@@ -711,35 +749,69 @@ def _count_lines(path: Path) -> int | None:
     return None if last == b"\r" else count + (last != b"\n")
 
 
-def read_events_csv(path) -> EventSample:
-    """Read an event file, enforcing the header and strictly increasing ids.
+def _read_chunk(fh, first_id: int) -> EventSample | None:
+    """The next at most ``_CSV_CHUNK_ROWS`` rows, or None if np.loadtxt
+    rejects one, an id is not the next in order, a flag is not 0 or 1 or a
+    phi is out of range."""
+    try:
+        with warnings.catch_warnings():
+            # No rows left is an empty chunk, not a warning.
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(
+                fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1,
+                max_rows=_CSV_CHUNK_ROWS,
+            )
+    except ValueError:
+        return None
+    flags = [rows[name] for name in CSV_HEADER[2:]]
+    if np.any((flags[0] | flags[1] | flags[2]) & ~1) or not np.array_equal(
+        rows["event_id"], np.arange(first_id, first_id + rows.size)
+    ):
+        return None
+    try:
+        return EventSample(rows["phi"], *flags)
+    except ValueError:
+        return None  # phi out of range or not finite
 
-    A malformed row raises ValueError naming the file and its first bad line.
+
+def iter_events_csv(path) -> Iterator[EventSample]:
+    """Read an event file as samples of at most ``_CSV_CHUNK_ROWS`` rows in
+    order (one empty sample for a header-only file), enforcing the header
+    and ids that count up from 0.
+
+    A malformed row raises ValueError naming the file and its first bad
+    line.  The error can come after earlier chunks were yielded, at the
+    latest once the last chunk has been read: blank lines and bare CRs,
+    which np.loadtxt passes over, show only in the line count of the whole
+    file.
     """
     path = Path(path)
     with _open_event_file(path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected event file header {header} in {path}")
-        try:
-            with warnings.catch_warnings():
-                # A header-only file is an empty sample, not a warning.
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            rows = None
-    # np.loadtxt skips blank lines silently (the LF count catches them),
-    # also ends a line at a bare CR (the CR count catches it) and takes any
-    # int8 as a flag.  The line-by-line search runs only to name the line of
-    # a fault.
-    if rows is not None and _count_lines(path) == rows.size + 1:
-        flags = [rows[name] for name in CSV_HEADER[2:]]
-        ids = rows["event_id"]
-        if not np.any((flags[0] | flags[1] | flags[2]) & ~1) and np.array_equal(
-            ids, np.arange(rows.size)
-        ):
-            try:
-                return EventSample(rows["phi"], *flags)
-            except ValueError:
-                pass  # phi out of range or not finite
+        n = 0
+        while (chunk := _read_chunk(fh, n)) is not None:
+            if len(chunk) or not n:
+                yield chunk
+            n += len(chunk)
+            if len(chunk) < _CSV_CHUNK_ROWS:
+                # np.loadtxt skips blank lines silently (the LF count catches
+                # them) and also ends a line at a bare CR (the CR count
+                # catches it).
+                if _count_lines(path) == n + 1:
+                    return
+                break
+    # The line-by-line search runs only to name the line of a fault.
     raise _first_malformed_line(path) or ValueError(f"{path}: malformed event file")
+
+
+def read_events_csv(path) -> EventSample:
+    """Read a whole event file: the chunks of :func:`iter_events_csv`, joined."""
+    chunks = list(iter_events_csv(path))
+    return EventSample(
+        *(
+            np.concatenate([getattr(chunk, name) for chunk in chunks])
+            for name in ("phi", "detected_1", "detected_2", "is_background")
+        )
+    )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hepbell import cli
+from hepbell import cli, mesonlab
 
 SQ2 = math.sqrt(2.0)
 
@@ -29,6 +29,24 @@ def load(path):
 
 def validate(document, schema):
     jsonschema.validate(document, schema)
+
+
+EVENTS_HEADER = "event_id,phi,detected_1,detected_2,is_background\r\n"
+
+
+def events_with_fault(fault, row, n=21):
+    """An event file of ``n`` good rows with one fault at data row ``row``."""
+    rows = [f"{i},0.5,1,1,0\r\n" for i in range(n)]
+    if fault == "blank-line":
+        rows.insert(row, "\r\n")
+    else:
+        rows[row] = {
+            "bad-token": f"{row},0.5x,1,1,0\r\n",
+            "bare-cr": f"{row},0.5,1,1,0\r",
+            "id-gap": f"{row + 1},0.5,1,1,0\r\n",
+            "phi-at-2pi": f"{row},6.3,1,1,0\r\n",
+        }[fault]
+    return EVENTS_HEADER + "".join(rows)
 
 
 class TestAngleParsing:
@@ -239,6 +257,49 @@ class TestEventPipeline:
         assert f"{events}, line 2:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["estimate", "chtest"])
+    # The last row of the second 7-row chunk and the first row of the third.
+    @pytest.mark.parametrize("row", [13, 14])
+    @pytest.mark.parametrize(
+        "fault", ["bad-token", "blank-line", "bare-cr", "id-gap", "phi-at-2pi"]
+    )
+    def test_fault_at_a_chunk_edge_names_its_line(
+        self, tmp_path, capsys, monkeypatch, fault, row, command
+    ):
+        events = tmp_path / "bad.csv"
+        events.write_text(events_with_fault(fault, row), newline="")
+        args = ["--output-dir", str(tmp_path), command, "--events", str(events)]
+        assert run(args) == 2  # the whole file is one chunk
+        whole = capsys.readouterr().err
+        assert f"{events}, line {row + 2}:" in whole
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        assert run(args) == 2
+        assert capsys.readouterr().err == whole
+
+    def test_outputs_do_not_depend_on_chunk_size(self, tmp_path, monkeypatch):
+        outputs = []
+        for chunk_rows in (mesonlab._CSV_CHUNK_ROWS, 777):
+            monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk_rows)
+            events, est, ch = (tmp_path / f"{name}-{chunk_rows}" for name in ("ev", "est", "ch"))
+            common = ["--output-dir", str(tmp_path)]
+            assert run([
+                *common, "generate", "--n", "5000", "--seed", "7", "--workers", "3",
+                "--eta1", "0.9", "--eta2", "0.9", "--background", "0.02", "--out", str(events),
+            ]) == 0
+            assert run([*common, "estimate", "--events", str(events), "--out", str(est)]) == 0
+            assert run([
+                *common, "chtest", "--events", str(events), "--eta1", "0.9", "--eta2", "0.9",
+                "--out", str(ch),
+            ]) == 0
+            outputs.append([path.read_bytes() for path in (events, est, ch)])
+        assert outputs[0] == outputs[1]
+
+    def test_bad_generate_config_writes_no_file(self, tmp_path):
+        events = tmp_path / "events.csv"
+        assert run(["generate", "--n", "0", "--out", str(events)]) == 2
+        assert run(["generate", "--n", "10", "--workers", "0", "--out", str(events)]) == 2
+        assert not events.exists()
+
     @settings(max_examples=100, deadline=None)
     @given(body=st.binary(max_size=64))
     def test_estimate_on_arbitrary_bytes_exits_cleanly(self, tmp_path_factory, body):
@@ -276,6 +337,47 @@ class TestEventPipeline:
 
     def test_missing_config_is_exit_3(self):
         assert run(["--config", "nope.json", "kinematics"]) == 3
+
+
+CLI_PEAK_SCRIPT = """
+from hepbell import cli
+code = cli.main(sys.argv[1:])
+if code:
+    sys.exit(code)
+print(peak_rss_bytes())
+"""
+
+
+class TestPeakMemory:
+    @pytest.fixture(scope="class")
+    def peaks(self, tmp_path_factory, peak_rss):
+        """Each event command's peak RSS at 2e5 and 2e6 events."""
+        directory = tmp_path_factory.mktemp("peaks")
+        common = ["--output-dir", str(directory)]
+        out = {}
+        for n in (200_000, 2_000_000):
+            events = directory / "events.csv"
+            out["generate", n] = peak_rss(
+                CLI_PEAK_SCRIPT, *common, "generate", "--n", str(n), "--seed", "7",
+                "--workers", "2", "--eta1", "0.9", "--eta2", "0.9", "--background", "0.02",
+                "--out", str(events),
+            )
+            out["estimate", n] = peak_rss(
+                CLI_PEAK_SCRIPT, *common, "estimate", "--events", str(events)
+            )
+            out["chtest", n] = peak_rss(
+                CLI_PEAK_SCRIPT, *common, "chtest", "--events", str(events), "--eta1", "0.9",
+                "--eta2", "0.9",
+            )
+            events.unlink()
+        return out
+
+    @pytest.mark.parametrize("command", ["generate", "estimate", "chtest"])
+    def test_peak_memory_does_not_grow_with_events(self, peaks, command):
+        # Holding the drawn sample costs about 13 B/event, and holding the
+        # read file about 28.
+        slope = (peaks[command, 2_000_000] - peaks[command, 200_000]) / 1_800_000
+        assert slope < 2.0
 
 
 class TestScalarCommands:

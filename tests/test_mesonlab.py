@@ -1,10 +1,6 @@
 import csv
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +22,7 @@ from hepbell.mesonlab import (
     efficiency_threshold,
     estimate_probability,
     generate_events,
+    iter_events_csv,
     joint_direction_probability,
     read_events_csv,
     transverse_state,
@@ -151,6 +148,9 @@ class TestGenerateEvents:
             generate_events(10, seed=-1)
         with pytest.raises(ValueError):
             generate_events(10, seed=1, workers=0)
+        for start, stop in [(-1, 5), (5, 5), (6, 5), (0, 11)]:
+            with pytest.raises(ValueError, match="not a non-empty range"):
+                generate_events(10, seed=1, start=start, stop=stop)
         with pytest.raises(ValueError):
             DetectorModel(eta_1=1.5)
 
@@ -515,28 +515,17 @@ def reference_generate_events(n, det, seed, workers):
 
 
 GENERATE_PEAK_SCRIPT = """
-import os, resource, sys
+import os
 from hepbell.mesonlab import DetectorModel, generate_events, write_events_csv
 events = generate_events(int(sys.argv[1]), DetectorModel(0.9, 0.9, 0.02), seed=7, workers=2)
 write_events_csv(events, os.devnull)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(peak_rss_bytes())
 """
 
 
-def generate_peak_bytes(n):
-    """Peak RSS of a fresh interpreter that imports hepbell, draws n events
-    and writes them as an event file."""
-    src = str(Path(mesonlab.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", GENERATE_PEAK_SCRIPT, str(n)],
-        capture_output=True, text=True, check=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    return int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)
-
-
 class TestChunkedGeneration:
-    @pytest.mark.parametrize("chunk_rows", [mesonlab._CSV_CHUNK_ROWS, 1001])
+    # Chunks above the default size and of a size that divides no segment.
+    @pytest.mark.parametrize("chunk_rows", [65_536, 1001])
     @pytest.mark.parametrize(
         "det",
         [DetectorModel(), DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)],
@@ -550,11 +539,32 @@ class TestChunkedGeneration:
         assert ours.phi.tobytes() == reference.phi.tobytes()
         assert_same_events(ours, reference)
 
-    def test_peak_memory_grows_by_the_result_only(self):
+    def test_peak_memory_grows_by_the_result_only(self, peak_rss):
         # The result holds 11 B per event (float64 phi, three bool flags);
         # whole-array draws held about 70.
-        slope = (generate_peak_bytes(2_000_000) - generate_peak_bytes(200_000)) / 1_800_000
-        assert slope < 16.0
+        peaks = [peak_rss(GENERATE_PEAK_SCRIPT, str(n)) for n in (200_000, 2_000_000)]
+        slope = (peaks[1] - peaks[0]) / 1_800_000
+        assert 8.0 < slope < 16.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=300),
+        workers=st.integers(min_value=1, max_value=6),
+        chunk_rows=st.integers(min_value=1, max_value=40),
+    )
+    def test_row_range_is_the_slice_of_the_whole_sample(self, data, n, workers, chunk_rows):
+        # Most ranges straddle a boundary between two workers' rows.
+        start = data.draw(st.integers(min_value=0, max_value=n - 1), label="start")
+        stop = data.draw(st.integers(min_value=start + 1, max_value=n), label="stop")
+        det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.3)
+        whole = reference_generate_events(n, det, seed=11, workers=workers)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk_rows)
+            rows = generate_events(n, det, seed=11, workers=workers, start=start, stop=stop)
+        assert rows.phi.tobytes() == whole.phi[start:stop].tobytes()
+        for field in ("detected_1", "detected_2", "is_background"):
+            assert np.array_equal(getattr(rows, field), getattr(whole, field)[start:stop])
 
 
 HEADER_BYTES = b"event_id,phi,detected_1,detected_2,is_background\r\n"
@@ -638,3 +648,67 @@ class TestReaderFuzz:
         else:
             with pytest.raises(ValueError, match=rf", line {lineno}: "):
                 read_events_csv(path)
+
+
+def event_file_bytes(n):
+    return HEADER_BYTES + b"".join(b"%d,0.%d,1,%d,0\r\n" % (i, i + 1, i % 2) for i in range(n))
+
+
+class TestStreamedEvents:
+    @pytest.mark.parametrize("chunk_rows", [1, 5, 7, 21, 22])
+    def test_streamed_read_matches_whole_read(self, tmp_path, monkeypatch, chunk_rows):
+        path = tmp_path / "events.csv"
+        path.write_bytes(event_file_bytes(21))
+        whole = read_events_csv(path)
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk_rows)
+        full, rest = divmod(21, chunk_rows)
+        sizes = [len(chunk) for chunk in iter_events_csv(path)]
+        assert sizes == [chunk_rows] * full + [rest] * (rest > 0)
+        assert_same_events(read_events_csv(path), whole)
+        assert_same_events(whole, reference_read_events_csv(path))
+
+    def test_header_only_file_is_one_empty_chunk(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(HEADER_BYTES)
+        assert [len(chunk) for chunk in iter_events_csv(path)] == [0]
+        assert len(read_events_csv(path)) == 0
+
+    def test_fault_after_yielded_chunks_still_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 4)
+        path = tmp_path / "events.csv"
+        path.write_bytes(event_file_bytes(10) + b"\r\n")
+        chunks = iter_events_csv(path)
+        assert [len(next(chunks)) for _ in range(3)] == [4, 4, 2]
+        with pytest.raises(ValueError, match=", line 12: blank line"):
+            next(chunks)
+
+    def test_writer_joins_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
+        whole = generate_events(50, det, seed=4, workers=3)
+        bounds = [0, 3, 3 + 7, 30, 31, 50]  # a chunk longer than a write chunk, and one row
+        chunks = [
+            generate_events(50, det, seed=4, workers=3, start=a, stop=b)
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        joined, single = tmp_path / "joined.csv", tmp_path / "single.csv"
+        write_events_csv(iter(chunks), joined)
+        write_events_csv(whole, single)
+        assert joined.read_bytes() == single.read_bytes()
+
+    def test_estimators_sum_counts_over_chunks(self):
+        det = DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
+        n, step = 30_000, 4_099
+        whole = generate_events(n, det, seed=8, workers=2)
+
+        def chunks():
+            for start in range(0, n, step):
+                stop = min(start + step, n)
+                yield generate_events(n, det, seed=8, workers=2, start=start, stop=stop)
+
+        streamed, single = estimate_probability(chunks()), estimate_probability(whole)
+        assert single.to_dict() == streamed.to_dict()
+        assert single.p_hat.tobytes() == streamed.p_hat.tobytes()
+        assert ch_from_events(chunks(), OPTIMAL, det).to_dict() == (
+            ch_from_events(whole, OPTIMAL, det).to_dict()
+        )
