@@ -20,6 +20,9 @@ _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
 # ridge-shaped near-maximal sets cannot crowd a true family member out.
 _MAX_CANDIDATES = 512
 
+# Bracket width at which a golden section stops.
+_X_TOL = 1e-8
+
 
 def _golden_section_max(
     func_vec: Callable[..., np.ndarray],
@@ -148,7 +151,6 @@ def maximize_on_grid(
     n_axes: int,
     grid_step: float,
     refine: bool = True,
-    refine_tol: float = 1e-9,
 ) -> tuple[tuple[float, ...], float]:
     """Grid scan over [0, pi)^n followed by local refinement.
 
@@ -156,16 +158,11 @@ def maximize_on_grid(
     pi-periodic in each.  All grid points within a slack of the grid maximum
     are refined so every member of a discrete family of maximizers is found;
     the winner is the lexicographically smallest canonical representative
-    (coordinates reduced mod pi).  ``grid_step`` must be in (0, pi/16] and
-    ``refine_tol``, which sets the refinement's x_tol, finite and >= 1e-12.
+    (coordinates reduced mod pi).  ``grid_step`` must be in (0, pi/16].
     """
     if not (0.0 < grid_step <= math.pi / 16 + 1e-15):
         raise ValueError("grid_step must be in (0, pi/16]")
-    if not math.isfinite(refine_tol):
-        raise ValueError(f"refine_tol must be finite, got {refine_tol!r}")
-    if refine_tol < 1e-12:
-        raise ValueError("refine_tol must be >= 1e-12")
-    x_tol = min(1e-8, math.sqrt(refine_tol))
+    x_tol = _X_TOL
     axis = np.arange(0.0, math.pi, grid_step)
     # The slack covers the quadratic drop to the nearest grid point for the
     # O(1) curvature trigonometric functionals used here.

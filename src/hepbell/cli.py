@@ -5,7 +5,6 @@ embedded for provenance."""
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -193,9 +192,7 @@ def _cmd_hardy(config: RunConfig, args: argparse.Namespace) -> int:
         "lhv_max": lhv_max,
     }
     if args.optimize:
-        best_settings, best_value = spin1.maximize_violation(
-            grid_step=args.grid_step, refine_tol=args.refine_tol
-        )
+        best_settings, best_value = spin1.maximize_violation(grid_step=args.grid_step)
         payload["optimum"] = {
             "alpha": best_settings.alpha,
             "beta": best_settings.beta,
@@ -215,21 +212,11 @@ def _events_out_path(config: RunConfig, out: str | None) -> Path:
 
 
 def _cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
-    n, det, step = config.n_events, config.detector(), mesonlab._CSV_CHUNK_ROWS
-
-    def draw(start: int) -> mesonlab.EventSample:
-        return mesonlab.generate_events(
-            n,
-            det,
-            seed=config.seed,
-            workers=config.workers,
-            start=start,
-            stop=min(start + step, n),
-        )
-
-    # The first chunk is drawn before the file is opened, so that a bad
+    # The first chunk is drawn here, before the file is opened, so that a bad
     # configuration leaves no file behind.
-    chunks = itertools.chain([draw(0)], map(draw, range(step, n, step)))
+    chunks = mesonlab.generate_event_chunks(
+        config.n_events, config.detector(), seed=config.seed, workers=config.workers
+    )
     path = _events_out_path(config, args.out)
     mesonlab.write_events_csv(chunks, path)
     echo = {"kind": "generate", "config": config.to_dict(), "events_file": str(path)}
@@ -314,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=parse_angle, default=5 * _PI / 8)
     p.add_argument("--optimize", action="store_true", help="also search for the maximum")
     p.add_argument("--grid-step", dest="grid_step", type=parse_angle, default=_PI / 16)
-    p.add_argument("--refine-tol", dest="refine_tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_hardy)
 

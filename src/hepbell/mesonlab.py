@@ -9,11 +9,14 @@ evaluation, the detection-efficiency threshold, and two-body kinematics.
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -110,22 +113,50 @@ def _core_inverse_knots(m: np.ndarray) -> np.ndarray:
 
 _CORE_KNOTS_M = np.linspace(0.0, math.pi, 257)
 _CORE_KNOTS_X = _core_inverse_knots(_CORE_KNOTS_M)
+# The interval slopes as np.interp computes them, and a 0 for m = pi, which
+# lies on the last knot.
+_CORE_SLOPES = np.append(np.diff(_CORE_KNOTS_X) / np.diff(_CORE_KNOTS_M), 0.0)
+_CORE_KNOTS_PER_M = (_CORE_KNOTS_M.size - 1) / math.pi
+
+
+def _interp_knots(m: np.ndarray) -> np.ndarray:
+    """``np.interp(m, _CORE_KNOTS_M, _CORE_KNOTS_X)`` bit for bit, m in [0, pi].
+
+    The knots are nearly uniform, so index arithmetic finds the interval in
+    place of a binary search.  Every knot k scales to at least k, and
+    rounding is monotone, so the index is never below the interval; where it
+    is one above, m lies below its knot.  The value is then np.interp's
+    arithmetic.
+    """
+    j = np.minimum((m * _CORE_KNOTS_PER_M).astype(np.intp), _CORE_KNOTS_M.size - 1)
+    j -= m < _CORE_KNOTS_M[j]
+    return _CORE_SLOPES[j] * (m - _CORE_KNOTS_M[j]) + _CORE_KNOTS_X[j]
+
+
+def _newton_step(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    g = x - np.sin(x) - m
+    dg = 1.0 - np.cos(x)
+    step = np.where(dg > 1e-30, g / np.maximum(dg, 1e-300), 0.0)
+    return np.clip(x - step, 0.0, math.pi)
 
 
 def _core_inverse(m: np.ndarray) -> np.ndarray:
     """Solve x - sin(x) = m on [0, pi] by seeded, clipped Newton iterations.
 
-    The seed is a table interpolation, switched to the cube-root expansion
-    where the inverse has a vertical tangent at m = 0.  Four Newton steps
-    bring the residual in m to machine precision everywhere.
+    The seed interpolates a table of knots, switched to the cube-root
+    expansion where the inverse has a vertical tangent at m = 0.  Four
+    Newton steps bring the residual in m to machine precision everywhere.
+    A step is a function of x alone, so a row that one step left unchanged
+    stays unchanged: only the rows still moving after the third step take
+    the fourth.
     """
-    x = np.interp(m, _CORE_KNOTS_M, _CORE_KNOTS_X)
-    x = np.where(m < _CORE_KNOTS_M[1], np.cbrt(6.0 * m), x)
-    for _ in range(4):
-        g = x - np.sin(x) - m
-        dg = 1.0 - np.cos(x)
-        step = np.where(dg > 1e-30, g / np.maximum(dg, 1e-300), 0.0)
-        x = np.clip(x - step, 0.0, math.pi)
+    x = _interp_knots(m)
+    near_zero = np.flatnonzero(m < _CORE_KNOTS_M[1])
+    x[near_zero] = np.cbrt(6.0 * m[near_zero])
+    for _ in range(3):
+        previous, x = x, _newton_step(x, m)
+    moving = np.flatnonzero(x != previous)
+    x[moving] = _newton_step(x[moving], m[moving])
     return x
 
 
@@ -319,6 +350,55 @@ def generate_events(
     return EventSample(phi, detected_1, detected_2, is_background)
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def generate_event_chunks(
+    n: int, det: DetectorModel | None = None, seed: int = 0, workers: int = 1
+) -> Iterator[EventSample]:
+    """The samples of ``generate_events(n, det, seed, workers)``, in order, as
+    row ranges of ``_CSV_CHUNK_ROWS``, drawn ahead on ``min(workers, usable
+    cores)`` threads with at most one more chunk in flight than threads.
+
+    Each chunk is the matching slice of the whole sample whichever thread
+    draws it.  The first chunk is drawn before this returns, so a bad
+    configuration raises here.  An error in a later draw is raised where
+    its chunk is due, and the draws still pending are cancelled.
+    """
+
+    def draw(start: int) -> EventSample:
+        return generate_events(
+            n, det, seed=seed, workers=workers, start=start, stop=min(start + _CSV_CHUNK_ROWS, n)
+        )
+
+    first = draw(0)
+    return _drawn_ahead(first, draw, range(_CSV_CHUNK_ROWS, n, _CSV_CHUNK_ROWS), workers)
+
+
+def _drawn_ahead(first, draw, starts, workers: int) -> Iterator[EventSample]:
+    # Imported here: importing the CLI should not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    threads = min(workers, _usable_cores())
+    starts = iter(starts)
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        pending = deque(pool.submit(draw, start) for start in islice(starts, threads + 1))
+        yield first
+        while pending:
+            sample = pending.popleft().result()
+            start = next(starts, None)
+            if start is not None:
+                pending.append(pool.submit(draw, start))
+            yield sample
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _samples(events: EventSample | Iterable[EventSample]) -> Iterable[EventSample]:
     """One sample, or the chunks of a sample in order, as an iterable of samples."""
     return (events,) if isinstance(events, EventSample) else events
@@ -478,7 +558,7 @@ def ch_from_events(
 @lru_cache(maxsize=1)
 def _max_joint_combination() -> float:
     """Maximum of the signed joint combination over settings: 1 + max CH value."""
-    _, best = maximize_ch_vv(refine_tol=1e-10)
+    _, best = maximize_ch_vv()
     return best + 1.0
 
 

@@ -8,6 +8,7 @@ forms against them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -280,11 +281,14 @@ def born_probability(
             raise DimensionError(
                 f"projector dim {op.dim} does not match site dim {state.dims[axis]}"
             )
-        tensor_amps = np.moveaxis(
-            np.tensordot(op.matrix, tensor_amps, axes=([1], [axis])), 0, axis
-        )
+        # The one np.dot that np.tensordot(op.matrix, tensor_amps, axes=([1],
+        # [axis])) makes, with its first axis moved back to the site's place.
+        rest = [k for k in range(len(ops)) if k != axis]
+        site_first = tensor_amps.transpose([axis, *rest])
+        product = np.dot(op.matrix, site_first.reshape(op.dim, -1)).reshape(site_first.shape)
+        tensor_amps = product.transpose([*range(1, axis + 1), 0, *range(axis + 1, len(ops))])
     value = complex(np.vdot(state.amps, tensor_amps.ravel()))
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise FloatingPointError("non-finite Born probability")
     if abs(value.imag) > 1e-10:
         raise FloatingPointError(f"Born probability has imaginary part {value.imag}")

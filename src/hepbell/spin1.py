@@ -108,15 +108,22 @@ def nonzero_projector(theta: float) -> Projector:
     return zero_projector(theta).complement()
 
 
+def _half_square(s):
+    """s * s / 2.  ``s ** 2`` is C pow on a scalar but s * s on an array, and
+    the two can differ in the last bit; s * s is the same on both."""
+    return 0.5 * (s * s)
+
+
 def hardy_closed_forms(
     alpha: float, beta: float, gamma: float
 ) -> tuple[float, float, float, float]:
     """Closed forms of the four joint probabilities (vectorizable)."""
-    p_bb_aa = 0.5 * np.sin(alpha - beta) ** 2
-    p_bneq_g = 0.5 * np.cos(beta - gamma) ** 2
-    p_x_aneq = 0.5 * np.cos(alpha) ** 2
-    p_x_g = 0.5 * np.sin(gamma) ** 2
-    return p_bb_aa, p_bneq_g, p_x_aneq, p_x_g
+    return (
+        _half_square(np.sin(alpha - beta)),
+        _half_square(np.cos(beta - gamma)),
+        _half_square(np.cos(alpha)),
+        _half_square(np.sin(gamma)),
+    )
 
 
 def hardy_difference_closed(alpha, beta, gamma):
@@ -168,7 +175,6 @@ def hardy_probabilities(settings: HardySettings) -> HardyReport:
 
 def maximize_violation(
     grid_step: float = math.pi / 16,
-    refine_tol: float = 1e-9,
     refine: bool = True,
 ) -> tuple[HardySettings, float]:
     """Search [0, pi)^3 for the maximal constraint violation.
@@ -177,9 +183,7 @@ def maximize_violation(
     every near-maximal grid point; ties across the discrete symmetry family
     are broken by the lexicographically smallest (alpha, beta, gamma).
     """
-    point, value = maximize_on_grid(
-        hardy_difference_closed, 3, grid_step, refine=refine, refine_tol=refine_tol
-    )
+    point, value = maximize_on_grid(hardy_difference_closed, 3, grid_step, refine=refine)
     return HardySettings(*point), value
 
 
@@ -187,10 +191,10 @@ def ch_vv_joint_combination(t1, t1p, t2, t2p):
     """Signed sum of the four joint terms of the two-meson CH expression
     (vectorizable); each joint is (1/2)sin^2 of the setting difference."""
     return (
-        0.5 * np.sin(t2 - t1) ** 2
-        - 0.5 * np.sin(t2p - t1) ** 2
-        + 0.5 * np.sin(t2 - t1p) ** 2
-        + 0.5 * np.sin(t2p - t1p) ** 2
+        _half_square(np.sin(t2 - t1))
+        - _half_square(np.sin(t2p - t1))
+        + _half_square(np.sin(t2 - t1p))
+        + _half_square(np.sin(t2p - t1p))
     )
 
 
@@ -201,10 +205,10 @@ def ch_value_vv(t1: float, t1p: float, t2: float, t2p: float) -> InequalityRepor
     P = (1/2)sin^2(theta2 - theta1); the classical bound is 0.
     """
     terms = [
-        ("P(n1,n2)", 0.5 * math.sin(t2 - t1) ** 2),
-        ("P(n1,n2')", 0.5 * math.sin(t2p - t1) ** 2),
-        ("P(n1',n2)", 0.5 * math.sin(t2 - t1p) ** 2),
-        ("P(n1',n2')", 0.5 * math.sin(t2p - t1p) ** 2),
+        ("P(n1,n2)", _half_square(math.sin(t2 - t1))),
+        ("P(n1,n2')", _half_square(math.sin(t2p - t1))),
+        ("P(n1',n2)", _half_square(math.sin(t2 - t1p))),
+        ("P(n1',n2')", _half_square(math.sin(t2p - t1p))),
         ("P(n1')", 0.5),
         ("P(n2)", 0.5),
     ]
@@ -216,7 +220,6 @@ def ch_value_vv(t1: float, t1p: float, t2: float, t2p: float) -> InequalityRepor
 
 def maximize_ch_vv(
     grid_step: float = math.pi / 16,
-    refine_tol: float = 1e-9,
     refine: bool = True,
 ) -> tuple[tuple[float, float, float, float], float]:
     """Grid + refinement maximum of the CH combination over all four angles."""
@@ -224,4 +227,4 @@ def maximize_ch_vv(
     def objective(t1, t1p, t2, t2p):
         return ch_vv_joint_combination(t1, t1p, t2, t2p) - 1.0
 
-    return maximize_on_grid(objective, 4, grid_step, refine=refine, refine_tol=refine_tol)
+    return maximize_on_grid(objective, 4, grid_step, refine=refine)

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -294,6 +299,77 @@ class TestEventPipeline:
             outputs.append([path.read_bytes() for path in (events, est, ch)])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "workers", [1, 2, 3, 2 * mesonlab._usable_cores()], ids=["1", "2", "3", "2x-cores"]
+    )
+    def test_drawn_ahead_file_matches_sequential_draws(self, tmp_path, monkeypatch, workers):
+        chunk = 7
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk)
+        draw = mesonlab.generate_events
+        drawn_on = set()
+
+        def recording(*args, **kwargs):
+            drawn_on.add(threading.get_ident())
+            time.sleep(0.002)  # long enough for every pool thread to start
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(mesonlab, "generate_events", recording)
+        det = mesonlab.DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (1, chunk - 1, chunk, chunk + 1, 5 * chunk + 7):
+                drawn_on.clear()
+                events, sequential = tmp_path / f"cli-{n}.csv", tmp_path / f"seq-{n}.csv"
+                assert run([
+                    "generate", "--n", str(n), "--seed", "11", "--workers", str(workers),
+                    "--eta1", "0.9", "--eta2", "0.8", "--background", "0.1", "--out", str(events),
+                ]) == 0
+                drawn_on.discard(threading.get_ident())
+                assert len(drawn_on) <= min(workers, mesonlab._usable_cores())
+                mesonlab.write_events_csv(draw(n, det, seed=11, workers=workers), sequential)
+                assert events.read_bytes() == sequential.read_bytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failed_draw_exits_2_and_stops_drawing(self, tmp_path, monkeypatch, capsys):
+        chunk = 7
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk)
+        draw = mesonlab.generate_events
+        starts = []
+
+        def failing(*args, start=0, **kwargs):
+            starts.append(start)
+            if start == 3 * chunk:
+                raise ValueError("no draw for chunk 3")
+            return draw(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(mesonlab, "generate_events", failing)
+        codes = []
+        args = ["generate", "--n", str(40 * chunk), "--workers", "2",
+                "--out", str(tmp_path / "events.csv")]
+        runner = threading.Thread(target=lambda: codes.append(run(args)))
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert codes == [2]
+        err = capsys.readouterr().err
+        assert err == "hepbell: error: no draw for chunk 3\n"
+        # Chunk 3 fails with at most threads + 1 chunks in flight, and no
+        # chunk after those is drawn.
+        threads = min(2, mesonlab._usable_cores())
+        assert max(starts) <= (3 + threads) * chunk
+
+    def test_importing_the_cli_leaves_the_thread_pool_unimported(self):
+        # Only `generate` uses the pool; every command pays for the import.
+        src = str(Path(mesonlab.__file__).resolve().parents[1])
+        probe = "import sys, hepbell.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.strip() == "False"
+
     def test_bad_generate_config_writes_no_file(self, tmp_path):
         events = tmp_path / "events.csv"
         assert run(["generate", "--n", "0", "--out", str(events)]) == 2
@@ -409,8 +485,6 @@ class TestScalarCommands:
         [
             ["efficiency", "--tol", "nan"],
             ["efficiency", "--tol", "inf"],
-            ["hardy", "--optimize", "--refine-tol", "nan"],
-            ["hardy", "--optimize", "--refine-tol", "inf"],
         ],
     )
     def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, args):

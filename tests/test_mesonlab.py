@@ -88,6 +88,62 @@ class TestAngularDensity:
         assert derive_kappa() == float(np.sum(values) * (TWO_PI / n_points))
 
 
+def interp_core_inverse(m):
+    """The core inversion seeded by np.interp, with four Newton steps on
+    every row: the reference."""
+    x = np.interp(m, mesonlab._CORE_KNOTS_M, mesonlab._CORE_KNOTS_X)
+    x = np.where(m < mesonlab._CORE_KNOTS_M[1], np.cbrt(6.0 * m), x)
+    for _ in range(4):
+        g = x - np.sin(x) - m
+        dg = 1.0 - np.cos(x)
+        step = np.where(dg > 1e-30, g / np.maximum(dg, 1e-300), 0.0)
+        x = np.clip(x - step, 0.0, math.pi)
+    return x
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestCoreInverse:
+    @pytest.fixture(scope="class")
+    def edges(self):
+        """Every knot, its neighbours one ulp away, and the ends of [0, pi]."""
+        knots = mesonlab._CORE_KNOTS_M
+        m = np.concatenate([
+            knots,
+            np.nextafter(knots, -np.inf),
+            np.nextafter(knots, np.inf),
+            [0.0, 5e-324, 1e-300, math.pi, np.nextafter(math.pi, 0.0)],
+        ])
+        return m[(m >= 0.0) & (m <= math.pi)]
+
+    def test_knots_scale_to_at_least_their_index(self):
+        # What lets the seed's index arithmetic skip a check against the
+        # interval's upper knot.
+        knots = mesonlab._CORE_KNOTS_M
+        index = (knots * mesonlab._CORE_KNOTS_PER_M).astype(np.intp)
+        assert (index >= np.arange(knots.size)).all()
+
+    def test_seed_is_np_interp_at_knots_and_edges(self, edges):
+        want = np.interp(edges, mesonlab._CORE_KNOTS_M, mesonlab._CORE_KNOTS_X)
+        assert bits(mesonlab._interp_knots(edges)) == bits(want)
+
+    def test_seed_is_np_interp_on_random_m(self, rng):
+        m = rng.uniform(0.0, math.pi, 1_000_000)
+        want = np.interp(m, mesonlab._CORE_KNOTS_M, mesonlab._CORE_KNOTS_X)
+        assert bits(mesonlab._interp_knots(m)) == bits(want)
+
+    def test_matches_interp_form_at_knots_and_edges(self, edges):
+        assert bits(mesonlab._core_inverse(edges)) == bits(interp_core_inverse(edges))
+
+    def test_signal_cdf_inverse_matches_interp_form(self, rng, monkeypatch):
+        u = np.concatenate([rng.random(1_000_000), [0.0, 5e-324, 0.25, 0.5, 0.75]])
+        got = mesonlab._invert_signal_cdf(u)
+        monkeypatch.setattr(mesonlab, "_core_inverse", interp_core_inverse)
+        assert bits(got) == bits(mesonlab._invert_signal_cdf(u))
+
+
 class TestGenerateEvents:
     def test_window_fraction_matches_analytic_integral(self):
         events = generate_events(1_000_000, seed=42)

@@ -186,6 +186,32 @@ class TestBornProbability:
         with pytest.raises(DimensionError):
             born_probability(state, [Projector.identity(2)])
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2), (3, 3, 3)])
+    def test_matches_tensordot_contraction_bit_for_bit(self, rng, dims):
+        def tensordot_born(state, ops):
+            """The contraction by np.tensordot per site: the reference."""
+            amps = state.as_tensor()
+            for axis, op in enumerate(ops):
+                if op is not None:
+                    amps = np.moveaxis(np.tensordot(op.matrix, amps, axes=([1], [axis])), 0, axis)
+            return min(max(complex(np.vdot(state.amps, amps.ravel())).real, 0.0), 1.0)
+
+        seen_none = False
+        for _ in range(40):
+            state = StateVector(dims, random_state_amps(math.prod(dims), rng))
+            ops = []
+            for d in dims:
+                kind = rng.integers(3)
+                vector = random_state_amps(d, rng)
+                ops.append(
+                    None if kind == 0
+                    else Projector.onto(vector) if kind == 1
+                    else Projector.onto(vector).complement()
+                )
+            seen_none |= None in ops
+            assert float.hex(born_probability(state, ops)) == float.hex(tensordot_born(state, ops))
+        assert seen_none
+
     def test_clamped_to_unit_interval(self, rng):
         for _ in range(50):
             state = StateVector((2, 2), random_state_amps(4, rng))

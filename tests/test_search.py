@@ -103,19 +103,21 @@ def assert_same_rows(func_vec, starts, half_width, x_tol=1e-8, max_sweeps=60):
     assert hexes(*got) == hexes(*want)
 
 
-@pytest.mark.parametrize("refine_tol", [1e-9, 1e-10])
+@pytest.mark.parametrize("x_tol", [1e-8, 1e-9, 1e-10])
 @pytest.mark.parametrize("steps", [16, 20, 24])
 @pytest.mark.parametrize("maximize", [spin1.maximize_violation, spin1.maximize_ch_vv])
-def test_searches_match_scalar_search(monkeypatch, maximize, steps, refine_tol):
-    """The optimum is that of the scalar search on Python floats."""
+def test_searches_match_scalar_search(monkeypatch, maximize, steps, x_tol):
+    """The optimum is that of the scalar search on Python floats, at the
+    search's own bracket tolerance (1e-8) and at tighter ones."""
     grid_step = math.pi / steps
-    got = maximize(grid_step=grid_step, refine_tol=refine_tol)
+    monkeypatch.setattr(_search, "_X_TOL", x_tol)
+    got = maximize(grid_step=grid_step)
 
     def scalar_search(func_vec, starts, half_width, x_tol):
         return reference_rows(func_vec, starts, half_width, x_tol, evaluate=on_floats)
 
     monkeypatch.setattr(_search, "refine_lockstep", scalar_search)
-    want = maximize(grid_step=grid_step, refine_tol=refine_tol)
+    want = maximize(grid_step=grid_step)
     # repr of a float round-trips, so equal reprs are equal bits.
     assert repr(got) == repr(want)
 
