@@ -8,6 +8,7 @@ evaluation, the detection-efficiency threshold, and two-body kinematics.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
@@ -440,6 +441,13 @@ class HistogramEstimate:
         }
 
 
+def _checked_width(width: float) -> float:
+    """A histogram bin or CH window width, which must lie in (0, 2*pi]."""
+    if not 0.0 < width <= TWO_PI:  # NaN fails too
+        raise ValueError(f"bin width {width} is not in (0, 2*pi]")
+    return width
+
+
 def estimate_probability(
     events: EventSample | Iterable[EventSample], bin_width: float = TWO_PI / DEFAULT_BIN_COUNT
 ) -> HistogramEstimate:
@@ -449,8 +457,7 @@ def estimate_probability(
     over the chunks and ``kappa`` and the scale applied once, so the estimate
     does not depend on how the sample is split.
     """
-    n_bins_float = TWO_PI / bin_width
-    n_bins = round(n_bins_float)
+    n_bins = round(TWO_PI / _checked_width(bin_width))
     if n_bins < 1 or abs(TWO_PI - n_bins * bin_width) > 1e-9:
         raise ValueError(f"bin_width {bin_width} does not divide 2*pi within 1e-9")
     edges = np.linspace(0.0, TWO_PI, n_bins + 1)
@@ -498,6 +505,7 @@ def ch_from_events(
     so branching fractions thin the sample but do not change S.  ``events``
     may be one sample or its chunks, whose window counts are summed.
     """
+    window = _checked_width(window)
     det = det or DetectorModel()
     t1, t1p, t2, t2p = (float(v) for v in settings)
     diffs = [
@@ -616,6 +624,20 @@ _MANTISSA_TO_FIXED = 1e12 / _PHI_TO_MANTISSA
 # is stripped: sign, leading zeros, then at most the 19 digits of an int64
 # (also below the digit limit of Python's int()).
 _INTEGER_TOKEN = re.compile(r"([+-]?)0*([0-9]{1,19})")
+_CSV_HEADER_BYTES = ",".join(CSV_HEADER).encode("ascii")
+# iter_events_csv reads the file in blocks of this many bytes.
+_READ_BLOCK = 1 << 20
+# The widest phi token the canonical reader parses: one digit, the point and
+# 12 decimals, as "%.9g" writes phi in [1e-4, 1e-3).  Column k of its
+# window holds byte k - 1 of phi, column 0 the comma before it.
+_PHI_FIXED_WIDTH = 14
+_PHI_WINDOW = np.arange(_PHI_FIXED_WIDTH + 1)
+# The weight of each phi byte in phi * 10**12; the point weighs nothing.
+_PHI_DIGIT_WEIGHTS = np.array([1e12, 0.0] + [10.0**k for k in range(11, -1, -1)])
+# The 8 bytes after phi, ",f,f,f\r\n": OR-ing 1 into a flag byte gives "1"
+# exactly for "0" and "1".
+_ROW_TAIL = np.frombuffer(b",1,1,1\r\n", dtype=np.uint8)
+_ROW_TAIL_FLAGS = np.frombuffer(b"\0\1\0\1\0\1\0\0", dtype=np.uint8)
 _CSV_DTYPE = np.dtype(
     [
         ("event_id", np.int64),
@@ -719,10 +741,28 @@ def write_events_csv(events: EventSample | Iterable[EventSample], path) -> None:
     or from its chunks in order.
 
     Rows are formatted ``_CSV_CHUNK_ROWS`` at a time, so memory stays
-    bounded by the chunk, not the file.
+    bounded by the chunk, not the file.  They go to a temporary file beside
+    ``path`` that replaces it once the last row is written, so a failed
+    write leaves no file or an older one untouched.  A symlink's target is
+    replaced, not the link; a device or pipe, such as os.devnull, is
+    written in place.
     """
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        _write_rows(events, path)
+        return
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        _write_rows(events, partial)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _write_rows(events: EventSample | Iterable[EventSample], path: Path) -> None:
     with open(path, "wb") as fh:
-        fh.write(",".join(CSV_HEADER).encode("ascii") + b"\r\n")
+        fh.write(_CSV_HEADER_BYTES + b"\r\n")
         start = 0
         for sample in _samples(events):
             for lo in range(0, len(sample), _CSV_CHUNK_ROWS):
@@ -738,12 +778,6 @@ def write_events_csv(events: EventSample | Iterable[EventSample], path) -> None:
                     )
                 )
                 start += phi.size
-
-
-def _open_event_file(path: Path):
-    """Event files are ASCII; any other byte reads as a character that no
-    field accepts instead of failing to decode."""
-    return open(path, newline="", encoding="ascii", errors="surrogateescape")
 
 
 def _line_error(path: Path, lineno: int, problem: str) -> ValueError:
@@ -779,7 +813,9 @@ def _first_malformed_line(path: Path) -> ValueError | None:
     """The error for the first malformed line, found line by line by the rules
     np.loadtxt and the reader's checks apply, with lines ended by LF or CRLF
     only; None if no line breaks them."""
-    with _open_event_file(path) as fh:
+    # Event files are ASCII; any other byte reads as a character that no
+    # field accepts instead of failing to decode.
+    with open(path, newline="", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             # newline="" ends a line at LF, CRLF or a bare CR; the last alone
             # leaves the CR at its end.
@@ -814,33 +850,100 @@ def _first_malformed_line(path: Path) -> ValueError | None:
     return None
 
 
-def _count_lines(path: Path) -> int | None:
-    """Lines ended by LF, or None if a CR stands without its LF."""
-    with open(path, "rb") as fh:
-        count, last = 0, b"\n"
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            # The previous block's last byte in front: a CRLF may straddle two.
-            data = np.frombuffer(last + block, dtype=np.uint8)
-            lf = data[1:] == ord("\n")
-            count += int(np.count_nonzero(lf))
-            if np.any((data[:-1] == ord("\r")) & ~lf):
-                return None
-            last = block[-1:]
-    return None if last == b"\r" else count + (last != b"\n")
+def _line_count(data: bytes) -> int | None:
+    """Lines in ``data``, ended by an LF or by the end of ``data``, or None if
+    a CR stands without its LF."""
+    if data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    return data.count(b"\n") + (not data.endswith(b"\n"))
 
 
-def _read_chunk(fh, first_id: int) -> EventSample | None:
-    """The next at most ``_CSV_CHUNK_ROWS`` rows, or None if np.loadtxt
-    rejects one, an id is not the next in order, a flag is not 0 or 1 or a
-    phi is out of range."""
+def _line_runs(fh) -> Iterator[bytes]:
+    """A binary file's bytes cut after its first LF and then after every
+    ``_CSV_CHUNK_ROWS``-th: the header line, runs of ``_CSV_CHUNK_ROWS``
+    lines, and what follows the last cut, if anything."""
+    rows = _CSV_CHUNK_ROWS
+    pending, need = [], 1  # the current run's pieces, and the LFs it lacks
+    for block in iter(lambda: fh.read(_READ_BLOCK), b""):
+        lf = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+        cuts = lf[need - 1 :: rows]
+        at = 0
+        for cut in cuts.tolist():
+            pending.append(block[at : cut + 1])
+            yield b"".join(pending)
+            pending, at = [], cut + 1
+        pending.append(block[at:])
+        need = (rows if cuts.size else need) - int(np.count_nonzero(lf >= at))
+    if rest := b"".join(pending):
+        yield rest
+
+
+def _canonical_chunk(run: bytes, first_id: int) -> EventSample | None:
+    """The rows of ``run`` if every one is laid out as the writer writes it,
+    ``id,phi,f,f,f\\r\\n`` with the expected id without sign or leading
+    zeros, phi as ``d`` or ``d.ddd...`` in at most ``_PHI_FIXED_WIDTH``
+    bytes and each flag 0 or 1; None otherwise.
+
+    The digits of phi weighted by powers of ten give phi * 10**12, an
+    integer below 2**53, and 10**12 is exact, so one division by it rounds
+    the token's value correctly, as float() and np.loadtxt do.
+    """
+    data = np.frombuffer(run, dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if not ends.size or ends[-1] != data.size - 1:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ids = np.arange(first_id, first_id + ends.size)
+    # Ids are consecutive, so each digit count covers one slice of the rows.
+    id_widths = range(len(str(first_id)), len(str(first_id + ends.size - 1)) + 1)
+    id_slices = [
+        slice(max(0, 10 ** (width - 1) - first_id) if width > 1 else 0, 10**width - first_id)
+        for width in id_widths
+    ]
+    id_width = np.empty_like(ends)
+    for width, rows in zip(id_widths, id_slices):
+        id_width[rows] = width
+    # The row lengths are checked first, so every gather below stays inside
+    # its row, but for the phi window, which may run past the last one.
+    phi_width = ends - starts - id_width - 8
+    if np.any((phi_width < 1) | (phi_width > _PHI_FIXED_WIDTH) | (phi_width == 2)):
+        return None
+    for width, rows in zip(id_widths, id_slices):
+        expected = np.empty((width, ids[rows].size), dtype=np.uint8)
+        _ascii_digits(ids[rows], expected)
+        if not np.array_equal(data[starts[rows] + np.arange(width)[:, None]], expected):
+            return None
+    # The comma before phi, then phi's bytes from its first.
+    window = np.take(data, starts + id_width + _PHI_WINDOW[:, None], mode="clip")
+    # Bytes below "0" wrap past 9.  Bytes after phi and its point count 0.
+    digits = np.where(_PHI_WINDOW[1:, None] <= phi_width, window[1:] - np.uint8(ord("0")), 0)
+    digits[1] = 0
+    if not (
+        np.all(window[0] == ord(","))
+        and np.all((window[2] == ord(".")) | (phi_width == 1))
+        and digits.max() <= 9
+    ):
+        return None
+    tail = data[ends + np.arange(1 - _ROW_TAIL.size, 1)[:, None]]
+    if not np.all((tail | _ROW_TAIL_FLAGS[:, None]) == _ROW_TAIL[:, None]):
+        return None
+    phi = _PHI_DIGIT_WEIGHTS @ digits / 1e12
+    try:
+        return EventSample(phi, *(tail[1:6:2] == ord("1")))
+    except ValueError:
+        return None  # phi out of range
+
+
+def _loadtxt_chunk(run: bytes, first_id: int) -> EventSample | None:
+    """The rows of ``run`` as np.loadtxt reads them from the event file, or
+    None if it rejects one, an id is not the next in order, a flag is not 0
+    or 1 or a phi is out of range."""
+    lines = io.StringIO(run.decode("ascii", "surrogateescape"), newline="")
     try:
         with warnings.catch_warnings():
-            # No rows left is an empty chunk, not a warning.
+            # A run of blank lines is an empty chunk, not a warning.
             warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(
-                fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1,
-                max_rows=_CSV_CHUNK_ROWS,
-            )
+            rows = np.loadtxt(lines, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         return None
     flags = [rows[name] for name in CSV_HEADER[2:]]
@@ -855,33 +958,46 @@ def _read_chunk(fh, first_id: int) -> EventSample | None:
 
 
 def iter_events_csv(path) -> Iterator[EventSample]:
-    """Read an event file as samples of at most ``_CSV_CHUNK_ROWS`` rows in
-    order (one empty sample for a header-only file), enforcing the header
-    and ids that count up from 0.
+    """Read an event file as samples of ``_CSV_CHUNK_ROWS`` lines in order
+    (one empty sample for a header-only file), enforcing the header and ids
+    that count up from 0.
 
-    A malformed row raises ValueError naming the file and its first bad
-    line.  The error can come after earlier chunks were yielded, at the
-    latest once the last chunk has been read: blank lines and bare CRs,
-    which np.loadtxt passes over, show only in the line count of the whole
-    file.
+    The file is read once, in binary blocks.  A run of lines that the writer
+    could have written is parsed by :func:`_canonical_chunk`; any other run
+    goes to np.loadtxt, which accepts signs, spaces, leading zeros and
+    exponent forms.  A malformed row raises ValueError naming the file and
+    its first bad line.  The error can come after earlier chunks were
+    yielded: blank lines and bare CRs, which np.loadtxt passes over, show in
+    the line count of the run, after its rows.
     """
     path = Path(path)
-    with _open_event_file(path) as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected event file header {header} in {path}")
-        n = 0
-        while (chunk := _read_chunk(fh, n)) is not None:
-            if len(chunk) or not n:
+    with open(path, "rb") as fh:
+        runs = _line_runs(fh)
+        header_line = next(runs, b"")
+        header = header_line.split(b"\r", 1)[0].rstrip(b"\n")
+        if header != _CSV_HEADER_BYTES:
+            fields = header.decode("ascii", "surrogateescape").split(",")
+            raise ValueError(f"unexpected event file header {fields} in {path}")
+        n, intact = 0, _line_count(header_line) == 1
+        for run in runs:
+            if not intact:
+                break  # the run before held a blank line or a bare CR
+            chunk = _canonical_chunk(run, n)
+            if chunk is None:
+                chunk = _loadtxt_chunk(run, n)
+                if chunk is None:
+                    break
+                # np.loadtxt passes over blank lines and ends a line at a
+                # bare CR; both change the run's line count.
+                intact = _line_count(run) == len(chunk)
+            if len(chunk):
                 yield chunk
             n += len(chunk)
-            if len(chunk) < _CSV_CHUNK_ROWS:
-                # np.loadtxt skips blank lines silently (the LF count catches
-                # them) and also ends a line at a bare CR (the CR count
-                # catches it).
-                if _count_lines(path) == n + 1:
-                    return
-                break
+        else:
+            if intact:
+                if not n:
+                    yield EventSample(np.empty(0), *np.empty((3, 0), dtype=bool))
+                return
     # The line-by-line search runs only to name the line of a fault.
     raise _first_malformed_line(path) or ValueError(f"{path}: malformed event file")
 

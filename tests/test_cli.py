@@ -360,6 +360,39 @@ class TestEventPipeline:
         threads = min(2, mesonlab._usable_cores())
         assert max(starts) <= (3 + threads) * chunk
 
+    @pytest.mark.parametrize("older", [False, True], ids=["no-file", "older-file"])
+    def test_failed_generate_leaves_no_partial_file(self, tmp_path, monkeypatch, older):
+        chunk = 7
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk)
+        draw = mesonlab.generate_events
+
+        def failing(*args, start=0, **kwargs):
+            if start == 3 * chunk:
+                raise ValueError("no draw for chunk 3")
+            return draw(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(mesonlab, "generate_events", failing)
+        events = tmp_path / "events.csv"
+        if older:
+            events.write_bytes(b"an older file\r\n")
+        args = ["generate", "--n", str(10 * chunk), "--workers", "2", "--out", str(events)]
+        assert run(args) == 2
+        assert [path.name for path in tmp_path.iterdir()] == (["events.csv"] if older else [])
+        if older:
+            assert events.read_bytes() == b"an older file\r\n"
+
+    @pytest.mark.parametrize("width", ["0", "-0.1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["estimate", "chtest"])
+    def test_degenerate_bin_width_is_usage_error(self, tmp_path, capsys, command, width):
+        events = tmp_path / "events.csv"
+        mesonlab.write_events_csv(mesonlab.generate_events(2000, seed=1), events)
+        out = tmp_path / "report.json"
+        args = ["--output-dir", str(tmp_path), command, "--events", str(events)]
+        assert run([*args, f"--bin-width={width}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"hepbell: error: bin width {float(width)} is not in (0, 2*pi]\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["events.csv"]
+
     def test_importing_the_cli_leaves_the_thread_pool_unimported(self):
         # Only `generate` uses the pool; every command pays for the import.
         src = str(Path(mesonlab.__file__).resolve().parents[1])

@@ -402,6 +402,16 @@ class TestCsvRoundTrip:
         assert np.array_equal(reread.detected_1, events.detected_1)
         assert float(np.max(np.abs(reread.phi - events.phi))) < 1e-8
 
+    def test_writing_through_a_symlink_replaces_its_target(self, tmp_path):
+        events = generate_events(50, seed=5)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"an older file\r\n")
+        link.symlink_to(target)
+        write_events_csv(events, link)
+        assert link.is_symlink()
+        assert len(read_events_csv(target)) == 50
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
     def test_header_is_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("phi,detected_1\n0.1,1\n")
@@ -454,8 +464,34 @@ def reference_read_events_csv(path):
 
 
 def assert_same_events(a, b):
+    """Equal samples, bit for bit."""
     for field in ("phi", "detected_1", "detected_2", "is_background"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """The np.loadtxt calls made while the test runs, one entry each."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    return calls
+
+
+# Angles the writer formats in exponent form, or as "0".
+EXPONENT_FORM_PHI = [0.0, 1e-05, 3.14159265e-05, 9.99e-05, 5e-324]
+# Products phi * 10**k that round to the wrong side of a tie in binary.
+FIXED_POINT_PHI = [1.770842505, 0.8389495205, 0.09037967345, 0.005697999515, 0.0007800132025]
+for decade in (1e-4, 1e-3, 0.01, 0.1, 1.0):
+    FIXED_POINT_PHI += [np.nextafter(decade, 0.0), decade, np.nextafter(decade, 1.0)]
+# The 9 digits carry into the next decade, at a tie and past one.
+FIXED_POINT_PHI += [0.9999999995, 0.09999999995, 0.99999999996, 0.0099999999996]
+FIXED_POINT_PHI += [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 6.2831853]
 
 
 class TestCsvMatchesReference:
@@ -465,23 +501,34 @@ class TestCsvMatchesReference:
         det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
         events = generate_events(n, det, seed=17, workers=workers)
         phi = events.phi.copy()
-        edges = [0.0, 1e-05, 3.14159265e-05, 9.99e-05, 5e-324]  # '0' and exponent-form tokens
-        # Products phi * 10**k that round to the wrong side of a tie in binary.
-        edges += [1.770842505, 0.8389495205, 0.09037967345, 0.005697999515, 0.0007800132025]
-        for decade in (1e-4, 1e-3, 0.01, 0.1, 1.0):
-            edges += [np.nextafter(decade, 0.0), decade, np.nextafter(decade, 1.0)]
-        # The 9 digits carry into the next decade, at a tie and past one.
-        edges += [0.9999999995, 0.09999999995, 0.99999999996, 0.0099999999996]
-        edges += [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        phi[: len(edges)] = edges
+        # Exponent forms send the first chunk to np.loadtxt; the second chunk
+        # is read as the writer lays it out.
+        phi[: len(EXPONENT_FORM_PHI)] = EXPONENT_FORM_PHI
+        phi[n - len(FIXED_POINT_PHI) :] = FIXED_POINT_PHI
         sample = EventSample(phi, events.detected_1, events.detected_2, events.is_background)
         ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
         write_events_csv(sample, ours)
         reference_write_events_csv(sample, reference)
         assert ours.read_bytes() == reference.read_bytes()
         assert b"\r\n1,1e-05," in ours.read_bytes()
-        assert b"\r\n5,1.77084251," in ours.read_bytes()
+        assert b"\r\n%d,1.77084251," % (n - len(FIXED_POINT_PHI)) in ours.read_bytes()
         assert_same_events(read_events_csv(ours), reference_read_events_csv(ours))
+
+    # Every id width from 1 to 5 digits in the first chunk, and a last chunk
+    # of one row.
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_reader_is_exact_at_the_chunk_size(self, tmp_path, loadtxt_calls, offset):
+        n = mesonlab._CSV_CHUNK_ROWS + offset
+        det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
+        events = generate_events(n, det, seed=23, workers=2)
+        phi = events.phi.copy()
+        phi[-len(FIXED_POINT_PHI) :] = FIXED_POINT_PHI
+        sample = EventSample(phi, events.detected_1, events.detected_2, events.is_background)
+        path = tmp_path / "events.csv"
+        write_events_csv(sample, path)
+        reread = read_events_csv(path)
+        assert loadtxt_calls == []
+        assert_same_events(reread, reference_read_events_csv(path))
 
     def test_largest_phi_below_two_pi_reads_back(self, tmp_path):
         phi = np.array([0.5, np.nextafter(TWO_PI, 0.0), 6.283185305])
@@ -523,6 +570,7 @@ class TestCsvMatchesReference:
 
     @settings(max_examples=60, deadline=None)
     @given(
+        chunk_rows=st.integers(min_value=1, max_value=12),
         rows=st.lists(
             st.tuples(
                 st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True),
@@ -532,17 +580,22 @@ class TestCsvMatchesReference:
             ),
             min_size=1,
             max_size=50,
-        )
+        ),
     )
-    def test_write_read_write_property(self, tmp_path_factory, rows):
+    def test_write_read_write_property(self, tmp_path_factory, chunk_rows, rows):
         phi, d1, d2, bg = (np.array(column) for column in zip(*rows))
         sample = EventSample(phi, d1, d2, bg)
         directory = tmp_path_factory.mktemp("roundtrip")
         first, second = directory / "first.csv", directory / "second.csv"
-        write_events_csv(sample, first)
-        reread = read_events_csv(first)
-        write_events_csv(reread, second)
+        with pytest.MonkeyPatch.context() as patch:
+            # Chunks whose ids cross 10, and canonical chunks next to ones
+            # that tiny angles send to np.loadtxt.
+            patch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk_rows)
+            write_events_csv(sample, first)
+            reread = read_events_csv(first)
+            write_events_csv(reread, second)
         assert first.read_bytes() == second.read_bytes()
+        assert_same_events(reread, reference_read_events_csv(first))
         assert_same_events(read_events_csv(second), reread)
         assert float(np.max(np.abs(reread.phi - sample.phi))) < 1e-8
         for field in ("detected_1", "detected_2", "is_background"):
@@ -658,7 +711,7 @@ class TestReaderFuzz:
 
     @pytest.mark.parametrize("bare_cr", [False, True], ids=["crlf", "bare-cr"])
     def test_line_end_across_read_blocks(self, tmp_path, bare_cr):
-        block = 1 << 20  # _count_lines reads the file in blocks of this size
+        block = mesonlab._READ_BLOCK  # iter_events_csv reads the file in blocks of this size
         rows, size = [HEADER_BYTES], len(HEADER_BYTES)
         while size < block - 64:
             rows.append(b"%d,0.5,1,1,0\r\n" % (len(rows) - 1))
@@ -690,10 +743,19 @@ class TestReaderFuzz:
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n9223372036854775808,0.5,1,1,0\r\n", 3),
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,1,128\r\n", 3),
             (HEADER_BYTES + b"0" * 5000 + b",0.5,1,1,0\r\n1,0.5,1,1,0\r\n1" + b"0" * 5000 + b",0.5,1,1,0", 4),
+            # Rows laid out as the writer lays them out, with a bad value.
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n2,0.5,1,1,0\r\n", 3),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,2,0\r\n", 3),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,6.2831854,1,1,0\r\n", 3),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,7.0,1,1,0\r\n", 3),
+            (HEADER_BYTES + b"0\r\n1,0.5,1,1,0\r\n", 2),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,6.2831853071796,1,1,0\r\n", 3),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n1;0.5,1,1,0\r\n", 3),
         ],
         ids=[
             "cr-only", "bare-cr", "final-bare-cr", "loadtxt-spacing-and-sign", "non-ascii",
-            "int64-overflow", "int8-overflow", "long-digit-strings",
+            "int64-overflow", "int8-overflow", "long-digit-strings", "id-gap", "flag-2",
+            "phi-above-2pi", "phi-7", "short-first-row", "phi-15-bytes-above-2pi", "id-separator",
         ],
     )
     def test_line_ends_and_tokens_follow_loadtxt(self, tmp_path, body, lineno):
@@ -710,6 +772,49 @@ def event_file_bytes(n):
     return HEADER_BYTES + b"".join(b"%d,0.%d,1,%d,0\r\n" % (i, i + 1, i % 2) for i in range(n))
 
 
+class TestReaderPaths:
+    def test_writer_output_reads_without_np_loadtxt(self, tmp_path, loadtxt_calls):
+        n = 2 * mesonlab._CSV_CHUNK_ROWS + 5
+        det = DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
+        path = tmp_path / "events.csv"
+        write_events_csv(generate_events(n, det, seed=7, workers=2), path)
+        sizes = [len(chunk) for chunk in iter_events_csv(path)]
+        assert sizes == [mesonlab._CSV_CHUNK_ROWS] * 2 + [5]
+        assert loadtxt_calls == []
+
+    # Each odd row sends its chunk to np.loadtxt, but "0.50", which has the
+    # canonical layout and an exact value.
+    @pytest.mark.parametrize(
+        "row, line, loadtxt_chunks",
+        [
+            (5, b"005,0.5,1,1,0\r\n", 1),
+            (5, b"+5,0.5,+1,1,0\r\n", 1),
+            (5, b" 5 , 0.5 ,1, 1 ,0 \r\n", 1),
+            (5, b"5,0.50,1,1,0\r\n", 0),
+            (5, b"5,5e-1,1,1,0\r\n", 1),
+            (5, b"5,0.,1,1,0\r\n", 1),
+            (5, b"5,0.5,1,1,0\n", 1),
+            (5, b"5,0.0001234567891,1,1,0\r\n", 1),
+            (13, b"13,0.5,1,1,0", 1),
+        ],
+        ids=[
+            "leading-zeros", "plus-signs", "spaces", "trailing-zero", "exponent", "bare-point",
+            "lf-only", "phi-15-bytes", "no-final-line-end",
+        ],
+    )
+    def test_forms_the_writer_never_writes_read_as_loadtxt_reads_them(
+        self, tmp_path, monkeypatch, loadtxt_calls, row, line, loadtxt_chunks
+    ):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 4)
+        rows = [b"%d,0.%d,1,%d,0\r\n" % (i, i + 1, i % 2) for i in range(14)]
+        rows[row] = line
+        path = tmp_path / "events.csv"
+        path.write_bytes(HEADER_BYTES + b"".join(rows))
+        assert [len(chunk) for chunk in iter_events_csv(path)] == [4, 4, 4, 2]
+        assert len(loadtxt_calls) == loadtxt_chunks
+        assert_same_events(read_events_csv(path), reference_read_events_csv(path))
+
+
 class TestStreamedEvents:
     @pytest.mark.parametrize("chunk_rows", [1, 5, 7, 21, 22])
     def test_streamed_read_matches_whole_read(self, tmp_path, monkeypatch, chunk_rows):
@@ -718,9 +823,12 @@ class TestStreamedEvents:
         whole = read_events_csv(path)
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk_rows)
         full, rest = divmod(21, chunk_rows)
-        sizes = [len(chunk) for chunk in iter_events_csv(path)]
-        assert sizes == [chunk_rows] * full + [rest] * (rest > 0)
-        assert_same_events(read_events_csv(path), whole)
+        # Read blocks of 16 bytes cut most rows and chunks across two blocks.
+        for block in (mesonlab._READ_BLOCK, 16):
+            monkeypatch.setattr(mesonlab, "_READ_BLOCK", block)
+            sizes = [len(chunk) for chunk in iter_events_csv(path)]
+            assert sizes == [chunk_rows] * full + [rest] * (rest > 0)
+            assert_same_events(read_events_csv(path), whole)
         assert_same_events(whole, reference_read_events_csv(path))
 
     def test_header_only_file_is_one_empty_chunk(self, tmp_path):
