@@ -74,7 +74,7 @@ def refine_lockstep(
     func_vec: Callable[..., np.ndarray],
     starts: np.ndarray,
     half_width: float,
-    x_tol: float = 1e-8,
+    x_tol: float = _X_TOL,
     max_sweeps: int = 60,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic per-coordinate golden-section ascent around each row of ``starts``.
@@ -150,7 +150,6 @@ def maximize_on_grid(
     func_vec: Callable[..., np.ndarray],
     n_axes: int,
     grid_step: float,
-    refine: bool = True,
 ) -> tuple[tuple[float, ...], float]:
     """Grid scan over [0, pi)^n followed by local refinement.
 
@@ -168,12 +167,10 @@ def maximize_on_grid(
     # O(1) curvature trigonometric functionals used here.
     slack = max(2.0 * grid_step**2, 1e-12)
     candidates = _grid_candidates(func_vec, axis, n_axes, slack)
-    points = np.array([pt for _, pt in candidates])
-    values = np.array([val for val, _ in candidates])
-    keep_tol = 1e-15
-    if refine:
-        points, values = refine_lockstep(func_vec, points, half_width=grid_step, x_tol=x_tol)
-        keep_tol = max(10.0 * x_tol**2, 1e-12)
+    points, values = refine_lockstep(
+        func_vec, np.array([pt for _, pt in candidates]), half_width=grid_step, x_tol=x_tol
+    )
+    keep_tol = max(10.0 * x_tol**2, 1e-12)
     best_val = float(values.max())
     winners = np.mod(points[values >= best_val - keep_tol], math.pi)
     pos_tol = max(10.0 * x_tol, 1e-9)

@@ -12,7 +12,6 @@ import io
 import math
 import os
 import re
-import warnings
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -620,9 +619,9 @@ _PHI_DECADES = np.array([1e-3, 1e-2, 1e-1, 1.0])
 # is exact.
 _PHI_TO_MANTISSA = np.array([1e12, 1e11, 1e10, 1e9, 1e8])
 _MANTISSA_TO_FIXED = 1e12 / _PHI_TO_MANTISSA
-# What np.loadtxt accepts in an integer field, once surrounding whitespace
-# is stripped: sign, leading zeros, then at most the 19 digits of an int64
-# (also below the digit limit of Python's int()).
+# An integer field, once surrounding whitespace is stripped: sign, leading
+# zeros, then at most the 19 digits of an int64 (also below the digit limit
+# of Python's int()).
 _INTEGER_TOKEN = re.compile(r"([+-]?)0*([0-9]{1,19})")
 _CSV_HEADER_BYTES = ",".join(CSV_HEADER).encode("ascii")
 # iter_events_csv reads the file in blocks of this many bytes.
@@ -638,15 +637,6 @@ _PHI_DIGIT_WEIGHTS = np.array([1e12, 0.0] + [10.0**k for k in range(11, -1, -1)]
 # exactly for "0" and "1".
 _ROW_TAIL = np.frombuffer(b",1,1,1\r\n", dtype=np.uint8)
 _ROW_TAIL_FLAGS = np.frombuffer(b"\0\1\0\1\0\1\0\0", dtype=np.uint8)
-_CSV_DTYPE = np.dtype(
-    [
-        ("event_id", np.int64),
-        ("phi", np.float64),
-        ("detected_1", np.int8),
-        ("detected_2", np.int8),
-        ("is_background", np.int8),
-    ]
-)
 
 
 def _ascii_digits(values: np.ndarray, out: np.ndarray) -> None:
@@ -785,10 +775,10 @@ def _line_error(path: Path, lineno: int, problem: str) -> ValueError:
 
 
 def _integer_field(token: str, bits: int) -> int | None:
-    """The value np.loadtxt reads from a ``bits``-bit integer field, or None
-    where it rejects the field: it takes a sign and ASCII digits between
-    optional whitespace, but none of the underscores, other digits or
-    unbounded values that Python's int() takes."""
+    """The value of a ``bits``-bit integer field, or None where the field
+    is not one: a sign and ASCII digits between optional whitespace, but
+    none of the underscores, other digits or unbounded values that Python's
+    int() takes."""
     match = _INTEGER_TOKEN.fullmatch(token.strip())
     if match is None:
         return None
@@ -797,9 +787,9 @@ def _integer_field(token: str, bits: int) -> int | None:
 
 
 def _float_field(token: str) -> float | None:
-    """The value np.loadtxt reads from a float field, or None where it rejects
-    the field: Python's float() grammar without digit underscores or
-    non-ASCII characters."""
+    """The value of a float field, or None where the field is not one:
+    Python's float() grammar without digit underscores or non-ASCII
+    characters."""
     text = token.strip()
     if not text.isascii() or "_" in text:
         return None
@@ -807,55 +797,6 @@ def _float_field(token: str) -> float | None:
         return float(text)
     except ValueError:
         return None
-
-
-def _first_malformed_line(path: Path) -> ValueError | None:
-    """The error for the first malformed line, found line by line by the rules
-    np.loadtxt and the reader's checks apply, with lines ended by LF or CRLF
-    only; None if no line breaks them."""
-    # Event files are ASCII; any other byte reads as a character that no
-    # field accepts instead of failing to decode.
-    with open(path, newline="", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            # newline="" ends a line at LF, CRLF or a bare CR; the last alone
-            # leaves the CR at its end.
-            if line.endswith("\r"):
-                return _line_error(path, lineno, "carriage return without a line feed")
-            if lineno == 1:
-                continue  # the header, checked before parsing
-            if not line.strip():
-                return _line_error(path, lineno, "blank line")
-            fields = line.rstrip("\r\n").split(",")
-            if len(fields) != len(CSV_HEADER):
-                return _line_error(
-                    path, lineno, f"expected {len(CSV_HEADER)} fields, got {len(fields)}"
-                )
-            event_id = _integer_field(fields[0], 64)
-            if event_id is None:
-                return _line_error(
-                    path, lineno, f"event_id {fields[0]!r} is not a 64-bit integer"
-                )
-            phi = _float_field(fields[1])
-            if phi is None:
-                return _line_error(path, lineno, f"phi {fields[1]!r} is not a number")
-            for name, token in zip(CSV_HEADER[2:], fields[2:]):
-                if _integer_field(token, 8) not in (0, 1):
-                    return _line_error(path, lineno, f"{name} {token!r} is not 0 or 1")
-            if event_id != lineno - 2:
-                return _line_error(
-                    path, lineno, f"event_id {event_id} out of order (expected {lineno - 2})"
-                )
-            if not 0.0 <= phi < TWO_PI:
-                return _line_error(path, lineno, f"phi {phi} is not in [0, 2*pi)")
-    return None
-
-
-def _line_count(data: bytes) -> int | None:
-    """Lines in ``data``, ended by an LF or by the end of ``data``, or None if
-    a CR stands without its LF."""
-    if data.count(b"\r") != data.count(b"\r\n"):
-        return None
-    return data.count(b"\n") + (not data.endswith(b"\n"))
 
 
 def _line_runs(fh) -> Iterator[bytes]:
@@ -881,12 +822,15 @@ def _line_runs(fh) -> Iterator[bytes]:
 def _canonical_chunk(run: bytes, first_id: int) -> EventSample | None:
     """The rows of ``run`` if every one is laid out as the writer writes it,
     ``id,phi,f,f,f\\r\\n`` with the expected id without sign or leading
-    zeros, phi as ``d`` or ``d.ddd...`` in at most ``_PHI_FIXED_WIDTH``
-    bytes and each flag 0 or 1; None otherwise.
+    zeros and each flag 0 or 1; None otherwise.  phi is fixed point, ``d``
+    or ``d.ddd...`` in at most ``_PHI_FIXED_WIDTH`` bytes, or a token of at
+    most ``_PHI_WIDTH`` bytes that ``b"%.9g" % float(token)`` gives back,
+    the writer's own rule for the exponent forms below 1e-4.
 
-    The digits of phi weighted by powers of ten give phi * 10**12, an
-    integer below 2**53, and 10**12 is exact, so one division by it rounds
-    the token's value correctly, as float() and np.loadtxt do.
+    The digits of a fixed-point phi weighted by powers of ten give
+    phi * 10**12, an integer below 2**53, and 10**12 is exact, so one
+    division by it rounds the token's value correctly, as float() does.
+    The few other tokens go through float() one by one.
     """
     data = np.frombuffer(run, dtype=np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
@@ -906,7 +850,7 @@ def _canonical_chunk(run: bytes, first_id: int) -> EventSample | None:
     # The row lengths are checked first, so every gather below stays inside
     # its row, but for the phi window, which may run past the last one.
     phi_width = ends - starts - id_width - 8
-    if np.any((phi_width < 1) | (phi_width > _PHI_FIXED_WIDTH) | (phi_width == 2)):
+    if np.any((phi_width < 1) | (phi_width > _PHI_WIDTH)):
         return None
     for width, rows in zip(id_widths, id_slices):
         expected = np.empty((width, ids[rows].size), dtype=np.uint8)
@@ -915,46 +859,79 @@ def _canonical_chunk(run: bytes, first_id: int) -> EventSample | None:
             return None
     # The comma before phi, then phi's bytes from its first.
     window = np.take(data, starts + id_width + _PHI_WINDOW[:, None], mode="clip")
+    tail = data[ends + np.arange(1 - _ROW_TAIL.size, 1)[:, None]]
+    if not (
+        np.all(window[0] == ord(","))
+        and np.all((tail | _ROW_TAIL_FLAGS[:, None]) == _ROW_TAIL[:, None])
+    ):
+        return None
     # Bytes below "0" wrap past 9.  Bytes after phi and its point count 0.
     digits = np.where(_PHI_WINDOW[1:, None] <= phi_width, window[1:] - np.uint8(ord("0")), 0)
     digits[1] = 0
-    if not (
-        np.all(window[0] == ord(","))
-        and np.all((window[2] == ord(".")) | (phi_width == 1))
-        and digits.max() <= 9
-    ):
-        return None
-    tail = data[ends + np.arange(1 - _ROW_TAIL.size, 1)[:, None]]
-    if not np.all((tail | _ROW_TAIL_FLAGS[:, None]) == _ROW_TAIL[:, None]):
-        return None
+    fixed = (
+        ((phi_width == 1) | ((phi_width > 2) & (window[2] == ord("."))))
+        & (phi_width <= _PHI_FIXED_WIDTH)
+        & (digits.max(axis=0) <= 9)
+    )
     phi = _PHI_DIGIT_WEIGHTS @ digits / 1e12
+    for row in np.flatnonzero(~fixed).tolist():
+        at = starts[row] + id_width[row] + 1
+        token = run[at : at + phi_width[row]]
+        try:
+            value = float(token)
+        except ValueError:
+            return None
+        if b"%.9g" % value != token:
+            return None
+        phi[row] = value
     try:
         return EventSample(phi, *(tail[1:6:2] == ord("1")))
     except ValueError:
-        return None  # phi out of range
-
-
-def _loadtxt_chunk(run: bytes, first_id: int) -> EventSample | None:
-    """The rows of ``run`` as np.loadtxt reads them from the event file, or
-    None if it rejects one, an id is not the next in order, a flag is not 0
-    or 1 or a phi is out of range."""
-    lines = io.StringIO(run.decode("ascii", "surrogateescape"), newline="")
-    try:
-        with warnings.catch_warnings():
-            # A run of blank lines is an empty chunk, not a warning.
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(lines, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        return None
-    flags = [rows[name] for name in CSV_HEADER[2:]]
-    if np.any((flags[0] | flags[1] | flags[2]) & ~1) or not np.array_equal(
-        rows["event_id"], np.arange(first_id, first_id + rows.size)
-    ):
-        return None
-    try:
-        return EventSample(rows["phi"], *flags)
-    except ValueError:
         return None  # phi out of range or not finite
+
+
+def _parse_lines(run: bytes, first_id: int, path: Path) -> EventSample:
+    """The rows of ``run``, the lines of ``path`` from row ``first_id`` on,
+    read one by one by the field rules above and the reader's checks, with
+    lines ended by LF or CRLF only.
+
+    A malformed line raises ValueError naming ``path`` and the line, which
+    is ``first_id + 2`` plus the line's offset in ``run``.
+    """
+    rows = []
+    # Event files are ASCII; any other byte reads as a character that no
+    # field accepts instead of failing to decode.  newline="" ends a line at
+    # LF, CRLF or a bare CR; the last alone leaves the CR at its end.
+    lines = io.StringIO(run.decode("ascii", "surrogateescape"), newline="")
+    for expected_id, line in enumerate(lines, start=first_id):
+        lineno = expected_id + 2
+        if line.endswith("\r"):
+            raise _line_error(path, lineno, "carriage return without a line feed")
+        if not line.strip():
+            raise _line_error(path, lineno, "blank line")
+        fields = line.rstrip("\r\n").split(",")
+        if len(fields) != len(CSV_HEADER):
+            raise _line_error(
+                path, lineno, f"expected {len(CSV_HEADER)} fields, got {len(fields)}"
+            )
+        event_id = _integer_field(fields[0], 64)
+        if event_id is None:
+            raise _line_error(path, lineno, f"event_id {fields[0]!r} is not a 64-bit integer")
+        phi = _float_field(fields[1])
+        if phi is None:
+            raise _line_error(path, lineno, f"phi {fields[1]!r} is not a number")
+        flags = [_integer_field(token, 8) for token in fields[2:]]
+        for name, token, flag in zip(CSV_HEADER[2:], fields[2:], flags):
+            if flag not in (0, 1):
+                raise _line_error(path, lineno, f"{name} {token!r} is not 0 or 1")
+        if event_id != expected_id:
+            raise _line_error(
+                path, lineno, f"event_id {event_id} out of order (expected {expected_id})"
+            )
+        if not 0.0 <= phi < TWO_PI:
+            raise _line_error(path, lineno, f"phi {phi} is not in [0, 2*pi)")
+        rows.append((phi, *flags))
+    return EventSample(*np.array(rows, dtype=np.float64).T)
 
 
 def iter_events_csv(path) -> Iterator[EventSample]:
@@ -964,11 +941,10 @@ def iter_events_csv(path) -> Iterator[EventSample]:
 
     The file is read once, in binary blocks.  A run of lines that the writer
     could have written is parsed by :func:`_canonical_chunk`; any other run
-    goes to np.loadtxt, which accepts signs, spaces, leading zeros and
-    exponent forms.  A malformed row raises ValueError naming the file and
-    its first bad line.  The error can come after earlier chunks were
-    yielded: blank lines and bare CRs, which np.loadtxt passes over, show in
-    the line count of the run, after its rows.
+    by :func:`_parse_lines`, which also accepts signs, spaces, leading zeros
+    and LF-only line ends, and raises ValueError naming the file and the
+    first bad line.  A chunk is yielded only once every one of its rows has
+    been read, so no row of a malformed chunk reaches the caller.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -978,28 +954,17 @@ def iter_events_csv(path) -> Iterator[EventSample]:
         if header != _CSV_HEADER_BYTES:
             fields = header.decode("ascii", "surrogateescape").split(",")
             raise ValueError(f"unexpected event file header {fields} in {path}")
-        n, intact = 0, _line_count(header_line) == 1
+        if header_line[len(header) :] not in (b"", b"\n", b"\r\n"):
+            raise _line_error(path, 1, "carriage return without a line feed")
+        n = 0
         for run in runs:
-            if not intact:
-                break  # the run before held a blank line or a bare CR
             chunk = _canonical_chunk(run, n)
             if chunk is None:
-                chunk = _loadtxt_chunk(run, n)
-                if chunk is None:
-                    break
-                # np.loadtxt passes over blank lines and ends a line at a
-                # bare CR; both change the run's line count.
-                intact = _line_count(run) == len(chunk)
-            if len(chunk):
-                yield chunk
+                chunk = _parse_lines(run, n, path)
+            yield chunk
             n += len(chunk)
-        else:
-            if intact:
-                if not n:
-                    yield EventSample(np.empty(0), *np.empty((3, 0), dtype=bool))
-                return
-    # The line-by-line search runs only to name the line of a fault.
-    raise _first_malformed_line(path) or ValueError(f"{path}: malformed event file")
+        if not n:
+            yield EventSample(np.empty(0), *np.empty((3, 0), dtype=bool))
 
 
 def read_events_csv(path) -> EventSample:

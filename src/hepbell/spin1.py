@@ -173,17 +173,14 @@ def hardy_probabilities(settings: HardySettings) -> HardyReport:
     )
 
 
-def maximize_violation(
-    grid_step: float = math.pi / 16,
-    refine: bool = True,
-) -> tuple[HardySettings, float]:
+def maximize_violation(grid_step: float = math.pi / 16) -> tuple[HardySettings, float]:
     """Search [0, pi)^3 for the maximal constraint violation.
 
     Coarse grid scan first, then coordinate-wise golden-section refinement of
     every near-maximal grid point; ties across the discrete symmetry family
     are broken by the lexicographically smallest (alpha, beta, gamma).
     """
-    point, value = maximize_on_grid(hardy_difference_closed, 3, grid_step, refine=refine)
+    point, value = maximize_on_grid(hardy_difference_closed, 3, grid_step)
     return HardySettings(*point), value
 
 
@@ -220,11 +217,10 @@ def ch_value_vv(t1: float, t1p: float, t2: float, t2p: float) -> InequalityRepor
 
 def maximize_ch_vv(
     grid_step: float = math.pi / 16,
-    refine: bool = True,
 ) -> tuple[tuple[float, float, float, float], float]:
     """Grid + refinement maximum of the CH combination over all four angles."""
 
     def objective(t1, t1p, t2, t2p):
         return ch_vv_joint_combination(t1, t1p, t2, t2p) - 1.0
 
-    return maximize_on_grid(objective, 4, grid_step, refine=refine)
+    return maximize_on_grid(objective, 4, grid_step)

@@ -1,6 +1,8 @@
 import csv
+import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -470,17 +472,49 @@ def assert_same_events(a, b):
 
 
 @pytest.fixture
-def loadtxt_calls(monkeypatch):
-    """The np.loadtxt calls made while the test runs, one entry each."""
+def line_parser_calls(monkeypatch):
+    """The first ids of the chunks that went to the line parser while the
+    test runs, one entry per call."""
     calls = []
-    loadtxt = np.loadtxt
+    parse_lines = mesonlab._parse_lines
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return loadtxt(*args, **kwargs)
+    def counting(run, first_id, path):
+        calls.append(first_id)
+        return parse_lines(run, first_id, path)
 
-    monkeypatch.setattr(np, "loadtxt", counting)
+    monkeypatch.setattr(mesonlab, "_parse_lines", counting)
     return calls
+
+
+# The dtype and options np.loadtxt reads an event file body with: the
+# grammar the reader's fields follow.
+CSV_DTYPE = np.dtype(
+    [
+        ("event_id", np.int64),
+        ("phi", np.float64),
+        ("detected_1", np.int8),
+        ("detected_2", np.int8),
+        ("is_background", np.int8),
+    ]
+)
+
+
+def assert_reads_as_loadtxt(sample, body):
+    """np.loadtxt reads ``sample`` from the event file body, bit for bit."""
+    with warnings.catch_warnings():
+        # An empty body is an empty array, not a warning.
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(
+            io.StringIO(body.decode("ascii"), newline=""),
+            dtype=CSV_DTYPE,
+            delimiter=",",
+            comments=None,
+            ndmin=1,
+        )
+    assert np.array_equal(rows["event_id"], np.arange(len(sample)))
+    assert rows["phi"].tobytes() == sample.phi.tobytes()
+    for name in CSV_HEADER[2:]:
+        assert np.array_equal(rows[name], getattr(sample, name))
 
 
 # Angles the writer formats in exponent form, or as "0".
@@ -501,8 +535,7 @@ class TestCsvMatchesReference:
         det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
         events = generate_events(n, det, seed=17, workers=workers)
         phi = events.phi.copy()
-        # Exponent forms send the first chunk to np.loadtxt; the second chunk
-        # is read as the writer lays it out.
+        # Exponent forms in the first chunk, fixed-point ties in the second.
         phi[: len(EXPONENT_FORM_PHI)] = EXPONENT_FORM_PHI
         phi[n - len(FIXED_POINT_PHI) :] = FIXED_POINT_PHI
         sample = EventSample(phi, events.detected_1, events.detected_2, events.is_background)
@@ -517,17 +550,19 @@ class TestCsvMatchesReference:
     # Every id width from 1 to 5 digits in the first chunk, and a last chunk
     # of one row.
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_reader_is_exact_at_the_chunk_size(self, tmp_path, loadtxt_calls, offset):
+    def test_reader_is_exact_at_the_chunk_size(self, tmp_path, line_parser_calls, offset):
         n = mesonlab._CSV_CHUNK_ROWS + offset
         det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
         events = generate_events(n, det, seed=23, workers=2)
         phi = events.phi.copy()
+        phi[: len(EXPONENT_FORM_PHI)] = EXPONENT_FORM_PHI
         phi[-len(FIXED_POINT_PHI) :] = FIXED_POINT_PHI
         sample = EventSample(phi, events.detected_1, events.detected_2, events.is_background)
         path = tmp_path / "events.csv"
         write_events_csv(sample, path)
+        assert b"\r\n4,4.94065646e-324," in path.read_bytes()
         reread = read_events_csv(path)
-        assert loadtxt_calls == []
+        assert line_parser_calls == []
         assert_same_events(reread, reference_read_events_csv(path))
 
     def test_largest_phi_below_two_pi_reads_back(self, tmp_path):
@@ -588,8 +623,8 @@ class TestCsvMatchesReference:
         directory = tmp_path_factory.mktemp("roundtrip")
         first, second = directory / "first.csv", directory / "second.csv"
         with pytest.MonkeyPatch.context() as patch:
-            # Chunks whose ids cross 10, and canonical chunks next to ones
-            # that tiny angles send to np.loadtxt.
+            # Chunks whose ids cross 10, and chunks with the exponent forms
+            # of tiny angles.
             patch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk_rows)
             write_events_csv(sample, first)
             reread = read_events_csv(first)
@@ -707,7 +742,7 @@ class TestReaderFuzz:
             prefix.write_bytes(b"".join(lines[: int(match[1]) - 1]))
             read_events_csv(prefix)
         else:
-            assert isinstance(sample, EventSample)
+            assert_reads_as_loadtxt(sample, body)
 
     @pytest.mark.parametrize("bare_cr", [False, True], ids=["crlf", "bare-cr"])
     def test_line_end_across_read_blocks(self, tmp_path, bare_cr):
@@ -773,19 +808,19 @@ def event_file_bytes(n):
 
 
 class TestReaderPaths:
-    def test_writer_output_reads_without_np_loadtxt(self, tmp_path, loadtxt_calls):
+    def test_writer_output_reads_without_np_loadtxt(self, tmp_path, line_parser_calls):
         n = 2 * mesonlab._CSV_CHUNK_ROWS + 5
         det = DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
         path = tmp_path / "events.csv"
         write_events_csv(generate_events(n, det, seed=7, workers=2), path)
         sizes = [len(chunk) for chunk in iter_events_csv(path)]
         assert sizes == [mesonlab._CSV_CHUNK_ROWS] * 2 + [5]
-        assert loadtxt_calls == []
+        assert line_parser_calls == []
 
-    # Each odd row sends its chunk to np.loadtxt, but "0.50", which has the
-    # canonical layout and an exact value.
+    # Each odd row sends its chunk to the line parser, but "0.50", which has
+    # the canonical layout and an exact value.
     @pytest.mark.parametrize(
-        "row, line, loadtxt_chunks",
+        "row, line, line_parser_chunks",
         [
             (5, b"005,0.5,1,1,0\r\n", 1),
             (5, b"+5,0.5,+1,1,0\r\n", 1),
@@ -803,7 +838,7 @@ class TestReaderPaths:
         ],
     )
     def test_forms_the_writer_never_writes_read_as_loadtxt_reads_them(
-        self, tmp_path, monkeypatch, loadtxt_calls, row, line, loadtxt_chunks
+        self, tmp_path, monkeypatch, line_parser_calls, row, line, line_parser_chunks
     ):
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 4)
         rows = [b"%d,0.%d,1,%d,0\r\n" % (i, i + 1, i % 2) for i in range(14)]
@@ -811,8 +846,10 @@ class TestReaderPaths:
         path = tmp_path / "events.csv"
         path.write_bytes(HEADER_BYTES + b"".join(rows))
         assert [len(chunk) for chunk in iter_events_csv(path)] == [4, 4, 4, 2]
-        assert len(loadtxt_calls) == loadtxt_chunks
-        assert_same_events(read_events_csv(path), reference_read_events_csv(path))
+        assert len(line_parser_calls) == line_parser_chunks
+        sample = read_events_csv(path)
+        assert_same_events(sample, reference_read_events_csv(path))
+        assert_reads_as_loadtxt(sample, b"".join(rows))
 
 
 class TestStreamedEvents:
@@ -842,9 +879,21 @@ class TestStreamedEvents:
         path = tmp_path / "events.csv"
         path.write_bytes(event_file_bytes(10) + b"\r\n")
         chunks = iter_events_csv(path)
-        assert [len(next(chunks)) for _ in range(3)] == [4, 4, 2]
+        # The chunk that holds the blank line is not yielded.
+        assert [len(next(chunks)) for _ in range(2)] == [4, 4]
         with pytest.raises(ValueError, match=", line 12: blank line"):
             next(chunks)
+
+    def test_fault_in_the_last_row_is_named_from_its_chunk(
+        self, tmp_path, monkeypatch, line_parser_calls
+    ):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 4)
+        path = tmp_path / "events.csv"
+        path.write_bytes(event_file_bytes(10).replace(b"\r\n9,", b"\r\nx9,"))
+        with pytest.raises(ValueError) as raised:
+            read_events_csv(path)
+        assert str(raised.value) == f"{path}, line 11: event_id 'x9' is not a 64-bit integer"
+        assert line_parser_calls == [8]
 
     def test_writer_joins_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hepbell import spin1
+from hepbell import _search, spin1
 from hepbell.qcore import Projector, born_probability, eigenvector_for_eigenvalue
 from hepbell.spin1 import (
     HardySettings,
@@ -214,7 +214,9 @@ class TestMaximizeViolation:
         assert abs(settings.gamma - 5 * np.pi / 8) < 1e-5
 
     def test_grid_only_is_close(self):
-        _, value = maximize_violation(grid_step=np.pi / 16, refine=False)
+        axis = np.arange(0.0, np.pi, np.pi / 16)
+        candidates = _search._grid_candidates(hardy_difference_closed, axis, 3, slack=0.0)
+        value, _ = candidates[0]
         assert abs(value - MAX_GAP) < 0.02
 
     def test_gamma_zero_plane_has_no_violation(self):
