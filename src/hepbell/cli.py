@@ -44,7 +44,7 @@ def parse_angle(token: str) -> float:
                     raise ValueError
                 value /= float(tail[1:])
             return value
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise AngleSyntaxError(token) from None
     try:
         return float(text)
@@ -307,7 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="simulate decays and write the event CSV")
     p.add_argument("--n", dest="n_events", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument(
+        "--workers",
+        type=int,
+        help="number of Philox streams the sample is split into; part of the "
+        "(seed, n, workers) key that fixes the file, not a thread count",
+    )
     p.add_argument("--eta1", dest="eta_1", type=float)
     p.add_argument("--eta2", dest="eta_2", type=float)
     p.add_argument("--background", dest="background_fraction", type=float)

@@ -12,11 +12,10 @@ import io
 import math
 import os
 import re
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -350,24 +349,15 @@ def generate_events(
     return EventSample(phi, detected_1, detected_2, is_background)
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def generate_event_chunks(
     n: int, det: DetectorModel | None = None, seed: int = 0, workers: int = 1
 ) -> Iterator[EventSample]:
     """The samples of ``generate_events(n, det, seed, workers)``, in order, as
-    row ranges of ``_CSV_CHUNK_ROWS``, drawn ahead on ``min(workers, usable
-    cores)`` threads with at most one more chunk in flight than threads.
+    row ranges of ``_CSV_CHUNK_ROWS``, each drawn when it is due.
 
-    Each chunk is the matching slice of the whole sample whichever thread
-    draws it.  The first chunk is drawn before this returns, so a bad
-    configuration raises here.  An error in a later draw is raised where
-    its chunk is due, and the draws still pending are cancelled.
+    The first chunk is drawn before this returns, so a bad configuration
+    raises here.  An error in a later draw is raised where its chunk is due,
+    and no chunk after it is drawn.
     """
 
     def draw(start: int) -> EventSample:
@@ -375,28 +365,7 @@ def generate_event_chunks(
             n, det, seed=seed, workers=workers, start=start, stop=min(start + _CSV_CHUNK_ROWS, n)
         )
 
-    first = draw(0)
-    return _drawn_ahead(first, draw, range(_CSV_CHUNK_ROWS, n, _CSV_CHUNK_ROWS), workers)
-
-
-def _drawn_ahead(first, draw, starts, workers: int) -> Iterator[EventSample]:
-    # Imported here: importing the CLI should not pay for it.
-    from concurrent.futures import ThreadPoolExecutor
-
-    threads = min(workers, _usable_cores())
-    starts = iter(starts)
-    pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        pending = deque(pool.submit(draw, start) for start in islice(starts, threads + 1))
-        yield first
-        while pending:
-            sample = pending.popleft().result()
-            start = next(starts, None)
-            if start is not None:
-                pending.append(pool.submit(draw, start))
-            yield sample
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return chain([draw(0)], map(draw, range(_CSV_CHUNK_ROWS, n, _CSV_CHUNK_ROWS)))
 
 
 def _samples(events: EventSample | Iterable[EventSample]) -> Iterable[EventSample]:
@@ -507,6 +476,8 @@ def ch_from_events(
     window = _checked_width(window)
     det = det or DetectorModel()
     t1, t1p, t2, t2p = (float(v) for v in settings)
+    if not all(map(math.isfinite, (t1, t1p, t2, t2p))):
+        raise ValueError(f"settings must be finite, got {[t1, t1p, t2, t2p]}")
     diffs = [
         ("P(n1,n2)", t2 - t1, 1.0),
         ("P(n1,n2')", t2p - t1, -1.0),
@@ -633,10 +604,10 @@ _PHI_FIXED_WIDTH = 14
 _PHI_WINDOW = np.arange(_PHI_FIXED_WIDTH + 1)
 # The weight of each phi byte in phi * 10**12; the point weighs nothing.
 _PHI_DIGIT_WEIGHTS = np.array([1e12, 0.0] + [10.0**k for k in range(11, -1, -1)])
-# The 8 bytes after phi, ",f,f,f\r\n": OR-ing 1 into a flag byte gives "1"
-# exactly for "0" and "1".
-_ROW_TAIL = np.frombuffer(b",1,1,1\r\n", dtype=np.uint8)
-_ROW_TAIL_FLAGS = np.frombuffer(b"\0\1\0\1\0\1\0\0", dtype=np.uint8)
+# The 6 bytes between phi and the line end, ",f,f,f": OR-ing 1 into a flag
+# byte gives "1" exactly for "0" and "1".
+_ROW_TAIL = np.frombuffer(b",1,1,1", dtype=np.uint8)
+_ROW_TAIL_FLAGS = np.frombuffer(b"\0\1\0\1\0\1", dtype=np.uint8)
 
 
 def _ascii_digits(values: np.ndarray, out: np.ndarray) -> None:
@@ -737,6 +708,7 @@ def write_events_csv(events: EventSample | Iterable[EventSample], path) -> None:
     replaced, not the link; a device or pipe, such as os.devnull, is
     written in place.
     """
+    target = path
     path = Path(os.path.realpath(path))
     if path.exists() and not path.is_file():
         _write_rows(events, path)
@@ -745,9 +717,13 @@ def write_events_csv(events: EventSample | Iterable[EventSample], path) -> None:
     try:
         _write_rows(events, partial)
         os.replace(partial, path)
-    except BaseException:
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # Name the file asked for, not the temporary one.
+        raise OSError(exc.errno, exc.strerror, os.fspath(target)) from exc
+    finally:
         partial.unlink(missing_ok=True)
-        raise
 
 
 def _write_rows(events: EventSample | Iterable[EventSample], path: Path) -> None:
@@ -821,11 +797,12 @@ def _line_runs(fh) -> Iterator[bytes]:
 
 def _canonical_chunk(run: bytes, first_id: int) -> EventSample | None:
     """The rows of ``run`` if every one is laid out as the writer writes it,
-    ``id,phi,f,f,f\\r\\n`` with the expected id without sign or leading
-    zeros and each flag 0 or 1; None otherwise.  phi is fixed point, ``d``
-    or ``d.ddd...`` in at most ``_PHI_FIXED_WIDTH`` bytes, or a token of at
-    most ``_PHI_WIDTH`` bytes that ``b"%.9g" % float(token)`` gives back,
-    the writer's own rule for the exponent forms below 1e-4.
+    ``id,phi,f,f,f\\r\\n``, or ends in LF alone, with the expected id
+    without sign or leading zeros and each flag 0 or 1; None otherwise.  phi
+    is fixed point, ``d`` or ``d.ddd...`` in at most ``_PHI_FIXED_WIDTH``
+    bytes, or a token of at most ``_PHI_WIDTH`` bytes that
+    ``b"%.9g" % float(token)`` gives back, the writer's own rule for the
+    exponent forms below 1e-4.
 
     The digits of a fixed-point phi weighted by powers of ten give
     phi * 10**12, an integer below 2**53, and 10**12 is exact, so one
@@ -847,9 +824,13 @@ def _canonical_chunk(run: bytes, first_id: int) -> EventSample | None:
     id_width = np.empty_like(ends)
     for width, rows in zip(id_widths, id_slices):
         id_width[rows] = width
+    # Where each row's ",f,f,f" ends: at its CR if the row ends in CRLF,
+    # else at its LF.  ends - 1 is -1 only for an empty first row, which the
+    # length check below rejects.
+    tail_end = ends - (data[ends - 1] == ord("\r"))
     # The row lengths are checked first, so every gather below stays inside
     # its row, but for the phi window, which may run past the last one.
-    phi_width = ends - starts - id_width - 8
+    phi_width = tail_end - starts - id_width - 7
     if np.any((phi_width < 1) | (phi_width > _PHI_WIDTH)):
         return None
     for width, rows in zip(id_widths, id_slices):
@@ -859,7 +840,7 @@ def _canonical_chunk(run: bytes, first_id: int) -> EventSample | None:
             return None
     # The comma before phi, then phi's bytes from its first.
     window = np.take(data, starts + id_width + _PHI_WINDOW[:, None], mode="clip")
-    tail = data[ends + np.arange(1 - _ROW_TAIL.size, 1)[:, None]]
+    tail = data[tail_end + np.arange(-_ROW_TAIL.size, 0)[:, None]]
     if not (
         np.all(window[0] == ord(","))
         and np.all((tail | _ROW_TAIL_FLAGS[:, None]) == _ROW_TAIL[:, None])

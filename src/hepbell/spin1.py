@@ -139,11 +139,11 @@ def hardy_probabilities(settings: HardySettings) -> HardyReport:
         P(J_x=0, J_gamma=0) <= P(J_x=0, J_alpha!=0) + P(J_beta!=0, J_gamma=0)
                                + P(J_beta=0, J_alpha=0).
 
-    Closed trigonometric forms are returned; a Born-rule evaluation with
-    eigenprojectors on the singlet-like state must agree within 1e-10, and a
-    disagreement beyond 1e-8 raises :class:`InternalInconsistency`.  In each
-    pair the first-listed condition is measured on side 1, the second on
-    side 2.
+    Closed trigonometric forms are returned.  A Born-rule evaluation with
+    eigenprojectors on the singlet-like state is computed beside them, and
+    a disagreement beyond ``_CROSS_CHECK_TOL`` (1e-8) raises
+    :class:`InternalInconsistency`.  In each pair the first-listed condition
+    is measured on side 1, the second on side 2.
     """
     alpha, beta, gamma = settings.as_tuple()
     closed = hardy_closed_forms(alpha, beta, gamma)

@@ -786,11 +786,13 @@ class TestReaderFuzz:
             (HEADER_BYTES + b"0\r\n1,0.5,1,1,0\r\n", 2),
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,6.2831853071796,1,1,0\r\n", 3),
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n1;0.5,1,1,0\r\n", 3),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,1,0\r\r\n", 3),
         ],
         ids=[
             "cr-only", "bare-cr", "final-bare-cr", "loadtxt-spacing-and-sign", "non-ascii",
             "int64-overflow", "int8-overflow", "long-digit-strings", "id-gap", "flag-2",
             "phi-above-2pi", "phi-7", "short-first-row", "phi-15-bytes-above-2pi", "id-separator",
+            "cr-before-crlf",
         ],
     )
     def test_line_ends_and_tokens_follow_loadtxt(self, tmp_path, body, lineno):
@@ -817,8 +819,25 @@ class TestReaderPaths:
         assert sizes == [mesonlab._CSV_CHUNK_ROWS] * 2 + [5]
         assert line_parser_calls == []
 
+    def test_lf_only_file_reads_without_the_line_parser(self, tmp_path, line_parser_calls):
+        n = 2 * mesonlab._CSV_CHUNK_ROWS + 5
+        det = DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
+        events = generate_events(n, det, seed=7, workers=2)
+        phi = events.phi.copy()
+        phi[: len(EXPONENT_FORM_PHI)] = EXPONENT_FORM_PHI
+        phi[-len(FIXED_POINT_PHI) :] = FIXED_POINT_PHI
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        write_events_csv(
+            EventSample(phi, events.detected_1, events.detected_2, events.is_background), crlf
+        )
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        sizes = [len(chunk) for chunk in iter_events_csv(lf)]
+        assert sizes == [mesonlab._CSV_CHUNK_ROWS] * 2 + [5]
+        assert_same_events(read_events_csv(lf), read_events_csv(crlf))
+        assert line_parser_calls == []
+
     # Each odd row sends its chunk to the line parser, but "0.50", which has
-    # the canonical layout and an exact value.
+    # the canonical layout and an exact value, and a row ending in LF alone.
     @pytest.mark.parametrize(
         "row, line, line_parser_chunks",
         [
@@ -828,7 +847,7 @@ class TestReaderPaths:
             (5, b"5,0.50,1,1,0\r\n", 0),
             (5, b"5,5e-1,1,1,0\r\n", 1),
             (5, b"5,0.,1,1,0\r\n", 1),
-            (5, b"5,0.5,1,1,0\n", 1),
+            (5, b"5,0.5,1,1,0\n", 0),
             (5, b"5,0.0001234567891,1,1,0\r\n", 1),
             (13, b"13,0.5,1,1,0", 1),
         ],
