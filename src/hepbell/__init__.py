@@ -6,50 +6,10 @@ charmonium decaying to two vector mesons.  Quantum predictions are computed
 analytically and via a Born-rule oracle, classical bounds are certified by
 exhaustive strategy enumeration, and the proposed event-by-event measurement
 is reproduced by seeded Monte Carlo.
-"""
 
-from .mesonlab import (
-    DetectorModel,
-    EventSample,
-    HistogramEstimate,
-    KinematicsConfig,
-    angular_density,
-    ch_from_events,
-    effective_statistics,
-    efficiency_threshold,
-    estimate_probability,
-    generate_events,
-    transverse_state,
-    two_body_beta,
-)
-from .photon3 import (
-    TangleReport,
-    TripartiteOutcomeSpec,
-    ch_value_3gamma,
-    circular_linear_transform,
-    make_ortho_ps_state,
-    outcome_probability,
-    three_tangle,
-)
-from .qcore import (
-    Observable,
-    Projector,
-    StateVector,
-    born_probability,
-    eigenvector_for_eigenvalue,
-    tensor,
-)
-from .reports import InequalityReport
-from .spin1 import (
-    HardyReport,
-    HardySettings,
-    ch_value_vv,
-    hardy_probabilities,
-    j_alpha,
-    make_singlet_like,
-    maximize_ch_vv,
-    maximize_violation,
-    spin1_operators,
-)
+The package root re-exports nothing: import the submodule that holds a
+name (``hepbell.mesonlab``, ``hepbell.kinematics``, ...), so that each
+command loads only the modules it runs.
+"""
 
 __version__ = "0.1.0"

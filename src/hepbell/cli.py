@@ -11,8 +11,14 @@ import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import lhv, mesonlab, photon3, spin1
+from .kinematics import SPACE_LIKE_BETA_MIN, KinematicsConfig, two_body_beta
+
+# The analysis modules are imported inside the handlers that run them, so a
+# command loads only what it uses (`kinematics` runs without numpy).
+if TYPE_CHECKING:
+    from . import mesonlab
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,27 +35,31 @@ class AngleSyntaxError(argparse.ArgumentTypeError, ValueError):
 
 
 def parse_angle(token: str) -> float:
-    """Parse radians or exact fractions of pi: '0.5', 'pi', '3pi/8', '-pi/2'."""
+    """Parse radians or exact fractions of pi: '0.5', 'pi', '3pi/8', '-pi/2'.
+
+    A head, divisor or value that is not finite (``inf``, ``nan``,
+    ``1e400``, ``pi/inf``) and a zero divisor are malformed.
+    """
     text = str(token).strip().lower().replace(" ", "")
-    if not text:
-        raise AngleSyntaxError(token)
-    if "pi" in text:
-        head, _, tail = text.partition("pi")
-        if head in ("", "+", "-"):
-            head += "1"
-        try:
-            value = float(head) * _PI
-            if tail:
-                if not tail.startswith("/"):
-                    raise ValueError
-                value /= float(tail[1:])
-            return value
-        except (ValueError, ZeroDivisionError):
-            raise AngleSyntaxError(token) from None
+    head, pi, tail = text.partition("pi")
+    if pi and head in ("", "+", "-"):
+        head += "1"
     try:
-        return float(text)
-    except ValueError:
+        value = float(head)
+        if pi:
+            value *= _PI
+        if tail:
+            if not tail.startswith("/"):
+                raise ValueError
+            divisor = float(tail[1:])
+            if not math.isfinite(divisor):
+                raise ValueError
+            value /= divisor
+    except (ValueError, ZeroDivisionError):
         raise AngleSyntaxError(token) from None
+    if not math.isfinite(value):
+        raise AngleSyntaxError(token)
+    return value
 
 
 def _parse_bool(token: str) -> bool:
@@ -79,6 +89,8 @@ class RunConfig:
     output_dir: str = "."
 
     def detector(self) -> mesonlab.DetectorModel:
+        from . import mesonlab
+
         return mesonlab.DetectorModel(
             eta_1=self.eta_1,
             eta_2=self.eta_2,
@@ -86,8 +98,8 @@ class RunConfig:
             br_weight=self.br_weight,
         )
 
-    def kinematics(self) -> mesonlab.KinematicsConfig:
-        return mesonlab.KinematicsConfig(m_parent=self.m_parent, m_vector=self.m_vector)
+    def kinematics(self) -> KinematicsConfig:
+        return KinematicsConfig(m_parent=self.m_parent, m_vector=self.m_vector)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -152,6 +164,8 @@ def four_angles(text: str) -> tuple[float, float, float, float]:
 
 
 def _cmd_tripartite(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import lhv, photon3
+
     try:
         labeling = tuple(int(v) - 1 for v in args.labeling.split(","))
     except ValueError:
@@ -179,6 +193,8 @@ def _cmd_tripartite(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_hardy(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import lhv, spin1
+
     settings = spin1.HardySettings(args.alpha, args.beta, args.gamma)
     report = spin1.hardy_probabilities(settings)
     lhv_max, _ = lhv.max_hardy_spin1_lhv()
@@ -212,6 +228,8 @@ def _events_out_path(config: RunConfig, out: str | None) -> Path:
 
 
 def _cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import mesonlab
+
     # The first chunk is drawn here, before the file is opened, so that a bad
     # configuration leaves no file behind.
     chunks = mesonlab.generate_event_chunks(
@@ -225,6 +243,8 @@ def _cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _event_chunks(path_text: str) -> Iterator[mesonlab.EventSample]:
+    from . import mesonlab
+
     path = Path(path_text)
     if not path.exists():
         raise FileNotFoundError(f"event file not found: {path}")
@@ -232,6 +252,8 @@ def _event_chunks(path_text: str) -> Iterator[mesonlab.EventSample]:
 
 
 def _cmd_estimate(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import mesonlab
+
     estimate = mesonlab.estimate_probability(
         _event_chunks(args.events), bin_width=config.bin_width
     )
@@ -240,6 +262,8 @@ def _cmd_estimate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_chtest(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import mesonlab
+
     report = mesonlab.ch_from_events(
         _event_chunks(args.events),
         config.settings,
@@ -253,6 +277,8 @@ def _cmd_chtest(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_efficiency(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import mesonlab
+
     threshold = mesonlab.efficiency_threshold(search_tol=args.tol)
     eta_grid = [round(0.5 + 0.01 * k, 2) for k in range(51)]
     payload = {
@@ -265,11 +291,11 @@ def _cmd_efficiency(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_kinematics(config: RunConfig, args: argparse.Namespace) -> int:
-    result = mesonlab.two_body_beta(config.kinematics())
+    result = two_body_beta(config.kinematics())
     payload = {
         "beta": result.beta,
         "space_like_ok": result.space_like_ok,
-        "beta_min": mesonlab.SPACE_LIKE_BETA_MIN,
+        "beta_min": SPACE_LIKE_BETA_MIN,
     }
     _write_report(config, "kinematics", payload, args.out)
     return EXIT_OK
@@ -363,7 +389,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         if isinstance(exc, OSError):
             return EXIT_MISSING_INPUT
-        if isinstance(exc, (mesonlab.InsufficientStatistics, mesonlab.NoData)):
+        # Only a command that imported mesonlab can raise its errors.
+        mesonlab = sys.modules.get(f"{__package__}.mesonlab")
+        if mesonlab and isinstance(exc, (mesonlab.InsufficientStatistics, mesonlab.NoData)):
             return EXIT_INSUFFICIENT_STATS
         return EXIT_USAGE
 

@@ -3,7 +3,7 @@
 Covers the transverse entangled state, the azimuthal-angle density between
 the two decay planes, reproducible Monte Carlo event generation with a
 detector model, the histogram probability estimator, the event-based CH
-evaluation, the detection-efficiency threshold, and two-body kinematics.
+evaluation and the detection-efficiency threshold.
 """
 
 from __future__ import annotations
@@ -22,13 +22,8 @@ import numpy as np
 
 from .qcore import Projector, StateVector, born_probability
 from .reports import InequalityReport, make_report
-from .spin1 import maximize_ch_vv
 
 TWO_PI = 2.0 * math.pi
-
-# Speed (units of c) each vector meson needs for a usable fraction of
-# space-like separated decay events.
-SPACE_LIKE_BETA_MIN = 0.59
 
 DEFAULT_BIN_COUNT = 64
 
@@ -51,10 +46,6 @@ class InsufficientStatistics(ValueError):
         super().__init__(message)
         self.bin_phi = bin_phi
         self.bin_width = bin_width
-
-
-class BelowThreshold(ValueError):
-    """Parent mass does not allow the two-body decay."""
 
 
 def transverse_state() -> StateVector:
@@ -200,38 +191,6 @@ class DetectorModel:
         """
         eta = self.eta_1 if side == 1 else self.eta_2
         return eta * math.sqrt(self.br_weight)
-
-
-@dataclass(frozen=True)
-class KinematicsConfig:
-    """Masses (GeV) of the parent and of each vector meson."""
-
-    m_parent: float = 2.980
-    m_vector: float = 1.019461
-
-    def __post_init__(self):
-        for name in ("m_parent", "m_vector"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be positive and finite")
-            object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class TwoBodyBeta:
-    beta: float
-    space_like_ok: bool
-
-
-def two_body_beta(kin: KinematicsConfig) -> TwoBodyBeta:
-    """Vector-meson speed beta = sqrt(1 - 4 m_V^2 / m_parent^2) and whether it
-    clears the space-like-separation lower bound 0.59."""
-    if kin.m_parent <= 2.0 * kin.m_vector:
-        raise BelowThreshold(
-            f"m_parent {kin.m_parent} GeV is not above 2*m_vector {2 * kin.m_vector} GeV"
-        )
-    beta = math.sqrt(1.0 - 4.0 * kin.m_vector**2 / kin.m_parent**2)
-    return TwoBodyBeta(beta=beta, space_like_ok=beta > SPACE_LIKE_BETA_MIN)
 
 
 def effective_statistics(n_produced: int, det: DetectorModel) -> float:
@@ -536,6 +495,9 @@ def ch_from_events(
 @lru_cache(maxsize=1)
 def _max_joint_combination() -> float:
     """Maximum of the signed joint combination over settings: 1 + max CH value."""
+    # Imported here, so that the event commands load neither spin1 nor the search.
+    from .spin1 import maximize_ch_vv
+
     _, best = maximize_ch_vv()
     return best + 1.0
 

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from hepbell import lhv, mesonlab, photon3, spin1
+from hepbell import kinematics, lhv, mesonlab, photon3, spin1
 from hepbell.photon3 import (
     SloccClass,
     TripartiteOutcomeSpec,
@@ -170,8 +170,8 @@ def test_criterion_08_efficiency_threshold():
 
 
 def test_criterion_09_kinematics():
-    result = mesonlab.two_body_beta(
-        mesonlab.KinematicsConfig(m_parent=2.980, m_vector=1.019461)
+    result = kinematics.two_body_beta(
+        kinematics.KinematicsConfig(m_parent=2.980, m_vector=1.019461)
     )
     assert abs(result.beta - 0.7293) < 0.0005
     assert result.space_like_ok

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hepbell import cli, mesonlab
+from hepbell import _search, cli, mesonlab
 
 SQ2 = math.sqrt(2.0)
 
@@ -21,6 +24,14 @@ def schema():
 
 def run(args):
     return cli.main(args)
+
+
+def exit_code(args):
+    """What ``main`` returns, or the code of the SystemExit argparse raises."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def load(path):
@@ -66,7 +77,14 @@ class TestAngleParsing:
     def test_valid_tokens(self, token, expected):
         assert abs(cli.parse_angle(token) - expected) < 1e-15
 
-    @pytest.mark.parametrize("token", ["3qi/8", "pi/", "x", "", "pi/pi", "pi/0"])
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "3qi/8", "pi/", "x", "", "pi/pi", "pi/0",
+            "inf", "-inf", "nan", "1e400", "pi/inf", "pi/nan", "infpi", "nanpi",
+            "1e308pi", "pi/1e-320", "pi/0.0", "-pi/-0",
+        ],
+    )
     def test_invalid_tokens(self, token):
         with pytest.raises(cli.AngleSyntaxError):
             cli.parse_angle(token)
@@ -90,6 +108,30 @@ class TestAngleParsing:
             run(["hardy", "--alpha", "pi/0"])
         assert excinfo.value.code == 2
         assert "argument --alpha: malformed angle token 'pi/0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["pi/inf", "nan", "1e400"])
+    def test_non_finite_angle_flag_is_usage_error(self, capsys, token):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["hardy", f"--alpha={token}"])
+        assert excinfo.value.code == 2
+        assert f"argument --alpha: malformed angle token {token!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, token",
+        [
+            ("settings", ["pi/inf", 0, 0, 0], "pi/inf"),
+            ("settings", [0, "inf", 0, 0], "inf"),
+            ("bin_width", "nan", "nan"),
+        ],
+    )
+    def test_non_finite_angle_in_config_is_usage_error(
+        self, tmp_path, capsys, field, value, token
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: value}))
+        assert run(["--config", str(config), "kinematics", "--out", str(tmp_path / "k.json")]) == 2
+        assert capsys.readouterr().err == f"hepbell: error: malformed angle token {token!r}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
     def test_zero_denominator_in_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -163,6 +205,20 @@ class TestHardyCommand:
         doc = load(out)
         validate(doc, schema)
         assert not doc["report"]["violated"]
+
+    def test_grid_beyond_budget_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        # The step is refused before the search builds its grid axis.
+        monkeypatch.setattr(_search.np, "arange", refuse)
+        out = tmp_path / "h.json"
+        assert run(["hardy", "--optimize", "--grid-step", "1e-9", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "hepbell: error: grid_step 1e-09 gives 3141592654**3 grid points, "
+            "more than the 4194304 allowed\n"
+        )
+        assert not out.exists()
 
     def test_malformed_angle_is_usage_error_naming_token(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -370,9 +426,15 @@ class TestEventPipeline:
         mesonlab.write_events_csv(mesonlab.generate_events(2000, seed=1), events)
         out = tmp_path / "report.json"
         args = ["--output-dir", str(tmp_path), command, "--events", str(events)]
-        assert run([*args, f"--bin-width={width}", "--out", str(out)]) == 2
+        assert exit_code([*args, f"--bin-width={width}", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == f"hepbell: error: bin width {float(width)} is not in (0, 2*pi]\n"
+        if math.isfinite(float(width)):
+            assert err == f"hepbell: error: bin width {float(width)} is not in (0, 2*pi]\n"
+        else:  # parse_angle refuses the token while argparse reads the flags
+            assert err.endswith(
+                f"hepbell {command}: error: argument --bin-width: "
+                f"malformed angle token {width!r}\n"
+            )
         assert [path.name for path in tmp_path.iterdir()] == ["events.csv"]
 
     def test_write_error_names_the_out_path(self, tmp_path, capsys):
@@ -383,14 +445,24 @@ class TestEventPipeline:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "flags, config, shown",
+        "flags, config, message",
         [
-            (["--settings", "0,inf,0.1,0.2"], None, "[0.0, inf, 0.1, 0.2]"),
-            ([], '{"settings": [0, NaN, 0.1, 0.2]}', "[0.0, nan, 0.1, 0.2]"),
+            # parse_angle refuses the token while argparse reads the flags.
+            (
+                ["--settings", "0,inf,0.1,0.2"],
+                None,
+                "hepbell chtest: error: argument --settings: malformed angle token 'inf'",
+            ),
+            # A JSON number is not an angle token; the command checks it.
+            (
+                [],
+                '{"settings": [0, NaN, 0.1, 0.2]}',
+                "hepbell: error: settings must be finite, got [0.0, nan, 0.1, 0.2]",
+            ),
         ],
         ids=["flag", "config"],
     )
-    def test_non_finite_settings_are_usage_error(self, tmp_path, capsys, flags, config, shown):
+    def test_non_finite_settings_are_usage_error(self, tmp_path, capsys, flags, config, message):
         events = tmp_path / "events.csv"
         mesonlab.write_events_csv(mesonlab.generate_events(2000, seed=1), events)
         out = tmp_path / "report.json"
@@ -399,8 +471,12 @@ class TestEventPipeline:
             config_path = tmp_path / "config.json"
             config_path.write_text(config)
             args = ["--config", str(config_path), *args]
-        assert run(args) == 2
-        assert capsys.readouterr().err == f"hepbell: error: settings must be finite, got {shown}\n"
+        assert exit_code(args) == 2
+        err = capsys.readouterr().err
+        if config:
+            assert err == message + "\n"
+        else:  # argparse prints its usage first
+            assert err.endswith("\n" + message + "\n")
         assert not out.exists()
 
     def test_bad_generate_config_writes_no_file(self, tmp_path):
@@ -531,3 +607,78 @@ class TestScalarCommands:
         for out in (out_a, out_b):
             assert run(["--output-dir", str(tmp_path), "kinematics", "--out", str(out)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+LOADED_MODULES_SCRIPT = """
+import json, sys
+codes = []
+if len(sys.argv) > 1:
+    from hepbell import cli
+    for args in json.loads(sys.argv[1]):
+        codes.append(cli.main(args))
+else:
+    import hepbell
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def loaded_modules(*commands):
+    """Run ``cli.main`` on each argument list in a fresh interpreter (or only
+    ``import hepbell`` when none is given); returns the exit codes and the
+    names in ``sys.modules`` at the end."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [json.dumps(commands)] if commands else []
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_SCRIPT, *argv],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["codes"], set(result["modules"])
+
+
+class TestImports:
+    def test_kinematics_runs_without_numpy(self, tmp_path):
+        codes, modules = loaded_modules(
+            ["--output-dir", str(tmp_path), "kinematics"],
+            # Below threshold: BelowThreshold is classified without mesonlab.
+            ["--output-dir", str(tmp_path), "kinematics", "--m-parent", "2", "--m-vector", "1"],
+        )
+        assert codes == [0, 2]
+        assert "hepbell.kinematics" in modules
+        assert "numpy" not in modules
+        assert "hepbell.mesonlab" not in modules
+
+    def test_event_commands_load_no_search_or_photon_modules(self, tmp_path):
+        events = tmp_path / "events.csv"
+        common = ["--output-dir", str(tmp_path)]
+        codes, modules = loaded_modules(
+            [*common, "generate", "--n", "2000", "--seed", "1", "--out", str(events)],
+            [*common, "estimate", "--events", str(events)],
+            [*common, "chtest", "--events", str(events)],
+        )
+        assert codes == [0, 0, 0]
+        assert "hepbell.mesonlab" in modules
+        loaded = {"hepbell.photon3", "hepbell.lhv", "hepbell.spin1", "hepbell._search"} & modules
+        assert not loaded
+
+    def test_insufficient_statistics_is_exit_4_as_a_script(self, tmp_path):
+        # As ``python -m hepbell.cli`` the module is __main__, and main still
+        # finds the mesonlab that its handler imported.
+        events = tmp_path / "events.csv"
+        events.write_text(EVENTS_HEADER + "0,0.5,0,0,0\r\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hepbell.cli", "--output-dir", str(tmp_path),
+             "estimate", "--events", str(events)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("hepbell: error: ")
+
+    def test_package_root_loads_no_submodule(self):
+        codes, modules = loaded_modules()
+        assert codes == []
+        assert "hepbell" in modules
+        assert not {name for name in modules if name.startswith("hepbell.")}
+        assert "numpy" not in modules

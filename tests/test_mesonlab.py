@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hepbell import mesonlab
+from hepbell.kinematics import BelowThreshold, KinematicsConfig, two_body_beta
 from hepbell.mesonlab import (
-    BelowThreshold,
     DetectorModel,
     EventSample,
     InsufficientStatistics,
-    KinematicsConfig,
     NoData,
     angular_density,
     ch_from_events,
@@ -28,7 +27,6 @@ from hepbell.mesonlab import (
     joint_direction_probability,
     read_events_csv,
     transverse_state,
-    two_body_beta,
     write_events_csv,
 )
 from hepbell.qcore import Projector, born_probability

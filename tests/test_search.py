@@ -241,3 +241,40 @@ def test_search_call_budget(monkeypatch, maximize, objective, budget):
     monkeypatch.setattr(spin1, objective, counted)
     maximize()
     assert 0 < len(calls) < budget
+
+
+class GridReached(Exception):
+    """Raised in place of building the grid axis."""
+
+
+@pytest.fixture
+def grid_axis_refused(monkeypatch):
+    """``np.arange`` raises GridReached, so no grid is ever allocated."""
+
+    def refuse(*args, **kwargs):
+        raise GridReached
+
+    monkeypatch.setattr(np, "arange", refuse)
+
+
+@pytest.mark.parametrize(
+    "n_axes, grid_step",
+    [(4, 1e-9), (3, 1e-9), (3, math.pi / 2000), (4, math.pi / 46), (3, math.pi / 162)],
+)
+def test_grid_beyond_budget_is_refused_before_allocation(grid_axis_refused, n_axes, grid_step):
+    per_axis = math.ceil(math.pi / grid_step)
+    with pytest.raises(_search.GridTooFine) as excinfo:
+        _search.maximize_on_grid(np.cos, n_axes, grid_step)
+    assert str(excinfo.value) == (
+        f"grid_step {grid_step!r} gives {per_axis}**{n_axes} grid points, "
+        f"more than the {_search._MAX_GRID_POINTS} allowed"
+    )
+
+
+@pytest.mark.parametrize(
+    "n_axes, grid_step",
+    [(4, math.pi / 16), (4, math.pi / 20), (4, math.pi / 24), (4, math.pi / 45), (3, math.pi / 161)],
+)
+def test_grid_within_budget_is_admitted(grid_axis_refused, n_axes, grid_step):
+    with pytest.raises(GridReached):
+        _search.maximize_on_grid(np.cos, n_axes, grid_step)
