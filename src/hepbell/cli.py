@@ -9,6 +9,7 @@ import json
 import math
 import sys
 from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -231,32 +232,35 @@ def _cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
     from . import mesonlab
 
     # The first chunk is drawn here, before the file is opened, so that a bad
-    # configuration leaves no file behind.
+    # configuration leaves no file behind.  Closing the chunks ends the
+    # processes that draw them, also when the write fails.
     chunks = mesonlab.generate_event_chunks(
         config.n_events, config.detector(), seed=config.seed, workers=config.workers
     )
-    path = _events_out_path(config, args.out)
-    mesonlab.write_events_csv(chunks, path)
+    with closing(chunks):
+        path = _events_out_path(config, args.out)
+        mesonlab.write_events_csv(chunks, path)
     echo = {"kind": "generate", "config": config.to_dict(), "events_file": str(path)}
     print(json.dumps(echo, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
-def _event_chunks(path_text: str) -> Iterator[mesonlab.EventSample]:
+def _event_chunks(path_text: str) -> closing[Iterator[mesonlab.EventSample]]:
+    """The chunks of an event file, closed on leaving the ``with`` that
+    reads them, which ends the processes that parse them."""
     from . import mesonlab
 
     path = Path(path_text)
     if not path.exists():
         raise FileNotFoundError(f"event file not found: {path}")
-    return mesonlab.iter_events_csv(path)
+    return closing(mesonlab.iter_events_csv(path))
 
 
 def _cmd_estimate(config: RunConfig, args: argparse.Namespace) -> int:
     from . import mesonlab
 
-    estimate = mesonlab.estimate_probability(
-        _event_chunks(args.events), bin_width=config.bin_width
-    )
+    with _event_chunks(args.events) as chunks:
+        estimate = mesonlab.estimate_probability(chunks, bin_width=config.bin_width)
     _write_report(config, "estimate", estimate.to_dict(), args.out)
     return EXIT_OK
 
@@ -264,12 +268,10 @@ def _cmd_estimate(config: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_chtest(config: RunConfig, args: argparse.Namespace) -> int:
     from . import mesonlab
 
-    report = mesonlab.ch_from_events(
-        _event_chunks(args.events),
-        config.settings,
-        det=config.detector(),
-        window=config.bin_width,
-    )
+    with _event_chunks(args.events) as chunks:
+        report = mesonlab.ch_from_events(
+            chunks, config.settings, det=config.detector(), window=config.bin_width
+        )
     payload = {"settings": list(config.settings)}
     payload.update(report.to_dict())
     _write_report(config, "chtest", payload, args.out)

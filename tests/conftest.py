@@ -48,15 +48,39 @@ def peak_rss_bytes():
 @pytest.fixture(scope="session")
 def peak_rss():
     """Run a script in a fresh interpreter that imports hepbell from this
-    tree; the script prints ``peak_rss_bytes()`` last, which is returned."""
+    tree; the script prints peaks in bytes, ``peak_rss_bytes()`` among them,
+    on its last line, and they are returned."""
     src = str(Path(mesonlab.__file__).resolve().parents[1])
 
-    def run(script: str, *args: str) -> int:
+    def run(script: str, *args: str) -> tuple[int, ...]:
         proc = subprocess.run(
             [sys.executable, "-c", PEAK_RSS_PRELUDE + script, *args],
             capture_output=True, text=True, check=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )
-        return int(proc.stdout.split()[-1])
+        return tuple(int(value) for value in proc.stdout.splitlines()[-1].split())
 
     return run
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Split the event commands' chunk loops at any size.  Call the fixture
+    with the number of processes; it returns the ranks of the workers forked
+    since, in order."""
+    forked = []
+    start_worker = mesonlab._start_worker
+
+    def counting(rank, *args):
+        forked.append(rank)
+        return start_worker(rank, *args)
+
+    monkeypatch.setattr(mesonlab, "_SPLIT_MIN_ROWS", 1)
+    monkeypatch.setattr(mesonlab, "_start_worker", counting)
+
+    def split_over(processes: int) -> list[int]:
+        monkeypatch.setattr(mesonlab, "_usable_cores", lambda: processes)
+        forked.clear()
+        return forked
+
+    return split_over

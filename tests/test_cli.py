@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -524,12 +525,142 @@ class TestEventPipeline:
         assert run(["--config", "nope.json", "kinematics"]) == 3
 
 
+def assert_no_child():
+    """Every process the test started has ended and been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestProcessSplit:
+    """The event commands with their chunk loops split over 1, 2 or 3
+    processes (the ``forced_split`` fixture), at sizes below the threshold."""
+
+    def test_outputs_do_not_depend_on_the_split(self, tmp_path, monkeypatch, forced_split):
+        # 5000 rows is no multiple of the chunk, and the boundaries between
+        # the Philox streams (2500; 1667 and 3334) fall inside chunks.
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 777)
+        det = mesonlab.DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
+        common = ["--output-dir", str(tmp_path)]
+        for workers in (1, 2, 3):
+            outputs = []
+            for processes in (1, 2, 3):
+                forked = forced_split(processes)
+                events, est, ch = (
+                    tmp_path / f"{name}-{workers}-{processes}" for name in ("ev", "est", "ch")
+                )
+                assert run([
+                    *common, "generate", "--n", "5000", "--seed", "7", "--workers", str(workers),
+                    "--eta1", "0.9", "--eta2", "0.9", "--background", "0.02",
+                    "--out", str(events),
+                ]) == 0
+                assert run([*common, "estimate", "--events", str(events), "--out", str(est)]) == 0
+                assert run([
+                    *common, "chtest", "--events", str(events), "--eta1", "0.9", "--eta2", "0.9",
+                    "--out", str(ch),
+                ]) == 0
+                assert forked == list(range(1, processes)) * 3
+                assert_no_child()
+                outputs.append([path.read_bytes() for path in (events, est, ch)])
+            assert outputs[1] == outputs[0]
+            assert outputs[2] == outputs[0]
+            reference = tmp_path / f"reference-{workers}"
+            sample = mesonlab.generate_events(5000, det, seed=7, workers=workers)
+            mesonlab.write_events_csv(sample, reference)
+            assert outputs[0][0] == reference.read_bytes()
+
+    # With 7-row chunks, row 8 lies in chunk 1, row 15 in chunk 2 and row 22
+    # in chunk 3; process i % P reads chunk i.
+    @pytest.mark.parametrize("bad_rows", [(8, 15), (15, 22)])
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_first_bad_line_is_named_as_in_one_process(
+        self, tmp_path, capsys, monkeypatch, forced_split, bad_rows, processes
+    ):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        rows = [f"{i},0.5,1,1,0\r\n" for i in range(100)]
+        for row in bad_rows:
+            rows[row] = f"{row},0.5x,1,1,0\r\n"
+        events = tmp_path / "bad.csv"
+        events.write_text(EVENTS_HEADER + "".join(rows), newline="")
+        args = ["--output-dir", str(tmp_path), "estimate", "--events", str(events)]
+        forced_split(1)
+        assert run(args) == 2
+        alone = capsys.readouterr().err
+        assert alone == (
+            f"hepbell: error: {events}, line {bad_rows[0] + 2}: phi '0.5x' is not a number\n"
+        )
+        forked = forced_split(processes)
+        assert run(args) == 2
+        assert capsys.readouterr().err == alone
+        assert forked == list(range(1, processes))
+        assert_no_child()
+
+    @pytest.mark.parametrize("older", [False, True], ids=["no-file", "older-file"])
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_failed_draw_in_a_worker_exits_2_and_leaves_no_partial_file(
+        self, tmp_path, capsys, monkeypatch, forced_split, older, processes
+    ):
+        chunk = 7
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk)
+        draw = mesonlab.generate_events
+
+        def failing(*args, start=0, **kwargs):
+            if start == 5 * chunk:  # a worker's chunk for 2 and for 3 processes
+                raise ValueError("no draw for chunk 5")
+            return draw(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(mesonlab, "generate_events", failing)
+        events = tmp_path / "events.csv"
+        if older:
+            events.write_bytes(b"an older file\r\n")
+        forked = forced_split(processes)
+        args = ["generate", "--n", str(10 * chunk), "--workers", "2", "--out", str(events)]
+        assert run(args) == 2
+        assert capsys.readouterr().err == "hepbell: error: no draw for chunk 5\n"
+        assert forked == list(range(1, processes))
+        assert_no_child()
+        assert [path.name for path in tmp_path.iterdir()] == (["events.csv"] if older else [])
+        if older:
+            assert events.read_bytes() == b"an older file\r\n"
+
+    @pytest.mark.parametrize("command", ["generate", "estimate"])
+    def test_worker_that_ends_early_is_a_named_error(
+        self, tmp_path, capsys, monkeypatch, forced_split, command
+    ):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        events = tmp_path / "events.csv"
+        mesonlab.write_events_csv(mesonlab.generate_events(100, seed=3), events)
+        parent = os.getpid()
+        name = {"generate": "generate_events", "estimate": "_canonical_chunk"}[command]
+        task = getattr(mesonlab, name)
+
+        def ending(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return task(*args, **kwargs)
+
+        monkeypatch.setattr(mesonlab, name, ending)
+        forced_split(2)
+        args = {
+            "generate": ["generate", "--n", "100", "--out", str(events)],
+            "estimate": ["--output-dir", str(tmp_path), "estimate", "--events", str(events)],
+        }[command]
+        assert run(args) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"hepbell: error: worker process \d+ ended before it sent chunk 1\n", err
+        )
+        assert_no_child()
+
+
 CLI_PEAK_SCRIPT = """
 from hepbell import cli
 code = cli.main(sys.argv[1:])
 if code:
     sys.exit(code)
-print(peak_rss_bytes())
+# The largest peak of the workers, reaped by now.  They were forked without
+# an exec, so each peak is the worker's own.
+workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+print(peak_rss_bytes(), workers)
 """
 
 
@@ -560,9 +691,13 @@ class TestPeakMemory:
     @pytest.mark.parametrize("command", ["generate", "estimate", "chtest"])
     def test_peak_memory_does_not_grow_with_events(self, peaks, command):
         # Holding the drawn sample costs about 13 B/event, and holding the
-        # read file about 28.
-        slope = (peaks[command, 2_000_000] - peaks[command, 200_000]) / 1_800_000
-        assert slope < 2.0
+        # read file about 28.  The bound holds for the command's process and
+        # for the workers that share its chunks.
+        for process, name in enumerate(["command", "workers"]):
+            low, high = (peaks[command, n][process] for n in (200_000, 2_000_000))
+            assert (high - low) / 1_800_000 < 2.0, name
+        if mesonlab._usable_cores() > 1:
+            assert peaks[command, 200_000][1] > 0  # the workers ran
 
 
 class TestScalarCommands:

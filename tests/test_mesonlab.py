@@ -1,7 +1,11 @@
 import csv
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -684,7 +688,7 @@ class TestChunkedGeneration:
     def test_peak_memory_grows_by_the_result_only(self, peak_rss):
         # The result holds 11 B per event (float64 phi, three bool flags);
         # whole-array draws held about 70.
-        peaks = [peak_rss(GENERATE_PEAK_SCRIPT, str(n)) for n in (200_000, 2_000_000)]
+        peaks = [peak_rss(GENERATE_PEAK_SCRIPT, str(n))[0] for n in (200_000, 2_000_000)]
         slope = (peaks[1] - peaks[0]) / 1_800_000
         assert 8.0 < slope < 16.0
 
@@ -942,3 +946,110 @@ class TestStreamedEvents:
         assert ch_from_events(chunks(), OPTIMAL, det).to_dict() == (
             ch_from_events(whole, OPTIMAL, det).to_dict()
         )
+
+
+def assert_no_child():
+    """Every process the test started has ended and been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestProcessSplit:
+    """The chunk loops split over 1, 2 or 3 processes (the ``forced_split``
+    fixture), at sizes below the threshold."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunks_do_not_depend_on_the_split(self, tmp_path, monkeypatch, forced_split, workers):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        # 66 rows is no multiple of the chunk, and the boundaries between the
+        # Philox streams (33; 22 and 44) fall inside chunks.
+        n = 9 * 7 + 3
+        det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
+        path = tmp_path / "events.csv"
+        write_events_csv(generate_events(n, det, seed=5, workers=workers), path)
+        whole = reference_read_events_csv(path)
+        for processes in (1, 2, 3):
+            forked = forced_split(processes)
+            assert [len(chunk) for chunk in iter_events_csv(path)] == [7] * 9 + [3]
+            assert_same_events(read_events_csv(path), whole)
+            assert forked == list(range(1, processes)) * 2
+            assert_no_child()
+
+    @pytest.mark.parametrize("stop", ["close", "drop"])
+    @pytest.mark.parametrize("source", ["generate", "read"])
+    def test_consumer_that_stops_early_leaves_no_process(
+        self, tmp_path, monkeypatch, forced_split, source, stop
+    ):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        path = tmp_path / "events.csv"
+        write_events_csv(generate_events(100, seed=2), path)
+        forked = forced_split(3)
+        if source == "read":
+            chunks = iter_events_csv(path)
+        else:
+            chunks = mesonlab.generate_event_chunks(100, seed=2)
+        next(chunks)
+        next(chunks)  # the workers start with the second chunk
+        assert forked == [1, 2]
+        if stop == "close":
+            chunks.close()
+        else:
+            del chunks
+        assert_no_child()
+
+    def test_interrupt_in_this_process_ends_the_workers(self, tmp_path, monkeypatch, forced_split):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        path = tmp_path / "events.csv"
+        write_events_csv(generate_events(100, seed=2), path)
+        parse = mesonlab._canonical_chunk
+
+        def interrupted(run, first_id):
+            if first_id == 4 * 7:  # chunk 4, this process's with 2 processes
+                raise KeyboardInterrupt
+            return parse(run, first_id)
+
+        monkeypatch.setattr(mesonlab, "_canonical_chunk", interrupted)
+        forked = forced_split(2)
+        with pytest.raises(KeyboardInterrupt):
+            read_events_csv(path)
+        assert forked == [1]
+        assert_no_child()
+
+    def test_reads_in_one_process_while_another_thread_runs(
+        self, tmp_path, monkeypatch, forced_split
+    ):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        path = tmp_path / "events.csv"
+        write_events_csv(generate_events(100, seed=2), path)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            forked = forced_split(2)
+            sample = read_events_csv(path)
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forked == []
+        assert_same_events(sample, reference_read_events_csv(path))
+
+    def test_fifo_reads_in_one_process(self, tmp_path, monkeypatch, forced_split):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        path, fifo = tmp_path / "events.csv", tmp_path / "events.fifo"
+        write_events_csv(generate_events(100, seed=2), path)
+        os.mkfifo(fifo)
+        # The writer is a process: a second thread alone would keep the read
+        # in one process.
+        copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+        writer = subprocess.Popen([sys.executable, "-c", copy, str(path), str(fifo)])
+        try:
+            forked = forced_split(2)
+            sample = read_events_csv(fifo)
+            assert writer.wait(timeout=60) == 0
+        finally:
+            writer.kill()  # nothing to do once it has been reaped
+            writer.wait()
+        assert forked == []
+        assert_same_events(sample, reference_read_events_csv(path))
+        assert_no_child()
