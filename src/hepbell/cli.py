@@ -8,7 +8,6 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -245,22 +244,19 @@ def _cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _event_chunks(path_text: str) -> closing[Iterator[mesonlab.EventSample]]:
-    """The chunks of an event file, closed on leaving the ``with`` that
-    reads them, which ends the processes that parse them."""
-    from . import mesonlab
-
+def _events_path(path_text: str) -> Path:
     path = Path(path_text)
     if not path.exists():
         raise FileNotFoundError(f"event file not found: {path}")
-    return closing(mesonlab.iter_events_csv(path))
+    return path
 
 
 def _cmd_estimate(config: RunConfig, args: argparse.Namespace) -> int:
     from . import mesonlab
 
-    with _event_chunks(args.events) as chunks:
-        estimate = mesonlab.estimate_probability(chunks, bin_width=config.bin_width)
+    estimate = mesonlab.estimate_probability(
+        _events_path(args.events), bin_width=config.bin_width
+    )
     _write_report(config, "estimate", estimate.to_dict(), args.out)
     return EXIT_OK
 
@@ -268,10 +264,9 @@ def _cmd_estimate(config: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_chtest(config: RunConfig, args: argparse.Namespace) -> int:
     from . import mesonlab
 
-    with _event_chunks(args.events) as chunks:
-        report = mesonlab.ch_from_events(
-            chunks, config.settings, det=config.detector(), window=config.bin_width
-        )
+    report = mesonlab.ch_from_events(
+        _events_path(args.events), config.settings, det=config.detector(), window=config.bin_width
+    )
     payload = {"settings": list(config.settings)}
     payload.update(report.to_dict())
     _write_report(config, "chtest", payload, args.out)

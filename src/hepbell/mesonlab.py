@@ -11,13 +11,10 @@ from __future__ import annotations
 import io
 import math
 import os
-import pickle
 import re
-import signal
 import stat
 import threading
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -254,6 +251,7 @@ def generate_events(
     workers: int = 1,
     start: int = 0,
     stop: int | None = None,
+    draws: np.ndarray | None = None,
 ) -> EventSample:
     """Simulate decays ``start`` to ``stop`` (default ``n``) of an ``n``-decay
     sample with the given detector model.
@@ -270,7 +268,8 @@ def generate_events(
 
     Each segment is entered at the range's first row and read in chunks of
     ``_CSV_CHUNK_ROWS`` draws, so memory beyond the 11-byte-per-event result
-    is bounded by one chunk.
+    is bounded by one chunk.  The draws go to ``draws``, a float64 array of
+    four rows of at least one chunk each, where the caller reuses one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -289,6 +288,8 @@ def generate_events(
     detected_1 = np.empty(stop - start, dtype=bool)
     detected_2 = np.empty(stop - start, dtype=bool)
     is_background = np.empty(stop - start, dtype=bool)
+    if draws is None or draws.shape[1] < min(_CSV_CHUNK_ROWS, stop - start):
+        draws = np.empty((4, min(_CSV_CHUNK_ROWS, stop - start)))
     base, remainder = divmod(n, workers)
     first = 0
     for w in range(workers):
@@ -301,7 +302,9 @@ def generate_events(
             ]
             for at in range(lo, hi, _CSV_CHUNK_ROWS):
                 k = min(_CSV_CHUNK_ROWS, hi - at)
-                u_bg, u_phi, u_d1, u_d2 = (rng.random(k) for rng in streams)
+                u_bg, u_phi, u_d1, u_d2 = (
+                    rng.random(out=row[:k]) for rng, row in zip(streams, draws)
+                )
                 out = slice(at - start, at - start + k)
                 is_bg = u_bg < det.background_fraction
                 is_background[out] = is_bg
@@ -314,35 +317,40 @@ def generate_events(
 
 def generate_event_chunks(
     n: int, det: DetectorModel | None = None, seed: int = 0, workers: int = 1
-) -> Iterator[bytes]:
+) -> Iterator[memoryview]:
     """The event file rows of ``generate_events(n, det, seed, workers)``, in
     order, ``_CSV_CHUNK_ROWS`` at a time, each drawn and formatted when it is
-    due, for :func:`write_events_csv` to write.
+    due, for :func:`write_events_csv` to write.  Each chunk is a view of
+    buffers that the next one reuses.
 
     The first chunk is drawn before this returns, so a bad configuration
     raises here.  An error in a later draw is raised where its chunk is due,
     and no chunk after it is written.  In one process no chunk after it is
     drawn either; from ``_SPLIT_MIN_ROWS`` rows on the chunks are split over
-    processes (:func:`_in_processes`), and chunks after a failed one may
-    already have been drawn.
+    processes (:func:`hepbell._workers.round_robin`), and chunks after a failed
+    one may already have been drawn.
     """
+    from . import _workers
 
-    def rows(start: int) -> bytes:
+    # Each process draws and formats into its own copy of these.
+    buffers = _RowBuffers(min(_CSV_CHUNK_ROWS, max(n, 1)), max(n - 1, 0))
+
+    def rows(start: int) -> memoryview:
+        stop = min(start + _CSV_CHUNK_ROWS, n)
         sample = generate_events(
-            n, det, seed=seed, workers=workers, start=start, stop=min(start + _CSV_CHUNK_ROWS, n)
+            n, det, seed=seed, workers=workers, start=start, stop=stop, draws=buffers.draws
         )
         return _csv_rows(
-            start, sample.phi, sample.detected_1, sample.detected_2, sample.is_background
+            start, sample.phi, sample.detected_1, sample.detected_2, sample.is_background, buffers
         )
 
     # An n below 1 still draws chunk 0, where generate_events rejects it.
-    starts = range(0, max(n, 1), _CSV_CHUNK_ROWS)
-    chunks = _in_processes(starts, rows, _processes(n), lambda: starts)
+    chunks = _workers.round_robin(range(0, max(n, 1), _CSV_CHUNK_ROWS), rows, _processes(n))
     first = next(chunks)
 
     # Not itertools.chain: closing this generator closes ``chunks``, which
     # ends the workers.
-    def in_order() -> Iterator[bytes]:
+    def in_order() -> Iterator[memoryview]:
         yield first
         yield from chunks
 
@@ -352,6 +360,13 @@ def generate_event_chunks(
 def _samples(events: EventSample | Iterable[EventSample]) -> Iterable[EventSample]:
     """One sample, or the chunks of a sample in order, as an iterable of samples."""
     return (events,) if isinstance(events, EventSample) else events
+
+
+def _counted(events, count: Callable[[EventSample], np.ndarray]) -> np.ndarray:
+    """``count`` summed over the chunks of ``events``: a sample, its chunks or its file."""
+    if isinstance(events, (str, os.PathLike)):
+        return _event_counts(events, count)
+    return sum(map(count, _samples(events)), count(_no_events()))
 
 
 @dataclass(frozen=True)
@@ -398,24 +413,27 @@ def _checked_width(width: float) -> float:
 
 
 def estimate_probability(
-    events: EventSample | Iterable[EventSample], bin_width: float = TWO_PI / DEFAULT_BIN_COUNT
+    events: EventSample | Iterable[EventSample] | str | os.PathLike,
+    bin_width: float = TWO_PI / DEFAULT_BIN_COUNT,
 ) -> HistogramEstimate:
     """Histogram estimator of the joint probability versus plane angle.
 
-    ``events`` may be one sample or its chunks: the integer counts are summed
-    over the chunks and ``kappa`` and the scale applied once, so the estimate
-    does not depend on how the sample is split.
+    ``events`` may be one sample, its chunks or its event file: the integer
+    counts are summed over the chunks and ``kappa`` and the scale applied
+    once, so the estimate does not depend on how the sample is split.
     """
     n_bins = round(TWO_PI / _checked_width(bin_width))
     if n_bins < 1 or abs(TWO_PI - n_bins * bin_width) > 1e-9:
         raise ValueError(f"bin_width {bin_width} does not divide 2*pi within 1e-9")
     edges = np.linspace(0.0, TWO_PI, n_bins + 1)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    n_detected = 0
-    for sample in _samples(events):
+
+    def count(sample: EventSample) -> np.ndarray:
+        """The bin counts of the coincidences, then their number."""
         phis = sample.phi[sample.coincidence_mask]
-        counts += np.histogram(phis, bins=edges)[0]
-        n_detected += int(phis.size)
+        return np.append(np.histogram(phis, bins=edges)[0], phis.size)
+
+    counts = _counted(events, count)
+    counts, n_detected = counts[:-1], int(counts[-1])
     if n_detected == 0:
         raise NoData("no detected coincidences in the event sample")
     kappa = derive_kappa()
@@ -436,7 +454,7 @@ def _window_count(phis: np.ndarray, center: float, width: float) -> int:
 
 
 def ch_from_events(
-    events: EventSample | Iterable[EventSample],
+    events: EventSample | Iterable[EventSample] | str | os.PathLike,
     settings: tuple[float, float, float, float],
     det: DetectorModel | None = None,
     window: float = DEFAULT_CH_WINDOW,
@@ -452,7 +470,8 @@ def ch_from_events(
         S = eta1*eta2*(joint combination) - (eta1 + eta2)/2,
 
     so branching fractions thin the sample but do not change S.  ``events``
-    may be one sample or its chunks, whose window counts are summed.
+    may be one sample, its chunks or its event file; the window counts are
+    summed over the chunks.
     """
     window = _checked_width(window)
     det = det or DetectorModel()
@@ -477,13 +496,12 @@ def ch_from_events(
                     "(mod 2*pi), separated by at least one window width"
                 )
 
-    counts = [0] * len(diffs)
-    n_detected = 0
-    for sample in _samples(events):
+    def count(sample: EventSample) -> np.ndarray:
+        """The window counts of the coincidences, then their number."""
         phis = sample.phi[sample.coincidence_mask]
-        n_detected += int(phis.size)
-        for i, center in enumerate(centers):
-            counts[i] += _window_count(phis, center, window)
+        return np.array([_window_count(phis, center, window) for center in centers] + [phis.size])
+
+    *counts, n_detected = _counted(events, count).tolist()
     if n_detected == 0:
         raise NoData("no detected coincidences in the event sample")
     kappa = derive_kappa()
@@ -599,16 +617,12 @@ _SPLIT_MIN_ROWS = 4 * 16_384
 # The bytes of a row as hepbell writes it, with an id of up to five digits:
 # the reader judges how many rows a file holds by its size.
 _ROW_BYTES = 24
-# The tags of a worker's messages: a chunk, or the exception its task raised.
-_RESULT, _ERROR = b"r", b"e"
-# The size asked for each worker's pipe: a formatted chunk of 16 384 rows
-# takes about 0.4 MB, a parsed one 0.18 MB.  Measured at 1e6 events on 2
-# cores, it saves about 10 % of `generate` against the default 64 KiB.
-_PIPE_BYTES = 1 << 20
-
-
-class WorkerExited(ChildProcessError):
-    """A worker process ended before it sent a chunk that was due."""
+# The NUL-padded rows of a formatted chunk are compacted this many bytes at
+# a time.  np.compress holds an 8-byte index per kept byte, so the piece
+# bounds that temporary to about 0.65 MB.  Measured at 1e6 events on Linux,
+# pieces of 64 KiB let glibc trim and regrow the heap every chunk (450 page
+# faults per chunk); from 128 KiB on, the heap it grows once is reused.
+_COMPACTED_BYTES = 1 << 17
 
 
 def _usable_cores() -> int:
@@ -627,117 +641,6 @@ def _processes(rows: int) -> int:
     if rows < _SPLIT_MIN_ROWS or threading.active_count() > 1:
         return 1
     return min(_usable_cores(), -(-rows // _CSV_CHUNK_ROWS))
-
-
-def _in_processes(
-    tasks: Iterable,
-    work: Callable,
-    processes: int,
-    worker_tasks: Callable[[], Iterable],
-    encode: Callable[..., bytes] = bytes,
-    decode: Callable[[bytes], object] = bytes,
-) -> Iterator:
-    """``work(task)`` for each of ``tasks``, in order, with task i done by
-    process ``i % processes``: this one for 0, and forked workers for the
-    others.
-
-    The workers are forked once the first result has been yielded.  Each
-    walks its own ``worker_tasks()``, the same sequence as ``tasks``, and
-    sends ``encode(work(task))`` for its own tasks through a pipe, which
-    holds it until this process reads it as its result is due.  An exception
-    in a worker's walk or task is sent in its result's place and raised here,
-    with the same type and text, where that result is due; the worker then
-    stops.  A worker ends only by ``os._exit``, so no ``finally`` of the
-    caller's frames runs in its copy.  However this generator ends, by its
-    last result, an exception or ``close``, it closes the pipes and kills and
-    reaps every worker.
-    """
-    workers: list[tuple[int, io.BufferedReader]] = []
-    try:
-        for i, task in enumerate(tasks):
-            if i == 1:
-                for rank in range(1, processes):
-                    workers.append(_start_worker(rank, processes, worker_tasks, work, encode))
-            rank = i % processes
-            yield work(task) if rank == 0 else decode(_receive(*workers[rank - 1], i))
-    finally:
-        for pid, reader in workers:
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _start_worker(
-    rank: int,
-    processes: int,
-    tasks: Callable[[], Iterable],
-    work: Callable,
-    encode: Callable[..., bytes],
-) -> tuple[int, io.BufferedReader]:
-    """Fork worker ``rank`` of :func:`_in_processes`; its pid and the read
-    end of its pipe."""
-    # Imported here: fcntl is POSIX only, as the split is, and mesonlab is not.
-    import fcntl
-
-    read_fd, write_fd = os.pipe()
-    try:
-        # Room for two chunks, so that a worker rarely waits to send one.
-        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except OSError:
-        pass  # over the user's pipe quota: the default size works, more slowly
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as out:
-                try:
-                    for i, task in enumerate(tasks()):
-                        if i % processes == rank:
-                            _send(out, _RESULT, encode(work(task)))
-                except Exception as exc:  # raised in the parent where it is due
-                    _send(out, _ERROR, _pickled(exc))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _send(out: io.BufferedWriter, tag: bytes, payload: bytes) -> None:
-    out.write(tag + len(payload).to_bytes(8, "little"))
-    out.write(payload)
-    out.flush()
-
-
-def _pickled(exc: Exception) -> bytes:
-    """``exc`` pickled, or where it does not come back from a pickle, a
-    RuntimeError that names it."""
-    try:
-        payload = pickle.dumps(exc)
-        pickle.loads(payload)
-    except Exception:
-        payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-    return payload
-
-
-def _receive(pid: int, reader: io.BufferedReader, index: int) -> bytes:
-    """The payload of worker ``pid``'s next message, the result of task
-    ``index``; its exception is raised."""
-    head = reader.read(9)
-    if len(head) == 9:
-        size = int.from_bytes(head[1:], "little")
-        payload = reader.read(size)
-        if len(payload) == size:
-            if head[:1] == _ERROR:
-                raise pickle.loads(payload)
-            return payload
-    raise WorkerExited(f"worker process {pid} ended before it sent chunk {index}")
 
 
 def _ascii_digits(values: np.ndarray, out: np.ndarray) -> None:
@@ -791,26 +694,42 @@ def _phi_tokens(phi: np.ndarray, out: np.ndarray) -> None:
         out[:, python_rows] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _PHI_WIDTH).T
 
 
+class _RowBuffers:
+    """The arrays one process draws and formats chunks of up to ``rows``
+    rows with ids up to ``last_id`` in, allocated once: the four uniform
+    draws, the byte table of :func:`_csv_rows`, which then holds the rows,
+    its transpose, and which bytes of that are kept."""
+
+    def __init__(self, rows: int, last_id: int):
+        size = rows * (len(str(last_id)) + 1 + _PHI_WIDTH + 8)
+        self.draws = np.empty((4, rows))
+        self.table, self.transposed = np.empty((2, size), dtype=np.uint8)
+        self.kept = np.empty(size, dtype=bool)
+
+
 def _csv_rows(
     start: int,
     phi: np.ndarray,
     detected_1: np.ndarray,
     detected_2: np.ndarray,
     is_background: np.ndarray,
-) -> bytes:
+    buffers: _RowBuffers | None = None,
+) -> memoryview:
     """Event rows with ids from ``start``, byte for byte
     ``b"%d,%.9g,%d,%d,%d\r\n"`` of each event, phi in [0, 2*pi) and at most
     ``_PHI_TOKEN_MAX``, to which larger angles are lowered.
 
-    Each output byte column is one row of a NUL-padded table; the table is
-    transposed and the NULs dropped.
+    Each output byte column is one row of a NUL-padded table in
+    ``buffers``; the table is transposed and the NULs dropped.
     """
     phi = np.minimum(phi, _PHI_TOKEN_MAX)
     k = phi.size
     last = start + k - 1
     id_width = len(str(last))
     ids = np.arange(start, start + k, dtype=np.uint64 if last >= 1 << 32 else np.uint32)
-    table = np.empty((id_width + 1 + _PHI_WIDTH + 8, k), dtype=np.uint8)
+    buffers = buffers or _RowBuffers(k, last)
+    table = buffers.table[: (id_width + 1 + _PHI_WIDTH + 8) * k].reshape(-1, k)
+    transposed, kept = buffers.transposed[: table.size], buffers.kept[: table.size]
     _ascii_digits(ids, table[:id_width])
     for row in range(id_width - 1):
         # Ids are consecutive, so those with this digit as a leading zero
@@ -826,11 +745,19 @@ def _csv_rows(
         at += 2
     table[at] = ord("\r")
     table[at + 1] = ord("\n")
-    return table.T.tobytes().translate(None, b"\0")
+    np.copyto(transposed.reshape(k, -1), table.T)
+    np.not_equal(transposed, 0, out=kept)
+    at = 0
+    for lo in range(0, kept.size, _COMPACTED_BYTES):
+        piece = slice(lo, lo + _COMPACTED_BYTES)
+        n = int(np.count_nonzero(kept[piece]))
+        np.compress(kept[piece], transposed[piece], out=buffers.table[at : at + n])
+        at += n
+    return buffers.table[:at].data
 
 
 def write_events_csv(
-    events: EventSample | Iterable[EventSample] | Iterable[bytes], path
+    events: EventSample | Iterable[EventSample] | Iterable[memoryview], path
 ) -> None:
     """Write the append-only, order-significant event file from one sample,
     from its chunks in order, or from the chunks of
@@ -862,13 +789,14 @@ def write_events_csv(
 
 
 def _write_rows(
-    events: EventSample | Iterable[EventSample] | Iterable[bytes], path: Path
+    events: EventSample | Iterable[EventSample] | Iterable[memoryview], path: Path
 ) -> None:
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER_BYTES + b"\r\n")
         start = 0
+        buffers = _RowBuffers(_CSV_CHUNK_ROWS, 1 << 63)
         for sample in _samples(events):
-            if isinstance(sample, bytes):
+            if not isinstance(sample, EventSample):
                 fh.write(sample)
                 continue
             for lo in range(0, len(sample), _CSV_CHUNK_ROWS):
@@ -881,6 +809,7 @@ def _write_rows(
                         sample.detected_1[rows],
                         sample.detected_2[rows],
                         sample.is_background[rows],
+                        buffers,
                     )
                 )
                 start += phi.size
@@ -915,89 +844,162 @@ def _float_field(token: str) -> float | None:
         return None
 
 
-def _line_runs(fh) -> Iterator[bytes]:
-    """A binary file's bytes cut after its first LF and then after every
-    ``_CSV_CHUNK_ROWS``-th: the header line, runs of ``_CSV_CHUNK_ROWS``
-    lines, and what follows the last cut, if anything."""
-    rows = _CSV_CHUNK_ROWS
-    pending, need = [], 1  # the current run's pieces, and the LFs it lacks
-    for block in iter(lambda: fh.read(_READ_BLOCK), b""):
-        lf = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+def _runs(fh) -> Iterator[tuple[int, np.ndarray]]:
+    """A binary file cut after its first LF and then after every
+    ``_CSV_CHUNK_ROWS``-th, as (file offset, bytes) pairs: the header line,
+    runs of ``_CSV_CHUNK_ROWS`` lines, and what follows the last cut, if
+    anything.  The file is read ``_READ_BLOCK`` bytes at a time into one
+    buffer, and each run is a view of it, valid until the next is asked for.
+    """
+    rows, block = _CSV_CHUNK_ROWS, _READ_BLOCK
+    buffer, is_lf = np.empty(2 * block, dtype=np.uint8), np.empty(block, dtype=bool)
+    # buffer[0] is byte ``base`` of the file; buffer[start:end] is read and
+    # not yet cut off, and lacks ``need`` LFs to the next cut.
+    base, start, end, need = 0, 0, 0, 1
+    while True:
+        if end + block > buffer.size:  # move what is not cut off to the front
+            kept = buffer[start:end]
+            if kept.size + block > buffer.size:
+                buffer = np.empty(2 * (kept.size + block), dtype=np.uint8)
+            buffer[: kept.size] = kept
+            base, start, end = base + start, 0, kept.size
+        read = fh.readinto(buffer[end : end + block])
+        if not read:
+            break
+        lf = np.flatnonzero(np.equal(buffer[end : end + read], ord("\n"), out=is_lf[:read]))
+        lf += end
         cuts = lf[need - 1 :: rows]
-        at = 0
         for cut in cuts.tolist():
-            pending.append(block[at : cut + 1])
-            yield b"".join(pending)
-            pending, at = [], cut + 1
-        pending.append(block[at:])
-        need = (rows if cuts.size else need) - int(np.count_nonzero(lf >= at))
-    if rest := b"".join(pending):
-        yield rest
+            yield base + start, buffer[start : cut + 1]
+            start = cut + 1
+        need = (rows if cuts.size else need) - int(np.count_nonzero(lf >= start))
+        end += read
+    if end > start:
+        yield base + start, buffer[start:end]
 
 
-def _canonical_chunk(run: bytes, first_id: int) -> EventSample | None:
-    """The rows of ``run`` if every one is laid out as the writer writes it,
-    ``id,phi,f,f,f\\r\\n``, or ends in LF alone, with the expected id
-    without sign or leading zeros and each flag 0 or 1; None otherwise.  phi
-    is fixed point, ``d`` or ``d.ddd...`` in at most ``_PHI_FIXED_WIDTH``
-    bytes, or a token of at most ``_PHI_WIDTH`` bytes that
-    ``b"%.9g" % float(token)`` gives back, the writer's own rule for the
-    exponent forms below 1e-4.
+class _ChunkParser:
+    """Parses the runs of one event file, of up to ``_CSV_CHUNK_ROWS`` lines,
+    into arrays allocated once: each sample it returns is overwritten by the
+    next."""
+
+    def __init__(self, path: Path):
+        rows = self.rows = _CSV_CHUNK_ROWS
+        self.path, self.run, self.is_lf = path, np.empty(0, np.uint8), np.empty(0, bool)
+        self.indices = np.empty((5, rows), dtype=np.intp)
+        self.window = np.empty((_PHI_WINDOW.size, rows), dtype=np.uint8)
+        self.tail = np.empty((_ROW_TAIL.size, rows), dtype=np.uint8)
+        self.digits = np.empty((_PHI_FIXED_WIDTH, rows), dtype=np.uint8)
+        self.phi, self.term = np.empty((2, rows))
+        self.flags = np.empty((3, rows), dtype=bool)
+        # glibc returns the heap's free top once it exceeds twice the largest
+        # mapped block freed so far: freeing one of 4 MiB keeps the chunks'
+        # temporaries on the heap (at 1e7 rows in the CLI, 13 k page faults, not 101 k).
+        np.empty(1 << 22, dtype=np.uint8)
+
+    def read(self, fd: int, offset: int, size: int) -> np.ndarray:
+        """``size`` bytes of the file ``fd`` from ``offset``, read by ``pread``."""
+        if self.run.size < size:
+            self.run = np.empty(2 * size, dtype=np.uint8)
+        if os.preadv(fd, [self.run[:size]], offset) < size:
+            raise ValueError(f"{self.path} became shorter while it was read")
+        return self.run[:size]
+
+    def __call__(self, index: int, run: np.ndarray) -> EventSample:
+        """Run ``index``, parsed by :func:`_canonical_chunk` or else line by line."""
+        first_id = index * self.rows
+        chunk = _canonical_chunk(run, first_id, self)
+        return _parse_lines(run.tobytes(), first_id, self.path) if chunk is None else chunk
+
+
+def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> EventSample | None:
+    """The rows of ``run``, bytes as uint8, if every one is laid out as the
+    writer writes it, ``id,phi,f,f,f\\r\\n``, or ends in LF alone, with the
+    expected id without sign or leading zeros and each flag 0 or 1; None
+    otherwise.  phi is fixed point, ``d`` or ``d.ddd...`` in at most
+    ``_PHI_FIXED_WIDTH`` bytes, or a token of at most ``_PHI_WIDTH`` bytes
+    that ``b"%.9g" % float(token)`` gives back, the writer's own rule for the
+    exponent forms below 1e-4.  The sample and every large intermediate live
+    in the arrays of ``scratch``.
 
     The digits of a fixed-point phi weighted by powers of ten give
     phi * 10**12, an integer below 2**53, and 10**12 is exact, so one
     division by it rounds the token's value correctly, as float() does.
     The few other tokens go through float() one by one.
     """
-    data = np.frombuffer(run, dtype=np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    if not ends.size or ends[-1] != data.size - 1:
+    if scratch.is_lf.size < run.size:
+        scratch.is_lf = np.empty(2 * run.size, dtype=bool)
+    ends = np.flatnonzero(np.equal(run, ord("\n"), out=scratch.is_lf[: run.size]))
+    k = ends.size
+    if not k or ends[-1] != run.size - 1 or k > scratch.rows:
         return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    ids = np.arange(first_id, first_id + ends.size)
+    starts, id_width, tail_end, phi_width, at = scratch.indices[:, :k]
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    ids = np.arange(first_id, first_id + k)
     # Ids are consecutive, so each digit count covers one slice of the rows.
-    id_widths = range(len(str(first_id)), len(str(first_id + ends.size - 1)) + 1)
+    id_widths = range(len(str(first_id)), len(str(first_id + k - 1)) + 1)
+    if id_widths[-1] > _PHI_WINDOW.size:
+        return None  # ids past 10**15: the gathers below have no room
     id_slices = [
         slice(max(0, 10 ** (width - 1) - first_id) if width > 1 else 0, 10**width - first_id)
         for width in id_widths
     ]
-    id_width = np.empty_like(ends)
     for width, rows in zip(id_widths, id_slices):
         id_width[rows] = width
     # Where each row's ",f,f,f" ends: at its CR if the row ends in CRLF,
     # else at its LF.  ends - 1 is -1 only for an empty first row, which the
     # length check below rejects.
-    tail_end = ends - (data[ends - 1] == ord("\r"))
+    np.subtract(ends, run[ends - 1] == ord("\r"), out=tail_end)
     # The row lengths are checked first, so every gather below stays inside
     # its row, but for the phi window, which may run past the last one.
-    phi_width = tail_end - starts - id_width - 7
+    np.subtract(tail_end, starts, out=phi_width)
+    phi_width -= id_width
+    phi_width -= 7
     if np.any((phi_width < 1) | (phi_width > _PHI_WIDTH)):
         return None
+
+    def gathered(first: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
+        """Bytes ``first + j`` of ``run``, one row of ``out`` per j < ``width``."""
+        out = out[:width, : first.size]
+        for j, row in enumerate(out):
+            np.take(run, np.add(first, j, out=at[: first.size]), mode="clip", out=row)
+        return out
+
     for width, rows in zip(id_widths, id_slices):
         expected = np.empty((width, ids[rows].size), dtype=np.uint8)
         _ascii_digits(ids[rows], expected)
-        if not np.array_equal(data[starts[rows] + np.arange(width)[:, None]], expected):
+        if not np.array_equal(gathered(starts[rows], width, scratch.window), expected):
             return None
-    # The comma before phi, then phi's bytes from its first.
-    window = np.take(data, starts + id_width + _PHI_WINDOW[:, None], mode="clip")
-    tail = data[tail_end + np.arange(-_ROW_TAIL.size, 0)[:, None]]
+    # The comma before phi, then phi's bytes from its first.  ``ends`` is
+    # not needed any more, and holds where phi starts.
+    window = gathered(np.add(starts, id_width, out=ends), _PHI_WINDOW.size, scratch.window)
+    tail = gathered(tail_end - _ROW_TAIL.size, _ROW_TAIL.size, scratch.tail)
     if not (
         np.all(window[0] == ord(","))
         and np.all((tail | _ROW_TAIL_FLAGS[:, None]) == _ROW_TAIL[:, None])
     ):
         return None
     # Bytes below "0" wrap past 9.  Bytes after phi and its point count 0.
-    digits = np.where(_PHI_WINDOW[1:, None] <= phi_width, window[1:] - np.uint8(ord("0")), 0)
+    digits = np.subtract(window[1:], np.uint8(ord("0")), out=scratch.digits[:, :k])
+    digits *= _PHI_WINDOW[1:, None] <= phi_width
     digits[1] = 0
     fixed = (
         ((phi_width == 1) | ((phi_width > 2) & (window[2] == ord("."))))
         & (phi_width <= _PHI_FIXED_WIDTH)
         & (digits.max(axis=0) <= 9)
     )
-    phi = _PHI_DIGIT_WEIGHTS @ digits / 1e12
+    # Every partial sum is an integer below 2**53, so the sum is exact in
+    # any order.
+    phi, term = scratch.phi[:k], scratch.term[:k]
+    phi.fill(0.0)
+    for weight, row in zip(_PHI_DIGIT_WEIGHTS.tolist(), digits):
+        if weight:
+            phi += np.multiply(row, weight, out=term)
+    phi /= 1e12
     for row in np.flatnonzero(~fixed).tolist():
-        at = starts[row] + id_width[row] + 1
-        token = run[at : at + phi_width[row]]
+        begin = starts[row] + id_width[row] + 1
+        token = run[begin : begin + phi_width[row]].tobytes()
         try:
             value = float(token)
         except ValueError:
@@ -1005,8 +1007,9 @@ def _canonical_chunk(run: bytes, first_id: int) -> EventSample | None:
         if b"%.9g" % value != token:
             return None
         phi[row] = value
+    flags = np.equal(tail[1:6:2], ord("1"), out=scratch.flags[:, :k])
     try:
-        return EventSample(phi, *(tail[1:6:2] == ord("1")))
+        return EventSample(phi, *flags)
     except ValueError:
         return None  # phi out of range or not finite
 
@@ -1055,10 +1058,31 @@ def _parse_lines(run: bytes, first_id: int, path: Path) -> EventSample:
     return EventSample(*np.array(rows, dtype=np.float64).T)
 
 
+def _no_events() -> EventSample:
+    return EventSample(np.empty(0), *np.empty((3, 0), dtype=bool))
+
+
+def _columns(sample: EventSample) -> tuple[np.ndarray, ...]:
+    return sample.phi, sample.detected_1, sample.detected_2, sample.is_background
+
+
+def _runs_after_header(fh, path: Path) -> Iterator[tuple[int, np.ndarray]]:
+    """The runs of :func:`_runs` after the header line, which is checked."""
+    runs = _runs(fh)
+    line = next(runs, (0, np.empty(0, dtype=np.uint8)))[1].tobytes()
+    header = line.split(b"\r", 1)[0].rstrip(b"\n")
+    if header != _CSV_HEADER_BYTES:
+        fields = header.decode("ascii", "surrogateescape").split(",")
+        raise ValueError(f"unexpected event file header {fields} in {path}")
+    if line[len(header) :] not in (b"", b"\n", b"\r\n"):
+        raise _line_error(path, 1, "carriage return without a line feed")
+    return runs
+
+
 def iter_events_csv(path) -> Iterator[EventSample]:
     """Read an event file as samples of ``_CSV_CHUNK_ROWS`` lines in order
-    (one empty sample for a header-only file), enforcing the header and ids
-    that count up from 0.
+    (one empty sample for a header-only file), in this process, enforcing
+    the header and ids that count up from 0.
 
     The file is read once, in binary blocks.  A run of lines that the writer
     could have written is parsed by :func:`_canonical_chunk`; any other run
@@ -1067,69 +1091,45 @@ def iter_events_csv(path) -> Iterator[EventSample]:
     first bad line.  A chunk is yielded only once every one of its rows has
     been read, so no row of a malformed chunk reaches the caller, nor any
     chunk after it.
-
-    A regular file large enough to hold ``_SPLIT_MIN_ROWS`` rows as hepbell
-    writes them is parsed in several processes (:func:`_in_processes`); each
-    worker reads the file through its own handle and parses its own chunks,
-    so chunks after a malformed one may already have been parsed.  Any other
-    file is read in this process alone.
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        runs = _line_runs(fh)
-        header_line = next(runs, b"")
-        header = header_line.split(b"\r", 1)[0].rstrip(b"\n")
-        if header != _CSV_HEADER_BYTES:
-            fields = header.decode("ascii", "surrogateescape").split(",")
-            raise ValueError(f"unexpected event file header {fields} in {path}")
-        if header_line[len(header) :] not in (b"", b"\n", b"\r\n"):
-            raise _line_error(path, 1, "carriage return without a line feed")
-        info = os.fstat(fh.fileno())
-        rows = info.st_size // _ROW_BYTES if stat.S_ISREG(info.st_mode) else 0
-
-        def parse(task: tuple[int, bytes]) -> EventSample:
-            index, run = task
-            first_id = index * _CSV_CHUNK_ROWS
-            chunk = _canonical_chunk(run, first_id)
-            return _parse_lines(run, first_id, path) if chunk is None else chunk
-
-        def worker_runs() -> Iterator[tuple[int, bytes]]:
-            # Not through fh, whose offset the parent's reads move.
-            with open(path, "rb") as own:
-                runs = _line_runs(own)
-                next(runs)
-                yield from enumerate(runs)
-
-        n = 0
-        chunks = _in_processes(
-            enumerate(runs), parse, _processes(rows), worker_runs, _sample_bytes, _bytes_sample
-        )
-        with closing(chunks):
-            for chunk in chunks:
-                yield chunk
-                n += len(chunk)
+        runs, parse, n = _runs_after_header(fh, path), _ChunkParser(path), 0
+        for index, (_, run) in enumerate(runs):
+            chunk = parse(index, run)
+            n += len(chunk)
+            yield EventSample(*(np.array(column) for column in _columns(chunk)))
         if not n:
-            yield EventSample(np.empty(0), *np.empty((3, 0), dtype=bool))
-
-
-def _sample_bytes(sample: EventSample) -> bytes:
-    """The columns of ``sample``, as :func:`_bytes_sample` reads them back."""
-    columns = (sample.phi, sample.detected_1, sample.detected_2, sample.is_background)
-    return b"".join(column.tobytes() for column in columns)
-
-
-def _bytes_sample(data: bytes) -> EventSample:
-    k = len(data) // 11  # a float64 and three bools per row
-    flags = np.frombuffer(data, dtype=bool, offset=8 * k).reshape(3, k)
-    return EventSample(np.frombuffer(data, dtype=np.float64, count=k), *flags)
+            yield _no_events()
 
 
 def read_events_csv(path) -> EventSample:
     """Read a whole event file: the chunks of :func:`iter_events_csv`, joined."""
-    chunks = list(iter_events_csv(path))
-    return EventSample(
-        *(
-            np.concatenate([getattr(chunk, name) for chunk in chunks])
-            for name in ("phi", "detected_1", "detected_2", "is_background")
-        )
-    )
+    chunks = [_columns(chunk) for chunk in iter_events_csv(path)]
+    return EventSample(*(np.concatenate(column) for column in zip(*chunks)))
+
+
+def _event_counts(path, count: Callable[[EventSample], np.ndarray]) -> np.ndarray:
+    """``count(chunk)``, integer counts, summed over the chunks of the event
+    file ``path`` as :func:`iter_events_csv` reads them, with its errors.  A
+    regular file of ``_SPLIT_MIN_ROWS`` rows or more, as hepbell writes them,
+    is counted in several processes (:func:`hepbell._workers.summed_counts`),
+    which derive ``kappa``, needed by both estimators, while they parse."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        runs, parse = _runs_after_header(fh, path), _ChunkParser(path)
+        info = os.fstat(fh.fileno())
+        processes = _processes(info.st_size // _ROW_BYTES if stat.S_ISREG(info.st_mode) else 0)
+        total = count(_no_events())
+        if processes > 1:
+            from . import _workers
+
+            return _workers.summed_counts(
+                fh.fileno(), runs, parse, count, total, processes, derive_kappa
+            )
+        for index, (_, run) in enumerate(runs):
+            total += count(parse(index, run))
+        return total
+
+
+

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hepbell import mesonlab
+from hepbell import _workers, mesonlab
 
 
 @pytest.fixture
@@ -69,14 +69,14 @@ def forced_split(monkeypatch):
     with the number of processes; it returns the ranks of the workers forked
     since, in order."""
     forked = []
-    start_worker = mesonlab._start_worker
+    start_worker = _workers.start_worker
 
     def counting(rank, *args):
         forked.append(rank)
         return start_worker(rank, *args)
 
     monkeypatch.setattr(mesonlab, "_SPLIT_MIN_ROWS", 1)
-    monkeypatch.setattr(mesonlab, "_start_worker", counting)
+    monkeypatch.setattr(_workers, "start_worker", counting)
 
     def split_over(processes: int) -> list[int]:
         monkeypatch.setattr(mesonlab, "_usable_cores", lambda: processes)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -536,8 +537,9 @@ class TestProcessSplit:
     processes (the ``forced_split`` fixture), at sizes below the threshold."""
 
     def test_outputs_do_not_depend_on_the_split(self, tmp_path, monkeypatch, forced_split):
-        # 5000 rows is no multiple of the chunk, and the boundaries between
-        # the Philox streams (2500; 1667 and 3334) fall inside chunks.
+        # 5000 rows is no multiple of the chunk, the boundaries between the
+        # Philox streams (2500; 1667 and 3334) fall inside chunks, and the
+        # ids reach four digits inside chunk 1.
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 777)
         det = mesonlab.DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
         common = ["--output-dir", str(tmp_path)]
@@ -558,7 +560,26 @@ class TestProcessSplit:
                     *common, "chtest", "--events", str(events), "--eta1", "0.9", "--eta2", "0.9",
                     "--out", str(ch),
                 ]) == 0
-                assert forked == list(range(1, processes)) * 3
+                # The same events with LF-only rows in chunk 2 and a signed
+                # id in chunk 4, which only the line parser reads.
+                lines = events.read_bytes().splitlines(keepends=True)
+                lines[1 + 2 * 777 : 1 + 3 * 777] = [
+                    line.replace(b"\r\n", b"\n") for line in lines[1 + 2 * 777 : 1 + 3 * 777]
+                ]
+                lines[1 + 4 * 777 + 5] = b"+" + lines[1 + 4 * 777 + 5]
+                mixed = tmp_path / f"mixed-{workers}-{processes}"
+                mixed.write_bytes(b"".join(lines))
+                est_mixed, ch_mixed = tmp_path / "est-mixed", tmp_path / "ch-mixed"
+                assert run([
+                    *common, "estimate", "--events", str(mixed), "--out", str(est_mixed),
+                ]) == 0
+                assert run([
+                    *common, "chtest", "--events", str(mixed), "--eta1", "0.9", "--eta2", "0.9",
+                    "--out", str(ch_mixed),
+                ]) == 0
+                assert est_mixed.read_bytes() == est.read_bytes()
+                assert ch_mixed.read_bytes() == ch.read_bytes()
+                assert forked == list(range(1, processes)) * 5
                 assert_no_child()
                 outputs.append([path.read_bytes() for path in (events, est, ch)])
             assert outputs[1] == outputs[0]
@@ -569,7 +590,7 @@ class TestProcessSplit:
             assert outputs[0][0] == reference.read_bytes()
 
     # With 7-row chunks, row 8 lies in chunk 1, row 15 in chunk 2 and row 22
-    # in chunk 3; process i % P reads chunk i.
+    # in chunk 3.
     @pytest.mark.parametrize("bad_rows", [(8, 15), (15, 22)])
     @pytest.mark.parametrize("processes", [2, 3])
     def test_first_bad_line_is_named_as_in_one_process(
@@ -588,11 +609,26 @@ class TestProcessSplit:
         assert alone == (
             f"hepbell: error: {events}, line {bad_rows[0] + 2}: phi '0.5x' is not a number\n"
         )
+        # The process that takes the lower bad chunk dwells on it, so a
+        # different process claims the higher one and fails first.  kappa is
+        # derived before, so that the command's process claims chunks at once.
+        mesonlab.derive_kappa()
+        parse_lines, parsed = mesonlab._parse_lines, tmp_path / "parsed"
+
+        def dwelling(run, first_id, path):
+            with open(parsed, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if first_id == bad_rows[0] // 7 * 7:
+                time.sleep(0.5)
+            return parse_lines(run, first_id, path)
+
+        monkeypatch.setattr(mesonlab, "_parse_lines", dwelling)
         forked = forced_split(processes)
         assert run(args) == 2
         assert capsys.readouterr().err == alone
         assert forked == list(range(1, processes))
         assert_no_child()
+        assert len(set(parsed.read_text().split())) == 2
 
     @pytest.mark.parametrize("older", [False, True], ids=["no-file", "older-file"])
     @pytest.mark.parametrize("processes", [2, 3])
@@ -632,10 +668,18 @@ class TestProcessSplit:
         parent = os.getpid()
         name = {"generate": "generate_events", "estimate": "_canonical_chunk"}[command]
         task = getattr(mesonlab, name)
+        # generate's worker draws chunk 1 first; a reader's worker writes
+        # down the chunk it claimed first.
+        died = tmp_path / "died"
+        died.write_text("1")
 
         def ending(*args, **kwargs):
             if os.getpid() != parent:
+                if command == "estimate":
+                    died.write_text(str(args[1] // 7))
                 os._exit(1)
+            if command == "estimate":
+                time.sleep(0.01)  # leaves chunks for the worker to claim
             return task(*args, **kwargs)
 
         monkeypatch.setattr(mesonlab, name, ending)
@@ -646,8 +690,9 @@ class TestProcessSplit:
         }[command]
         assert run(args) == 3
         err = capsys.readouterr().err
+        chunk = died.read_text()
         assert re.fullmatch(
-            r"hepbell: error: worker process \d+ ended before it sent chunk 1\n", err
+            rf"hepbell: error: worker process \d+ ended before it sent chunk {chunk}\n", err
         )
         assert_no_child()
 
@@ -698,6 +743,55 @@ class TestPeakMemory:
             assert (high - low) / 1_800_000 < 2.0, name
         if mesonlab._usable_cores() > 1:
             assert peaks[command, 200_000][1] > 0  # the workers ran
+
+
+ONE_PROCESS_PEAK_SCRIPT = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # one usable core
+""" + CLI_PEAK_SCRIPT
+
+ITER_PEAK_SCRIPT = """
+from hepbell import mesonlab
+rows = sum(len(chunk) for chunk in mesonlab.iter_events_csv(sys.argv[1]))
+print(peak_rss_bytes(), rows)
+"""
+
+
+class TestPeakMemoryInOneProcess:
+    """The bound of TestPeakMemory where one process reads the whole file:
+    the estimators on one usable core, and iter_events_csv, each chunk
+    dropped once counted."""
+
+    @pytest.fixture(scope="class")
+    def peaks(self, tmp_path_factory, peak_rss):
+        directory = tmp_path_factory.mktemp("peaks")
+        events = directory / "events.csv"
+        out = {}
+        for n in (200_000, 2_000_000):
+            assert run([
+                "generate", "--n", str(n), "--seed", "7", "--workers", "2", "--eta1", "0.9",
+                "--eta2", "0.9", "--background", "0.02", "--out", str(events),
+            ]) == 0
+            common = ["--output-dir", str(directory)]
+            out["estimate", n] = peak_rss(
+                ONE_PROCESS_PEAK_SCRIPT, *common, "estimate", "--events", str(events)
+            )
+            out["chtest", n] = peak_rss(
+                ONE_PROCESS_PEAK_SCRIPT, *common, "chtest", "--events", str(events),
+                "--eta1", "0.9", "--eta2", "0.9",
+            )
+            out["iter_events_csv", n] = peak_rss(ITER_PEAK_SCRIPT, str(events))
+            events.unlink()
+        return out
+
+    @pytest.mark.parametrize("reader", ["estimate", "chtest", "iter_events_csv"])
+    def test_peak_memory_does_not_grow_with_events(self, peaks, reader):
+        low, high = (peaks[reader, n][0] for n in (200_000, 2_000_000))
+        assert (high - low) / 1_800_000 < 2.0
+        if reader == "iter_events_csv":
+            assert peaks[reader, 2_000_000][1] == 2_000_000
+        else:
+            assert peaks[reader, 2_000_000][1] == 0  # no worker ran
 
 
 class TestScalarCommands:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -948,6 +949,67 @@ class TestStreamedEvents:
         )
 
 
+def traced_peak_from_second_call(monkeypatch, name, run):
+    """The peak of the memory tracemalloc traces while ``run()`` runs, numpy's
+    arrays among it, above what it held when ``mesonlab.<name>`` was called
+    the second time."""
+    original, calls, held = getattr(mesonlab, name), [], []
+
+    def second_call_resets_the_peak(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mesonlab, name, second_call_resets_the_peak)
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] - held[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkBuffers:
+    """Each process allocates its chunk buffers once.  After the first chunk,
+    counting or writing one allocates a bounded amount, whatever the number
+    of chunks: 0.9 MB to count and 1.8 MB to draw and write here, where
+    buffers made anew for every chunk took 3.9-4.4 MB and 2.7 MB."""
+
+    DET = DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
+
+    @pytest.mark.parametrize("estimator", ["estimate", "chtest"])
+    @pytest.mark.parametrize("chunks", [3, 12])
+    def test_counting_a_chunk_allocates_a_bounded_amount(
+        self, tmp_path, monkeypatch, estimator, chunks
+    ):
+        monkeypatch.setattr(mesonlab, "_usable_cores", lambda: 1)  # in this process
+        path = tmp_path / "events.csv"
+        n = chunks * mesonlab._CSV_CHUNK_ROWS
+        write_events_csv(generate_events(n, self.DET, seed=7, workers=2), path)
+        derive_kappa()  # cached before, so that its arrays are not counted
+        run = {
+            "estimate": lambda: estimate_probability(path),
+            "chtest": lambda: ch_from_events(path, OPTIMAL, self.DET),
+        }[estimator]
+        peak = traced_peak_from_second_call(monkeypatch, "_canonical_chunk", run)
+        assert peak < 1.25e6
+
+    @pytest.mark.parametrize("chunks", [3, 12])
+    def test_drawing_and_writing_a_chunk_allocates_a_bounded_amount(
+        self, monkeypatch, chunks
+    ):
+        monkeypatch.setattr(mesonlab, "_usable_cores", lambda: 1)
+        n = chunks * mesonlab._CSV_CHUNK_ROWS
+
+        def write():
+            rows = mesonlab.generate_event_chunks(n, self.DET, seed=7, workers=2)
+            write_events_csv(rows, os.devnull)
+
+        assert traced_peak_from_second_call(monkeypatch, "generate_events", write) < 2.25e6
+
+
 def assert_no_child():
     """Every process the test started has ended and been reaped."""
     with pytest.raises(ChildProcessError):
@@ -956,22 +1018,30 @@ def assert_no_child():
 
 class TestProcessSplit:
     """The chunk loops split over 1, 2 or 3 processes (the ``forced_split``
-    fixture), at sizes below the threshold."""
+    fixture), at sizes below the threshold.  The estimators count an event
+    file's chunks in every process; ``iter_events_csv`` reads in one."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_chunks_do_not_depend_on_the_split(self, tmp_path, monkeypatch, forced_split, workers):
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
-        # 66 rows is no multiple of the chunk, and the boundaries between the
-        # Philox streams (33; 22 and 44) fall inside chunks.
+        # 66 rows is no multiple of the chunk, the boundaries between the
+        # Philox streams (33; 22 and 44) fall inside chunks, and the ids
+        # reach two digits inside chunk 1.
         n = 9 * 7 + 3
         det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
         path = tmp_path / "events.csv"
         write_events_csv(generate_events(n, det, seed=5, workers=workers), path)
         whole = reference_read_events_csv(path)
+        window = np.pi / 4
+        expected = estimate_probability(whole), ch_from_events(whole, OPTIMAL, det, window=window)
         for processes in (1, 2, 3):
             forked = forced_split(processes)
             assert [len(chunk) for chunk in iter_events_csv(path)] == [7] * 9 + [3]
             assert_same_events(read_events_csv(path), whole)
+            assert forked == []
+            counted = estimate_probability(path), ch_from_events(path, OPTIMAL, det, window=window)
+            assert counted[0].to_dict() == expected[0].to_dict()
+            assert counted[1].to_dict() == expected[1].to_dict()
             assert forked == list(range(1, processes)) * 2
             assert_no_child()
 
@@ -989,29 +1059,47 @@ class TestProcessSplit:
         else:
             chunks = mesonlab.generate_event_chunks(100, seed=2)
         next(chunks)
-        next(chunks)  # the workers start with the second chunk
-        assert forked == [1, 2]
+        next(chunks)  # generate's workers start with the second chunk
+        assert forked == ([1, 2] if source == "generate" else [])
         if stop == "close":
             chunks.close()
         else:
             del chunks
         assert_no_child()
 
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_count_that_fails_in_every_process_ends_the_workers(
+        self, tmp_path, monkeypatch, forced_split, processes
+    ):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        path = tmp_path / "events.csv"
+        write_events_csv(generate_events(100, seed=2), path)
+
+        def failing(sample):
+            if len(sample):
+                raise ArithmeticError(f"no count for {len(sample)} rows")
+            return np.zeros(2, dtype=np.int64)
+
+        forked = forced_split(processes)
+        with pytest.raises(ArithmeticError, match="no count for 7 rows"):
+            mesonlab._event_counts(path, failing)
+        assert forked == list(range(1, processes))
+        assert_no_child()
+
     def test_interrupt_in_this_process_ends_the_workers(self, tmp_path, monkeypatch, forced_split):
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
         path = tmp_path / "events.csv"
         write_events_csv(generate_events(100, seed=2), path)
-        parse = mesonlab._canonical_chunk
 
-        def interrupted(run, first_id):
-            if first_id == 4 * 7:  # chunk 4, this process's with 2 processes
-                raise KeyboardInterrupt
-            return parse(run, first_id)
+        def interrupted():
+            # Called in this process once the file is cut, while the
+            # worker parses.
+            raise KeyboardInterrupt
 
-        monkeypatch.setattr(mesonlab, "_canonical_chunk", interrupted)
+        monkeypatch.setattr(mesonlab, "derive_kappa", interrupted)
         forked = forced_split(2)
         with pytest.raises(KeyboardInterrupt):
-            read_events_csv(path)
+            estimate_probability(path)
         assert forked == [1]
         assert_no_child()
 
@@ -1026,13 +1114,14 @@ class TestProcessSplit:
         thread.start()
         try:
             forked = forced_split(2)
-            sample = read_events_csv(path)
+            estimate = estimate_probability(path)
         finally:
             release.set()
             thread.join(timeout=60)
         assert not thread.is_alive()
         assert forked == []
-        assert_same_events(sample, reference_read_events_csv(path))
+        reference = estimate_probability(reference_read_events_csv(path))
+        assert estimate.to_dict() == reference.to_dict()
 
     def test_fifo_reads_in_one_process(self, tmp_path, monkeypatch, forced_split):
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
@@ -1045,11 +1134,12 @@ class TestProcessSplit:
         writer = subprocess.Popen([sys.executable, "-c", copy, str(path), str(fifo)])
         try:
             forked = forced_split(2)
-            sample = read_events_csv(fifo)
+            estimate = estimate_probability(fifo)
             assert writer.wait(timeout=60) == 0
         finally:
             writer.kill()  # nothing to do once it has been reaped
             writer.wait()
         assert forked == []
-        assert_same_events(sample, reference_read_events_csv(path))
+        reference = estimate_probability(reference_read_events_csv(path))
+        assert estimate.to_dict() == reference.to_dict()
         assert_no_child()
