@@ -3,8 +3,10 @@
 ``generate`` hands chunk i to process i mod P and writes the results in
 order (:func:`round_robin`).  ``estimate`` and ``chtest`` put a claim on each
 chunk of the event file on a queue that every process takes from, and sum
-the counts each process sends back (:func:`summed_counts`).  Both are
-POSIX only; :mod:`hepbell.mesonlab` decides how many processes to use.
+the counts each process sends back (:func:`summed_counts`).  Both take
+the number of rows and decide here how many processes share them
+(:func:`_processes`), so no caller forks while another thread runs.  The
+split is Linux only: elsewhere the usable cores are unknown, and P is 1.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import os
 import pickle
 import signal
 import struct
+import threading
 from collections.abc import Callable, Iterator
 
 # The tags of a generate worker's messages: a chunk, or the exception its
@@ -26,6 +29,10 @@ _PIPE_BYTES = 1 << 20
 # A claim on a chunk of an event file: its index, file offset and length.
 # 24 bytes is below PIPE_BUF, so each claim is written and read whole.
 _CLAIM = struct.Struct("<3q")
+# The chunk loops are split over processes from this many rows on.  Below
+# it, a fork with its pipe and reap (about 2.3 ms) costs more than the
+# second core saves.
+_SPLIT_MIN_ROWS = 4 * 16_384
 
 Workers = list[tuple[int, io.BufferedReader]]
 
@@ -34,9 +41,28 @@ class WorkerExited(ChildProcessError):
     """A worker process ended before it sent a chunk that was due."""
 
 
-def round_robin(tasks: range, work: Callable[[int], memoryview], processes: int) -> Iterator:
-    """``work(task)`` for each of ``tasks``, in order, task i done by process
-    ``i % processes``: this one for 0, forked workers for the others.
+def _usable_cores() -> int:
+    """The cores this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _processes(rows: int, chunks: int) -> int:
+    """How many processes share ``chunks`` chunks of ``rows`` rows in all:
+    the usable cores, at most one per chunk.  One below ``_SPLIT_MIN_ROWS``
+    rows, and while another thread runs, because a forked copy holds only
+    the calling thread and whatever locks the others held."""
+    if rows < _SPLIT_MIN_ROWS or threading.active_count() > 1:
+        return 1
+    return min(_usable_cores(), chunks)
+
+
+def round_robin(tasks: range, work: Callable[[int], memoryview], rows: int) -> Iterator:
+    """``work(task)`` for each of ``tasks``, the chunks of ``rows`` rows, in
+    order, task i done by process ``i % P`` (:func:`_processes`): this one
+    for 0, forked workers for the others.
 
     The workers are forked once the first result has been yielded.  Each
     sends its results through a pipe, which holds them until this process
@@ -45,6 +71,8 @@ def round_robin(tasks: range, work: Callable[[int], memoryview], processes: int)
     its result's place and raised where that result is due.  However this
     generator ends, it closes the pipes and kills and reaps every worker.
     """
+
+    processes = _processes(rows, len(tasks))
 
     def send(rank: int, out: io.BufferedWriter) -> None:
         try:
@@ -140,7 +168,7 @@ class _Share:
     """The chunks one process claims from the queue: the sum of their
     counts, their indices, and the first that raised, with its exception.
     ``parse.read(fd, offset, size)`` reads a chunk, ``parse(index, run)``
-    parses it and ``count`` counts it."""
+    parses it and ``count`` counts it; a chunk holds ``parse.rows`` rows."""
 
     def __init__(self, fd: int, queue: int, parse, count: Callable, zero):
         self.fd, self.queue, self.parse, self.count = fd, queue, parse, count
@@ -167,13 +195,14 @@ def summed_counts(
     parse,
     count: Callable,
     zero,
-    processes: int,
+    rows: int,
     meanwhile: Callable[[], object],
 ):
     """``zero`` plus the counts of the chunks that ``runs`` cuts the regular
-    file ``fd`` into, as (offset, bytes) pairs, shared by this process and
-    ``processes - 1`` workers (see :class:`_Share` for ``parse`` and
-    ``count``).
+    file ``fd`` of about ``rows`` rows into, as (offset, bytes) pairs, shared
+    by this process and P - 1 workers (:func:`_processes`; see
+    :class:`_Share` for ``parse`` and ``count``).  For P = 1 nothing is
+    forked, and this process alone takes every claim.
 
     The workers are forked first.  This process cuts the file and puts a
     claim on each chunk on a queue, a pipe; when the queue is full, it takes
@@ -198,6 +227,7 @@ def summed_counts(
         failed = share.failed and (share.failed[0], _picklable(share.failed[1]))
         out.write(pickle.dumps((share.total, share.done, failed)))
 
+    processes = _processes(rows, -(-rows // parse.rows))
     workers: Workers = []
     try:
         workers += [start_worker(rank, work) for rank in range(1, processes)]

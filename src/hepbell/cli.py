@@ -138,10 +138,18 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(config, **updates) if updates else config
 
 
-def _write_report(config: RunConfig, kind: str, payload: dict, out: str | None) -> Path:
+def _out_path(config: RunConfig, out: str | None, default: str) -> Path:
+    """``out``, or else the file ``default`` in the output directory, which
+    is created only then."""
+    if out:
+        return Path(out)
     directory = Path(config.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    path = Path(out) if out else directory / f"{kind}.json"
+    return directory / default
+
+
+def _write_report(config: RunConfig, kind: str, payload: dict, out: str | None) -> Path:
+    path = _out_path(config, out, f"{kind}.json")
     document = {"kind": kind, "config": config.to_dict()}
     document.update(payload)
     text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
@@ -219,25 +227,17 @@ def _cmd_hardy(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _events_out_path(config: RunConfig, out: str | None) -> Path:
-    if out:
-        return Path(out)
-    directory = Path(config.output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory / "events.csv"
-
-
 def _cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
     from . import mesonlab
 
-    # The first chunk is drawn here, before the file is opened, so that a bad
-    # configuration leaves no file behind.  Closing the chunks ends the
-    # processes that draw them, also when the write fails.
+    # A bad configuration raises here, before the output directory is made.
+    # Closing the chunks ends the processes that draw them, also when the
+    # write fails.
     chunks = mesonlab.generate_event_chunks(
         config.n_events, config.detector(), seed=config.seed, workers=config.workers
     )
     with closing(chunks):
-        path = _events_out_path(config, args.out)
+        path = _out_path(config, args.out, "events.csv")
         mesonlab.write_events_csv(chunks, path)
     echo = {"kind": "generate", "config": config.to_dict(), "events_file": str(path)}
     print(json.dumps(echo, sort_keys=True, allow_nan=False))

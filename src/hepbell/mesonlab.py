@@ -4,6 +4,12 @@ Covers the transverse entangled state, the azimuthal-angle density between
 the two decay planes, reproducible Monte Carlo event generation with a
 detector model, the histogram probability estimator, the event-based CH
 evaluation and the detection-efficiency threshold.
+
+Events take one path each way: :func:`generate_event_chunks` draws and
+formats the rows that :func:`write_events_csv` writes, and
+:func:`estimate_probability` and :func:`ch_from_events` count a sample, or
+an event file chunk by chunk.  :mod:`hepbell._workers` decides how many
+processes share those chunks.
 """
 
 from __future__ import annotations
@@ -13,8 +19,7 @@ import math
 import os
 import re
 import stat
-import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -244,6 +249,16 @@ def _philox_stream(seed: int, worker: int, offset: int) -> np.random.Generator:
     return rng
 
 
+def _check_key(n: int, seed: int, workers: int) -> None:
+    """Reject a sample key ``(seed, n, workers)`` that draws no sample."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if seed < 0 or seed >= 2**64:
+        raise ValueError("seed must be a non-negative 64-bit integer")
+
+
 def generate_events(
     n: int,
     det: DetectorModel | None = None,
@@ -266,17 +281,13 @@ def generate_events(
     bit-identical samples, and any row range is the matching slice of the
     whole sample.
 
-    Each segment is entered at the range's first row and read in chunks of
-    ``_CSV_CHUNK_ROWS`` draws, so memory beyond the 11-byte-per-event result
-    is bounded by one chunk.  The draws go to ``draws``, a float64 array of
-    four rows of at least one chunk each, where the caller reuses one.
+    The range is drawn ``_CSV_CHUNK_ROWS`` rows at a time, each chunk from
+    the streams that hold its rows, entered at its first row, so memory
+    beyond the 11-byte-per-event result is bounded by one chunk.  The draws
+    go to ``draws``, a float64 array of four rows of at least one chunk
+    each, where the caller reuses one.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if seed < 0 or seed >= 2**64:
-        raise ValueError("seed must be a non-negative 64-bit integer")
+    _check_key(n, seed, workers)
     stop = n if stop is None else stop
     if not 0 <= start < stop <= n:
         raise ValueError(f"rows [{start}, {stop}) are not a non-empty range of [0, {n})")
@@ -291,27 +302,29 @@ def generate_events(
     if draws is None or draws.shape[1] < min(_CSV_CHUNK_ROWS, stop - start):
         draws = np.empty((4, min(_CSV_CHUNK_ROWS, stop - start)))
     base, remainder = divmod(n, workers)
-    first = 0
-    for w in range(workers):
-        count = base + (1 if w < remainder else 0)
-        lo, hi = max(start, first), min(stop, first + count)
-        if lo < hi:
+    long_rows = remainder * (base + 1)
+    for at in range(start, stop, _CSV_CHUNK_ROWS):
+        k = min(_CSV_CHUNK_ROWS, stop - at)
+        u_bg, u_phi, u_d1, u_d2 = u = draws[:, :k]
+        # Stream w holds the rows from w * base + min(w, remainder) on, the
+        # first ``remainder`` streams one more than the others.  Only the
+        # streams that hold rows of this chunk are entered.
+        w = at // (base + 1) if at < long_rows else remainder + (at - long_rows) // base
+        first = w * base + min(w, remainder)
+        while first < at + k:
+            count = base + (w < remainder)
+            lo, hi = max(at, first), min(at + k, first + count)
             # Background, angle, detection-1 and detection-2 segments.
-            streams = [
-                _philox_stream(seed, w, segment * count + lo - first) for segment in range(4)
-            ]
-            for at in range(lo, hi, _CSV_CHUNK_ROWS):
-                k = min(_CSV_CHUNK_ROWS, hi - at)
-                u_bg, u_phi, u_d1, u_d2 = (
-                    rng.random(out=row[:k]) for rng, row in zip(streams, draws)
-                )
-                out = slice(at - start, at - start + k)
-                is_bg = u_bg < det.background_fraction
-                is_background[out] = is_bg
-                phi[out] = np.where(is_bg, TWO_PI * u_phi, _invert_signal_cdf(u_phi))
-                detected_1[out] = u_d1 < p_1
-                detected_2[out] = u_d2 < p_2
-        first += count
+            for segment, row in enumerate(u):
+                rng = _philox_stream(seed, w, segment * count + lo - first)
+                rng.random(out=row[lo - at : hi - at])
+            w, first = w + 1, first + count
+        out = slice(at - start, at - start + k)
+        is_bg = u_bg < det.background_fraction
+        is_background[out] = is_bg
+        phi[out] = np.where(is_bg, TWO_PI * u_phi, _invert_signal_cdf(u_phi))
+        detected_1[out] = u_d1 < p_1
+        detected_2[out] = u_d2 < p_2
     return EventSample(phi, detected_1, detected_2, is_background)
 
 
@@ -323,50 +336,34 @@ def generate_event_chunks(
     due, for :func:`write_events_csv` to write.  Each chunk is a view of
     buffers that the next one reuses.
 
-    The first chunk is drawn before this returns, so a bad configuration
-    raises here.  An error in a later draw is raised where its chunk is due,
-    and no chunk after it is written.  In one process no chunk after it is
-    drawn either; from ``_SPLIT_MIN_ROWS`` rows on the chunks are split over
-    processes (:func:`hepbell._workers.round_robin`), and chunks after a failed
-    one may already have been drawn.
+    A bad key ``(seed, n, workers)`` raises here; an error in a draw is
+    raised where its chunk is due, and no chunk after it is written.  The
+    chunks may be split over processes
+    (:func:`hepbell._workers.round_robin`), and where they are, chunks after
+    a failed one may already have been drawn.
     """
     from . import _workers
 
+    _check_key(n, seed, workers)
     # Each process draws and formats into its own copy of these.
-    buffers = _RowBuffers(min(_CSV_CHUNK_ROWS, max(n, 1)), max(n - 1, 0))
+    buffers = _RowBuffers(min(_CSV_CHUNK_ROWS, n), n - 1)
 
     def rows(start: int) -> memoryview:
         stop = min(start + _CSV_CHUNK_ROWS, n)
         sample = generate_events(
             n, det, seed=seed, workers=workers, start=start, stop=stop, draws=buffers.draws
         )
-        return _csv_rows(
-            start, sample.phi, sample.detected_1, sample.detected_2, sample.is_background, buffers
-        )
+        return _csv_rows(start, *_columns(sample), buffers)
 
-    # An n below 1 still draws chunk 0, where generate_events rejects it.
-    chunks = _workers.round_robin(range(0, max(n, 1), _CSV_CHUNK_ROWS), rows, _processes(n))
-    first = next(chunks)
-
-    # Not itertools.chain: closing this generator closes ``chunks``, which
-    # ends the workers.
-    def in_order() -> Iterator[memoryview]:
-        yield first
-        yield from chunks
-
-    return in_order()
-
-
-def _samples(events: EventSample | Iterable[EventSample]) -> Iterable[EventSample]:
-    """One sample, or the chunks of a sample in order, as an iterable of samples."""
-    return (events,) if isinstance(events, EventSample) else events
+    return _workers.round_robin(range(0, n, _CSV_CHUNK_ROWS), rows, n)
 
 
 def _counted(events, count: Callable[[EventSample], np.ndarray]) -> np.ndarray:
-    """``count`` summed over the chunks of ``events``: a sample, its chunks or its file."""
+    """``count`` of the sample ``events``, or summed over the chunks of the
+    event file ``events``."""
     if isinstance(events, (str, os.PathLike)):
         return _event_counts(events, count)
-    return sum(map(count, _samples(events)), count(_no_events()))
+    return count(events)
 
 
 @dataclass(frozen=True)
@@ -413,14 +410,14 @@ def _checked_width(width: float) -> float:
 
 
 def estimate_probability(
-    events: EventSample | Iterable[EventSample] | str | os.PathLike,
+    events: EventSample | str | os.PathLike,
     bin_width: float = TWO_PI / DEFAULT_BIN_COUNT,
 ) -> HistogramEstimate:
     """Histogram estimator of the joint probability versus plane angle.
 
-    ``events`` may be one sample, its chunks or its event file: the integer
-    counts are summed over the chunks and ``kappa`` and the scale applied
-    once, so the estimate does not depend on how the sample is split.
+    ``events`` may be a sample or its event file: the integer counts of the
+    file are summed over its chunks and ``kappa`` and the scale applied
+    once, so the estimate does not depend on how the file is split.
     """
     n_bins = round(TWO_PI / _checked_width(bin_width))
     if n_bins < 1 or abs(TWO_PI - n_bins * bin_width) > 1e-9:
@@ -454,7 +451,7 @@ def _window_count(phis: np.ndarray, center: float, width: float) -> int:
 
 
 def ch_from_events(
-    events: EventSample | Iterable[EventSample] | str | os.PathLike,
+    events: EventSample | str | os.PathLike,
     settings: tuple[float, float, float, float],
     det: DetectorModel | None = None,
     window: float = DEFAULT_CH_WINDOW,
@@ -470,8 +467,8 @@ def ch_from_events(
         S = eta1*eta2*(joint combination) - (eta1 + eta2)/2,
 
     so branching fractions thin the sample but do not change S.  ``events``
-    may be one sample, its chunks or its event file; the window counts are
-    summed over the chunks.
+    may be a sample or its event file, whose window counts are summed over
+    its chunks.
     """
     window = _checked_width(window)
     det = det or DetectorModel()
@@ -610,10 +607,6 @@ _PHI_DIGIT_WEIGHTS = np.array([1e12, 0.0] + [10.0**k for k in range(11, -1, -1)]
 # byte gives "1" exactly for "0" and "1".
 _ROW_TAIL = np.frombuffer(b",1,1,1", dtype=np.uint8)
 _ROW_TAIL_FLAGS = np.frombuffer(b"\0\1\0\1\0\1", dtype=np.uint8)
-# The event commands split their chunk loops over processes from this many
-# rows on.  Below it, a fork with its pipe and reap (about 2.3 ms) costs more
-# than the second core saves.
-_SPLIT_MIN_ROWS = 4 * 16_384
 # The bytes of a row as hepbell writes it, with an id of up to five digits:
 # the reader judges how many rows a file holds by its size.
 _ROW_BYTES = 24
@@ -623,24 +616,6 @@ _ROW_BYTES = 24
 # pieces of 64 KiB let glibc trim and regrow the heap every chunk (450 page
 # faults per chunk); from 128 KiB on, the heap it grows once is reused.
 _COMPACTED_BYTES = 1 << 17
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on; 1 where the platform cannot say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
-def _processes(rows: int) -> int:
-    """How many processes share the chunks of ``rows`` rows: the usable
-    cores, at most one per chunk.  One below ``_SPLIT_MIN_ROWS`` rows, and
-    while another thread runs, because a forked copy holds only the calling
-    thread and whatever locks the others held."""
-    if rows < _SPLIT_MIN_ROWS or threading.active_count() > 1:
-        return 1
-    return min(_usable_cores(), -(-rows // _CSV_CHUNK_ROWS))
 
 
 def _ascii_digits(values: np.ndarray, out: np.ndarray) -> None:
@@ -756,19 +731,17 @@ def _csv_rows(
     return buffers.table[:at].data
 
 
-def write_events_csv(
-    events: EventSample | Iterable[EventSample] | Iterable[memoryview], path
-) -> None:
+def write_events_csv(events: EventSample | Iterator[memoryview], path) -> None:
     """Write the append-only, order-significant event file from one sample,
-    from its chunks in order, or from the chunks of
-    :func:`generate_event_chunks`, which are its rows already formatted.
+    or from the chunks of :func:`generate_event_chunks`, which are its rows
+    already formatted.
 
-    Rows are formatted ``_CSV_CHUNK_ROWS`` at a time, so memory stays
-    bounded by the chunk, not the file.  They go to a temporary file beside
-    ``path`` that replaces it once the last row is written, so a failed
-    write leaves no file or an older one untouched.  A symlink's target is
-    replaced, not the link; a device or pipe, such as os.devnull, is
-    written in place.
+    A sample's rows are formatted ``_CSV_CHUNK_ROWS`` at a time, so memory
+    beyond the sample stays bounded by the chunk.  The rows go to a
+    temporary file beside ``path`` that replaces it once the last row is
+    written, so a failed write leaves no file or an older one untouched.  A
+    symlink's target is replaced, not the link; a device or pipe, such as
+    os.devnull, is written in place.
     """
     target = path
     path = Path(os.path.realpath(path))
@@ -788,31 +761,16 @@ def write_events_csv(
         partial.unlink(missing_ok=True)
 
 
-def _write_rows(
-    events: EventSample | Iterable[EventSample] | Iterable[memoryview], path: Path
-) -> None:
+def _write_rows(events: EventSample | Iterator[memoryview], path: Path) -> None:
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER_BYTES + b"\r\n")
-        start = 0
-        buffers = _RowBuffers(_CSV_CHUNK_ROWS, 1 << 63)
-        for sample in _samples(events):
-            if not isinstance(sample, EventSample):
-                fh.write(sample)
-                continue
-            for lo in range(0, len(sample), _CSV_CHUNK_ROWS):
-                rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-                phi = sample.phi[rows]
-                fh.write(
-                    _csv_rows(
-                        start,
-                        phi,
-                        sample.detected_1[rows],
-                        sample.detected_2[rows],
-                        sample.is_background[rows],
-                        buffers,
-                    )
-                )
-                start += phi.size
+        if not isinstance(events, EventSample):
+            fh.writelines(events)
+            return
+        buffers = _RowBuffers(min(_CSV_CHUNK_ROWS, len(events)), len(events) - 1)
+        for start in range(0, len(events), _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            fh.write(_csv_rows(start, *(column[rows] for column in _columns(events)), buffers))
 
 
 def _line_error(path: Path, lineno: int, problem: str) -> ValueError:
@@ -1112,20 +1070,22 @@ def read_events_csv(path) -> EventSample:
 def _event_counts(path, count: Callable[[EventSample], np.ndarray]) -> np.ndarray:
     """``count(chunk)``, integer counts, summed over the chunks of the event
     file ``path`` as :func:`iter_events_csv` reads them, with its errors.  A
-    regular file of ``_SPLIT_MIN_ROWS`` rows or more, as hepbell writes them,
-    is counted in several processes (:func:`hepbell._workers.summed_counts`),
-    which derive ``kappa``, needed by both estimators, while they parse."""
+    regular file is counted by :func:`hepbell._workers.summed_counts`, which
+    may split it over processes and derives ``kappa``, needed by both
+    estimators, while they parse.  A FIFO or a device, which ``pread``
+    cannot read, is counted in a loop over its chunks in this process, as is
+    any file where the platform has no ``pread`` (Windows)."""
     path = Path(path)
     with open(path, "rb") as fh:
         runs, parse = _runs_after_header(fh, path), _ChunkParser(path)
         info = os.fstat(fh.fileno())
-        processes = _processes(info.st_size // _ROW_BYTES if stat.S_ISREG(info.st_mode) else 0)
         total = count(_no_events())
-        if processes > 1:
+        if stat.S_ISREG(info.st_mode) and hasattr(os, "preadv"):
             from . import _workers
 
+            rows = info.st_size // _ROW_BYTES
             return _workers.summed_counts(
-                fh.fileno(), runs, parse, count, total, processes, derive_kappa
+                fh.fileno(), runs, parse, count, total, rows, derive_kappa
             )
         for index, (_, run) in enumerate(runs):
             total += count(parse(index, run))

@@ -75,11 +75,11 @@ def forced_split(monkeypatch):
         forked.append(rank)
         return start_worker(rank, *args)
 
-    monkeypatch.setattr(mesonlab, "_SPLIT_MIN_ROWS", 1)
+    monkeypatch.setattr(_workers, "_SPLIT_MIN_ROWS", 1)
     monkeypatch.setattr(_workers, "start_worker", counting)
 
     def split_over(processes: int) -> list[int]:
-        monkeypatch.setattr(mesonlab, "_usable_cores", lambda: processes)
+        monkeypatch.setattr(_workers, "_usable_cores", lambda: processes)
         forked.clear()
         return forked
 

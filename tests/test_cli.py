@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hepbell import _search, cli, mesonlab
+from hepbell import _search, _workers, cli, mesonlab
 
 SQ2 = math.sqrt(2.0)
 
@@ -482,10 +482,19 @@ class TestEventPipeline:
         assert not out.exists()
 
     def test_bad_generate_config_writes_no_file(self, tmp_path):
-        events = tmp_path / "events.csv"
-        assert run(["generate", "--n", "0", "--out", str(events)]) == 2
-        assert run(["generate", "--n", "10", "--workers", "0", "--out", str(events)]) == 2
-        assert not events.exists()
+        # The key is checked before the output directory is made or a
+        # temporary file opened.
+        new, events = tmp_path / "new", tmp_path / "events.csv"
+        for flags in (["--n", "0"], ["--n", "10", "--workers", "0"], ["--n", "10", "--seed", "-1"]):
+            assert run(["generate", *flags, "--out", str(events)]) == 2
+            assert run(["--output-dir", str(new), "generate", *flags]) == 2
+            assert list(tmp_path.iterdir()) == []
+
+    def test_out_leaves_the_output_dir_unmade(self, tmp_path):
+        new, out = tmp_path / "new", tmp_path / "t.json"
+        assert run(["--output-dir", str(new), "tripartite", "--out", str(out)]) == 0
+        assert out.exists()
+        assert not new.exists()
 
     @settings(max_examples=100, deadline=None)
     @given(body=st.binary(max_size=64))
@@ -741,7 +750,7 @@ class TestPeakMemory:
         for process, name in enumerate(["command", "workers"]):
             low, high = (peaks[command, n][process] for n in (200_000, 2_000_000))
             assert (high - low) / 1_800_000 < 2.0, name
-        if mesonlab._usable_cores() > 1:
+        if _workers._usable_cores() > 1:
             assert peaks[command, 200_000][1] > 0  # the workers ran
 
 
@@ -830,12 +839,26 @@ class TestScalarCommands:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def test_idempotent_reports(self, tmp_path):
+    def test_idempotent_reports(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
         for out in (out_a, out_b):
             assert run(["--output-dir", str(tmp_path), "kinematics", "--out", str(out)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+        # The event pipeline twice into one directory: the same echo, event
+        # file and reports.
+        common = ["--output-dir", str(tmp_path)]
+        events, eta = tmp_path / "events.csv", ["--eta1", "0.9", "--eta2", "0.9"]
+        runs = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert run([*common, "generate", "--n", "3000", "--seed", "7", *eta]) == 0
+            echo = capsys.readouterr().out
+            assert run([*common, "estimate", "--events", str(events)]) == 0
+            assert run([*common, "chtest", "--events", str(events), *eta]) == 0
+            outputs = [tmp_path / name for name in ("events.csv", "estimate.json", "chtest.json")]
+            runs.append([echo, *(path.read_bytes() for path in outputs)])
+        assert runs[0] == runs[1]
 
 
 LOADED_MODULES_SCRIPT = """

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hepbell import mesonlab
+from hepbell import _workers, mesonlab
 from hepbell.kinematics import BelowThreshold, KinematicsConfig, two_body_beta
 from hepbell.mesonlab import (
     DetectorModel,
@@ -697,11 +697,15 @@ class TestChunkedGeneration:
     @given(
         data=st.data(),
         n=st.integers(min_value=1, max_value=300),
-        workers=st.integers(min_value=1, max_value=6),
         chunk_rows=st.integers(min_value=1, max_value=40),
     )
-    def test_row_range_is_the_slice_of_the_whole_sample(self, data, n, workers, chunk_rows):
-        # Most ranges straddle a boundary between two workers' rows.
+    def test_row_range_is_the_slice_of_the_whole_sample(self, data, n, chunk_rows):
+        # Most ranges straddle a boundary between two workers' rows.  With
+        # more workers than rows, the last workers hold none.
+        workers = data.draw(
+            st.one_of(st.integers(min_value=1, max_value=6), st.integers(n + 1, n + 6)),
+            label="workers",
+        )
         start = data.draw(st.integers(min_value=0, max_value=n - 1), label="start")
         stop = data.draw(st.integers(min_value=start + 1, max_value=n), label="stop")
         det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.3)
@@ -712,6 +716,35 @@ class TestChunkedGeneration:
         assert rows.phi.tobytes() == whole.phi[start:stop].tobytes()
         for field in ("detected_1", "detected_2", "is_background"):
             assert np.array_equal(getattr(rows, field), getattr(whole, field)[start:stop])
+
+    @pytest.mark.parametrize(
+        "n, workers, start, stop",
+        [
+            (100_000, 100_000, 50_000, 50_000 + 1000),
+            (1003, 10, 150, 250),
+            (1003, 10, 990, 1003),
+            (1003, 10, 0, 1),
+            (7, 5, 0, 7),
+            (3, 8, 1, 3),
+        ],
+    )
+    def test_range_enters_only_the_streams_that_hold_it(
+        self, monkeypatch, n, workers, start, stop
+    ):
+        # Worker w holds its rows of the sample, the first n % workers one more.
+        base, remainder = divmod(n, workers)
+        owner = np.repeat(np.arange(workers), [base + (w < remainder) for w in range(workers)])
+        touched = np.unique(owner[start:stop]).size
+        stream, calls = mesonlab._philox_stream, []
+
+        def counted(seed, worker, offset):
+            calls.append(worker)
+            return stream(seed, worker, offset)
+
+        monkeypatch.setattr(mesonlab, "_philox_stream", counted)
+        generate_events(n, seed=3, workers=workers, start=start, stop=stop)
+        assert len(calls) == 4 * touched
+        assert set(calls) == set(owner[start:stop].tolist())
 
 
 HEADER_BYTES = b"event_id,phi,detected_1,detected_2,is_background\r\n"
@@ -917,37 +950,6 @@ class TestStreamedEvents:
         assert str(raised.value) == f"{path}, line 11: event_id 'x9' is not a 64-bit integer"
         assert line_parser_calls == [8]
 
-    def test_writer_joins_chunks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
-        det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
-        whole = generate_events(50, det, seed=4, workers=3)
-        bounds = [0, 3, 3 + 7, 30, 31, 50]  # a chunk longer than a write chunk, and one row
-        chunks = [
-            generate_events(50, det, seed=4, workers=3, start=a, stop=b)
-            for a, b in zip(bounds, bounds[1:])
-        ]
-        joined, single = tmp_path / "joined.csv", tmp_path / "single.csv"
-        write_events_csv(iter(chunks), joined)
-        write_events_csv(whole, single)
-        assert joined.read_bytes() == single.read_bytes()
-
-    def test_estimators_sum_counts_over_chunks(self):
-        det = DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
-        n, step = 30_000, 4_099
-        whole = generate_events(n, det, seed=8, workers=2)
-
-        def chunks():
-            for start in range(0, n, step):
-                stop = min(start + step, n)
-                yield generate_events(n, det, seed=8, workers=2, start=start, stop=stop)
-
-        streamed, single = estimate_probability(chunks()), estimate_probability(whole)
-        assert single.to_dict() == streamed.to_dict()
-        assert single.p_hat.tobytes() == streamed.p_hat.tobytes()
-        assert ch_from_events(chunks(), OPTIMAL, det).to_dict() == (
-            ch_from_events(whole, OPTIMAL, det).to_dict()
-        )
-
 
 def traced_peak_from_second_call(monkeypatch, name, run):
     """The peak of the memory tracemalloc traces while ``run()`` runs, numpy's
@@ -984,7 +986,7 @@ class TestChunkBuffers:
     def test_counting_a_chunk_allocates_a_bounded_amount(
         self, tmp_path, monkeypatch, estimator, chunks
     ):
-        monkeypatch.setattr(mesonlab, "_usable_cores", lambda: 1)  # in this process
+        monkeypatch.setattr(_workers, "_usable_cores", lambda: 1)  # in this process
         path = tmp_path / "events.csv"
         n = chunks * mesonlab._CSV_CHUNK_ROWS
         write_events_csv(generate_events(n, self.DET, seed=7, workers=2), path)
@@ -1000,7 +1002,7 @@ class TestChunkBuffers:
     def test_drawing_and_writing_a_chunk_allocates_a_bounded_amount(
         self, monkeypatch, chunks
     ):
-        monkeypatch.setattr(mesonlab, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(_workers, "_usable_cores", lambda: 1)
         n = chunks * mesonlab._CSV_CHUNK_ROWS
 
         def write():
