@@ -198,24 +198,35 @@ def summed_counts(
     rows: int,
     meanwhile: Callable[[], object],
 ):
-    """``zero`` plus the counts of the chunks that ``runs`` cuts the regular
-    file ``fd`` of about ``rows`` rows into, as (offset, bytes) pairs, shared
-    by this process and P - 1 workers (:func:`_processes`; see
-    :class:`_Share` for ``parse`` and ``count``).  For P = 1 nothing is
-    forked, and this process alone takes every claim.
+    """``zero`` plus the counts of the chunks that ``runs`` cuts the file
+    ``fd`` of about ``rows`` rows into, as (offset, bytes) pairs, shared by
+    this process and P - 1 workers (:func:`_processes`; see :class:`_Share`
+    for ``parse`` and ``count``).  ``rows`` is 0 for a file that ``pread``
+    cannot read, such as a FIFO.  ``meanwhile()`` is called once the file
+    is cut.
 
-    The workers are forked first.  This process cuts the file and puts a
-    claim on each chunk on a queue, a pipe; when the queue is full, it takes
-    a claim itself.  Every process takes claims, reads its chunks with
-    ``pread``, parses and counts them, so no process reads a chunk it does
-    not count, but this one cuts them all.  Once the file is cut, this
-    process calls ``meanwhile()`` while the workers parse, and then takes
-    claims too.  Each worker sends its share once the queue is empty.  The
-    error of the lowest failed chunk is raised once every chunk before it is
-    known good, and a worker that sent no share is named with the first
-    chunk no process counted.  The workers are killed and reaped however
-    this ends.
+    For P = 1 nothing is forked: this process counts each chunk where
+    ``runs`` cuts it, reads every byte once and raises the first error.
+
+    Otherwise the workers are forked first.  This process cuts the file
+    and puts a claim on each chunk on a queue, a pipe; when the queue is
+    full, it takes a claim itself.  Every process takes claims, reads its
+    chunks with ``pread``, parses and counts them, so no process reads a
+    chunk it does not count, but this one cuts them all.  Once the file is
+    cut, this process calls ``meanwhile()`` while the workers parse, and
+    then takes claims too.  Each worker sends its share once the queue is
+    empty.  The error of the lowest failed chunk is raised once every chunk
+    before it is known good, and a worker that sent no share is named with
+    the first chunk no process counted.  The workers are killed and reaped
+    however this ends.
     """
+    processes = _processes(rows, -(-rows // parse.rows))
+    if processes == 1:
+        total = zero.copy()
+        for index, (_, run) in enumerate(runs):
+            total += count(parse(index, run))
+        meanwhile()
+        return total
     queue, claims = os.pipe()
     put = open(claims, "wb", buffering=0)
 
@@ -227,7 +238,6 @@ def summed_counts(
         failed = share.failed and (share.failed[0], _picklable(share.failed[1]))
         out.write(pickle.dumps((share.total, share.done, failed)))
 
-    processes = _processes(rows, -(-rows // parse.rows))
     workers: Workers = []
     try:
         workers += [start_worker(rank, work) for rank in range(1, processes)]

@@ -5,13 +5,14 @@ embedded for provenance."""
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .kinematics import SPACE_LIKE_BETA_MIN, KinematicsConfig, two_body_beta
 
@@ -393,5 +394,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def entry() -> NoReturn:
+    """The program: the ``hepbell`` console script and ``python -m
+    hepbell.cli``.  Runs :func:`main` on the command line and exits with its
+    code.
+
+    Once the command has returned, the heap is frozen (``gc.freeze``), so
+    the full collections CPython runs at shutdown skip it; with numpy and
+    the analysis modules loaded they would walk some 20 000 objects, for
+    20-40 ms, after the report is written.  Objects are still freed by
+    their reference counts, ``atexit`` handlers run and streams are flushed.
+    No command leaves a file, pipe or worker for the collector to close.
+    ``main`` itself does not freeze, so a caller's collector is unaffected.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -19,6 +19,7 @@ import math
 import os
 import re
 import stat
+import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -129,11 +130,27 @@ def _interp_knots(m: np.ndarray) -> np.ndarray:
     return _CORE_SLOPES[j] * (m - _CORE_KNOTS_M[j]) + _CORE_KNOTS_X[j]
 
 
-def _newton_step(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    g = x - np.sin(x) - m
-    dg = 1.0 - np.cos(x)
-    step = np.where(dg > 1e-30, g / np.maximum(dg, 1e-300), 0.0)
-    return np.clip(x - step, 0.0, math.pi)
+def _newton_step(
+    x: np.ndarray, m: np.ndarray, g: np.ndarray, dg: np.ndarray, moves: np.ndarray
+) -> None:
+    """One clipped Newton step for x - sin(x) = m, in place in ``x``, with
+    ``g``, ``dg`` and ``moves`` as scratch arrays of its size.
+
+    Bit for bit ``np.clip(x - step, 0.0, pi)``, with ``g = x - sin(x) - m``,
+    ``dg = 1 - cos(x)`` and ``step = np.where(dg > 1e-30, g /
+    np.maximum(dg, 1e-300), 0.0)``: the same ufuncs in the same order.
+    """
+    np.sin(x, out=g)
+    np.subtract(x, g, out=g)
+    g -= m
+    np.cos(x, out=dg)
+    np.subtract(1.0, dg, out=dg)
+    np.greater(dg, 1e-30, out=moves)
+    np.maximum(dg, 1e-300, out=dg)
+    g /= dg
+    # Where the slope vanishes the step is 0.0, and x - 0.0 is x.
+    np.subtract(x, g, out=x, where=moves)
+    np.clip(x, 0.0, math.pi, out=x)
 
 
 def _core_inverse(m: np.ndarray) -> np.ndarray:
@@ -144,15 +161,22 @@ def _core_inverse(m: np.ndarray) -> np.ndarray:
     Newton steps bring the residual in m to machine precision everywhere.
     A step is a function of x alone, so a row that one step left unchanged
     stays unchanged: only the rows still moving after the third step take
-    the fourth.
+    the fourth.  Every step runs in the same few arrays.
     """
     x = _interp_knots(m)
     near_zero = np.flatnonzero(m < _CORE_KNOTS_M[1])
     x[near_zero] = np.cbrt(6.0 * m[near_zero])
-    for _ in range(3):
-        previous, x = x, _newton_step(x, m)
+    g, dg, previous = np.empty((3, x.size))
+    moves = np.empty(x.size, dtype=bool)
+    _newton_step(x, m, g, dg, moves)
+    _newton_step(x, m, g, dg, moves)
+    np.copyto(previous, x)
+    _newton_step(x, m, g, dg, moves)
     moving = np.flatnonzero(x != previous)
-    x[moving] = _newton_step(x[moving], m[moving])
+    n = moving.size
+    x_moving = np.take(x, moving, out=previous[:n])
+    _newton_step(x_moving, m[moving], g[:n], dg[:n], moves[:n])
+    x[moving] = x_moving
     return x
 
 
@@ -163,13 +187,19 @@ def _invert_signal_cdf(u: np.ndarray) -> np.ndarray:
     on the core interval via :func:`_core_inverse` and extended by the exact
     symmetries x(m + 2*pi) = x(m) + 2*pi and x(2*pi - m) = 2*pi - x(m).
     """
-    m_total = 4.0 * math.pi * np.asarray(u, dtype=np.float64)
-    k = np.floor(m_total / TWO_PI)
-    t = m_total - TWO_PI * k
+    t = 4.0 * math.pi * np.asarray(u, dtype=np.float64)
+    # 2*pi*k for the period k that holds m; t becomes m - 2*pi*k.
+    shift = t / TWO_PI
+    np.floor(shift, out=shift)
+    shift *= TWO_PI
+    t -= shift
     upper = t > math.pi
-    x_core = _core_inverse(np.where(upper, TWO_PI - t, t))
-    x = np.where(upper, TWO_PI - x_core, x_core) + TWO_PI * k
-    return np.minimum(0.5 * x, np.nextafter(TWO_PI, 0.0))
+    np.subtract(TWO_PI, t, out=t, where=upper)
+    x = _core_inverse(t)
+    np.subtract(TWO_PI, x, out=x, where=upper)
+    x += shift
+    x *= 0.5
+    return np.minimum(x, np.nextafter(TWO_PI, 0.0), out=x)
 
 
 @dataclass(frozen=True)
@@ -236,15 +266,36 @@ class EventSample:
         return self.detected_1 & self.detected_2
 
 
-def _philox_stream(seed: int, worker: int, offset: int) -> np.random.Generator:
-    """Worker ``worker``'s Philox stream, positioned ``offset`` doubles in.
+# Each thread's Philox generator, placed anew for every stream: building one
+# reads OS entropy for a seed that the key then replaces, at about 20 us.
+_PHILOX = threading.local()
 
-    Philox is counter-based: each counter value yields four doubles, so
-    ``advance`` jumps to any block and the remainder is drawn and dropped.
+
+def _philox_stream(seed: int, worker: int, offset: int) -> np.random.Generator:
+    """Worker ``worker``'s Philox stream, positioned ``offset`` doubles in:
+    this thread's one generator, valid until the next call.
+
+    Philox is counter-based: each counter value yields four doubles, so the
+    stream starts at counter 0 under the key ``(seed, worker)`` with an
+    empty buffer, ``advance`` jumps to any block and the remainder is drawn
+    and dropped.
     """
-    bit_generator = np.random.Philox(key=np.array([seed, worker], dtype=np.uint64))
+    rng = getattr(_PHILOX, "rng", None)
+    if rng is None:
+        rng = _PHILOX.rng = np.random.Generator(np.random.Philox(0))
+    bit_generator = rng.bit_generator
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed, worker], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     bit_generator.advance(offset // 4)
-    rng = np.random.Generator(bit_generator)
     rng.random(offset % 4)
     return rng
 
@@ -1069,27 +1120,20 @@ def read_events_csv(path) -> EventSample:
 
 def _event_counts(path, count: Callable[[EventSample], np.ndarray]) -> np.ndarray:
     """``count(chunk)``, integer counts, summed over the chunks of the event
-    file ``path`` as :func:`iter_events_csv` reads them, with its errors.  A
-    regular file is counted by :func:`hepbell._workers.summed_counts`, which
-    may split it over processes and derives ``kappa``, needed by both
-    estimators, while they parse.  A FIFO or a device, which ``pread``
-    cannot read, is counted in a loop over its chunks in this process, as is
-    any file where the platform has no ``pread`` (Windows)."""
+    file ``path`` as :func:`iter_events_csv` reads them, with its errors, by
+    :func:`hepbell._workers.summed_counts`.  That may split a regular file
+    over processes, and derives ``kappa``, needed by both estimators, while
+    they parse.  A FIFO or a device, which ``pread`` cannot read, is counted
+    in this process, as is any file where the platform has no ``pread``
+    (Windows)."""
+    from . import _workers
+
     path = Path(path)
     with open(path, "rb") as fh:
         runs, parse = _runs_after_header(fh, path), _ChunkParser(path)
         info = os.fstat(fh.fileno())
-        total = count(_no_events())
-        if stat.S_ISREG(info.st_mode) and hasattr(os, "preadv"):
-            from . import _workers
-
-            rows = info.st_size // _ROW_BYTES
-            return _workers.summed_counts(
-                fh.fileno(), runs, parse, count, total, rows, derive_kappa
-            )
-        for index, (_, run) in enumerate(runs):
-            total += count(parse(index, run))
-        return total
-
-
-
+        splittable = stat.S_ISREG(info.st_mode) and hasattr(os, "preadv")
+        rows = info.st_size // _ROW_BYTES if splittable else 0
+        return _workers.summed_counts(
+            fh.fileno(), runs, parse, count, count(_no_events()), rows, derive_kappa
+        )

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -934,3 +935,93 @@ class TestImports:
         assert "hepbell" in modules
         assert not {name for name in modules if name.startswith("hepbell.")}
         assert "numpy" not in modules
+
+
+# The console script's function, called as the installed ``hepbell`` would.
+# The atexit handler runs after the exit path and prints whether the heap
+# was frozen by then.
+ENTRY_SCRIPT = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+from hepbell.cli import entry
+sys.argv[0] = "hepbell"
+entry()
+"""
+
+
+def program(how, *args):
+    """Run the program with ``args`` as ``python -m hepbell.cli`` or through
+    the console script's function, in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    head = ["-m", "hepbell.cli"] if how == "module" else ["-c", ENTRY_SCRIPT]
+    return subprocess.run(
+        [sys.executable, *head, *args],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+class TestProgramExit:
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        before = gc.get_freeze_count()
+        common = ["--output-dir", str(tmp_path)]
+        assert run([*common, "kinematics", "--out", str(tmp_path / "k.json")]) == 0
+        assert run([*common, "tripartite", "--out", str(tmp_path / "t.json")]) == 0
+        assert run([*common, "kinematics", "--m-parent", "2", "--m-vector", "1"]) == 2
+        assert gc.get_freeze_count() == before
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("how", ["module", "console-script"])
+    def test_program_writes_what_main_writes(self, tmp_path, how):
+        out = tmp_path / "k.json"
+        args = ["--output-dir", str(tmp_path), "kinematics", "--out", str(out)]
+        assert run(args) == 0
+        want = out.read_bytes()
+        out.unlink()
+        proc = program(how, *args)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == want
+        if how == "console-script":
+            assert proc.stdout.splitlines()[-1] == "frozen True"
+
+    @pytest.mark.parametrize("how", ["module", "console-script"])
+    @pytest.mark.parametrize(
+        "args",
+        [["hardy", "--alpha", "nan"], ["kinematics", "--m-parent", "2", "--m-vector", "1"]],
+        ids=["argparse", "returned"],
+    )
+    def test_usage_error_exits_2(self, tmp_path, how, args):
+        proc = program(how, "--output-dir", str(tmp_path), *args)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+
+
+# Runs the commands through ``main``, not the program, so that the collector
+# still runs: a file, pipe or worker that only a collection would close
+# warns here, and would stay open in the program, which freezes the heap.
+DEV_MODE_SCRIPT = """
+import gc, json, sys
+from hepbell import cli
+codes = [cli.main(args) for args in json.loads(sys.argv[1])]
+gc.collect()
+print(json.dumps(codes))
+"""
+
+
+def test_no_command_leaves_a_resource_to_the_collector(tmp_path):
+    events = tmp_path / "events.csv"
+    common = ["--output-dir", str(tmp_path)]
+    commands = [
+        # 200 000 rows: the chunk loops are split over processes.
+        [*common, "generate", "--n", "200000", "--seed", "3", "--out", str(events)],
+        [*common, "estimate", "--events", str(events)],
+        [*common, "chtest", "--events", str(events)],
+        [*common, "tripartite"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", DEV_MODE_SCRIPT, json.dumps(commands)],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0, 0]
+    assert "ResourceWarning" not in proc.stderr
