@@ -103,7 +103,9 @@ class RunConfig:
         return KinematicsConfig(m_parent=self.m_parent, m_vector=self.m_vector)
 
     def to_dict(self) -> dict:
+        """The fields a report embeds: all but ``output_dir``, where it is written."""
         out = asdict(self)
+        del out["output_dir"]
         out["settings"] = [float(v) for v in self.settings]
         return out
 
@@ -120,13 +122,41 @@ def _load_config(path: str | None) -> RunConfig:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    if "settings" in data:
-        data["settings"] = tuple(
-            parse_angle(v) if isinstance(v, str) else float(v) for v in data["settings"]
-        )
-    if "bin_width" in data and isinstance(data["bin_width"], str):
-        data["bin_width"] = parse_angle(data["bin_width"])
-    return replace(config, **data)
+    return replace(config, **{name: _config_value(name, value) for name, value in data.items()})
+
+
+# The lower bound report.schema.json gives each integer field of the config.
+_INTEGER_FIELDS = {"seed": 0, "n_events": 1, "workers": 1}
+_UNIT_FIELDS = ("eta_1", "eta_2", "background_fraction", "br_weight")
+
+
+def _config_value(name: str, value):
+    """The config file's ``value`` of the field ``name``, angle tokens
+    parsed; refused, naming the field, unless it has the type and range that
+    report.schema.json gives the field."""
+    if name == "settings":
+        if not (
+            isinstance(value, list)
+            and len(value) == 4
+            and all(type(v) in (int, float, str) for v in value)
+        ):
+            raise ValueError(f"settings must be four angles, got {value!r}")
+        angles = [parse_angle(v) if isinstance(v, str) else float(v) for v in value]
+        if not all(map(math.isfinite, angles)):
+            raise ValueError(f"settings must be finite, got {angles}")
+        return tuple(angles)
+    if name == "output_dir" and not isinstance(value, str):
+        raise ValueError(f"output_dir must be a string, got {value!r}")
+    if name in _INTEGER_FIELDS and (type(value) is not int or value < _INTEGER_FIELDS[name]):
+        raise ValueError(f"{name} must be an integer >= {_INTEGER_FIELDS[name]}, got {value!r}")
+    if name == "bin_width" and isinstance(value, str):
+        value = parse_angle(value)
+    number = type(value) in (int, float)
+    if name in _UNIT_FIELDS and not (number and 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+    if name in ("m_parent", "m_vector", "bin_width") and not (number and 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return value
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -207,23 +237,10 @@ def _cmd_hardy(config: RunConfig, args: argparse.Namespace) -> int:
     settings = spin1.HardySettings(args.alpha, args.beta, args.gamma)
     report = spin1.hardy_probabilities(settings)
     lhv_max, _ = lhv.max_hardy_spin1_lhv()
-    payload = {
-        "settings": {
-            "alpha": settings.alpha,
-            "beta": settings.beta,
-            "gamma": settings.gamma,
-        },
-        "report": report.to_dict(),
-        "lhv_max": lhv_max,
-    }
+    payload = {"settings": asdict(settings), "report": report.to_dict(), "lhv_max": lhv_max}
     if args.optimize:
         best_settings, best_value = spin1.maximize_violation(grid_step=args.grid_step)
-        payload["optimum"] = {
-            "alpha": best_settings.alpha,
-            "beta": best_settings.beta,
-            "gamma": best_settings.gamma,
-            "value": best_value,
-        }
+        payload["optimum"] = {**asdict(best_settings), "value": best_value}
     _write_report(config, "hardy", payload, args.out)
     return EXIT_OK
 
@@ -290,11 +307,7 @@ def _cmd_efficiency(config: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_kinematics(config: RunConfig, args: argparse.Namespace) -> int:
     result = two_body_beta(config.kinematics())
-    payload = {
-        "beta": result.beta,
-        "space_like_ok": result.space_like_ok,
-        "beta_min": SPACE_LIKE_BETA_MIN,
-    }
+    payload = {**asdict(result), "beta_min": SPACE_LIKE_BETA_MIN}
     _write_report(config, "kinematics", payload, args.out)
     return EXIT_OK
 

@@ -14,16 +14,15 @@ processes share those chunks.
 
 from __future__ import annotations
 
-import io
 import math
 import os
-import re
 import stat
 import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -640,10 +639,6 @@ _PHI_DECADES = np.array([1e-3, 1e-2, 1e-1, 1.0])
 # is exact.
 _PHI_TO_MANTISSA = np.array([1e12, 1e11, 1e10, 1e9, 1e8])
 _MANTISSA_TO_FIXED = 1e12 / _PHI_TO_MANTISSA
-# An integer field, once surrounding whitespace is stripped: sign, leading
-# zeros, then at most the 19 digits of an int64 (also below the digit limit
-# of Python's int()).
-_INTEGER_TOKEN = re.compile(r"([+-]?)0*([0-9]{1,19})")
 _CSV_HEADER_BYTES = ",".join(CSV_HEADER).encode("ascii")
 # iter_events_csv reads the file in blocks of this many bytes.
 _READ_BLOCK = 1 << 20
@@ -824,35 +819,6 @@ def _write_rows(events: EventSample | Iterator[memoryview], path: Path) -> None:
             fh.write(_csv_rows(start, *(column[rows] for column in _columns(events)), buffers))
 
 
-def _line_error(path: Path, lineno: int, problem: str) -> ValueError:
-    return ValueError(f"{path}, line {lineno}: {problem}")
-
-
-def _integer_field(token: str, bits: int) -> int | None:
-    """The value of a ``bits``-bit integer field, or None where the field
-    is not one: a sign and ASCII digits between optional whitespace, but
-    none of the underscores, other digits or unbounded values that Python's
-    int() takes."""
-    match = _INTEGER_TOKEN.fullmatch(token.strip())
-    if match is None:
-        return None
-    value = int(match[1] + match[2])
-    return value if -(1 << (bits - 1)) <= value < 1 << (bits - 1) else None
-
-
-def _float_field(token: str) -> float | None:
-    """The value of a float field, or None where the field is not one:
-    Python's float() grammar without digit underscores or non-ASCII
-    characters."""
-    text = token.strip()
-    if not text.isascii() or "_" in text:
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
 def _runs(fh) -> Iterator[tuple[int, np.ndarray]]:
     """A binary file cut after its first LF and then after every
     ``_CSV_CHUNK_ROWS``-th, as (file offset, bytes) pairs: the header line,
@@ -915,21 +881,25 @@ class _ChunkParser:
         return self.run[:size]
 
     def __call__(self, index: int, run: np.ndarray) -> EventSample:
-        """Run ``index``, parsed by :func:`_canonical_chunk` or else line by line."""
+        """Run ``index``, parsed by :func:`_canonical_chunk`; a run it
+        rejects raises the error :func:`_parse_lines` names."""
         first_id = index * self.rows
         chunk = _canonical_chunk(run, first_id, self)
-        return _parse_lines(run.tobytes(), first_id, self.path) if chunk is None else chunk
+        return _parse_lines(run, first_id, self) if chunk is None else chunk
 
 
 def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> EventSample | None:
-    """The rows of ``run``, bytes as uint8, if every one is laid out as the
-    writer writes it, ``id,phi,f,f,f\\r\\n``, or ends in LF alone, with the
-    expected id without sign or leading zeros and each flag 0 or 1; None
-    otherwise.  phi is fixed point, ``d`` or ``d.ddd...`` in at most
-    ``_PHI_FIXED_WIDTH`` bytes, or a token of at most ``_PHI_WIDTH`` bytes
-    that ``b"%.9g" % float(token)`` gives back, the writer's own rule for the
-    exponent forms below 1e-4.  The sample and every large intermediate live
-    in the arrays of ``scratch``.
+    """The rows of ``run``, bytes as uint8, if every one is an event row;
+    None otherwise.  This is the reader's one grammar: a row is laid out as
+    the writer writes it, ``id,phi,f,f,f\\r\\n``, or ends in LF alone, with
+    the expected id without sign or leading zeros and each flag 0 or 1, and
+    every row, the last included, ends in a line feed.  phi is fixed point,
+    ``d`` or ``d.ddd...`` in at most ``_PHI_FIXED_WIDTH`` bytes, or a token
+    of at most ``_PHI_WIDTH`` bytes that ``b"%.9g" % float(token)`` gives
+    back, the writer's own rule for the exponent forms below 1e-4.  Each row
+    is judged on its own, so a prefix of ``run`` cut after a line feed
+    parses exactly when each of its rows does.  The sample and every large
+    intermediate live in the arrays of ``scratch``.
 
     The digits of a fixed-point phi weighted by powers of ten give
     phi * 10**12, an integer below 2**53, and 10**12 is exact, so one
@@ -1023,48 +993,65 @@ def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> E
         return None  # phi out of range or not finite
 
 
-def _parse_lines(run: bytes, first_id: int, path: Path) -> EventSample:
-    """The rows of ``run``, the lines of ``path`` from row ``first_id`` on,
-    read one by one by the field rules above and the reader's checks, with
-    lines ended by LF or CRLF only.
+def _parse_lines(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> NoReturn:
+    """Raise ValueError naming ``scratch.path`` and the first line of
+    ``run``, lines from row ``first_id`` on, that :func:`_canonical_chunk`
+    rejects.  A prefix cut after a line feed parses exactly when each of its
+    lines does, so bisecting over those prefixes finds the line in about
+    log2(lines) vectorised calls.  Returns no rows."""
+    # Where each line starts, and the end of the run, where the last one ends
+    # with or without a line feed.
+    starts = [0, *(np.flatnonzero(run[:-1] == ord("\n")) + 1).tolist(), run.size]
+    good, bad = 0, len(starts) - 1  # the first ``good`` lines parse, the first ``bad`` do not
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        if _canonical_chunk(run[: starts[middle]], first_id, scratch) is None:
+            bad = middle
+        else:
+            good = middle
+    row, line = first_id + good, run[starts[good] : starts[bad]].tobytes()
+    raise ValueError(f"{scratch.path}, line {row + 2}: {_line_fault(line, row, scratch)}")
 
-    A malformed line raises ValueError naming ``path`` and the line, which
-    is ``first_id + 2`` plus the line's offset in ``run``.
-    """
-    rows = []
-    # Event files are ASCII; any other byte reads as a character that no
-    # field accepts instead of failing to decode.  newline="" ends a line at
-    # LF, CRLF or a bare CR; the last alone leaves the CR at its end.
-    lines = io.StringIO(run.decode("ascii", "surrogateescape"), newline="")
-    for expected_id, line in enumerate(lines, start=first_id):
-        lineno = expected_id + 2
-        if line.endswith("\r"):
-            raise _line_error(path, lineno, "carriage return without a line feed")
-        if not line.strip():
-            raise _line_error(path, lineno, "blank line")
-        fields = line.rstrip("\r\n").split(",")
-        if len(fields) != len(CSV_HEADER):
-            raise _line_error(
-                path, lineno, f"expected {len(CSV_HEADER)} fields, got {len(fields)}"
-            )
-        event_id = _integer_field(fields[0], 64)
-        if event_id is None:
-            raise _line_error(path, lineno, f"event_id {fields[0]!r} is not a 64-bit integer")
-        phi = _float_field(fields[1])
-        if phi is None:
-            raise _line_error(path, lineno, f"phi {fields[1]!r} is not a number")
-        flags = [_integer_field(token, 8) for token in fields[2:]]
-        for name, token, flag in zip(CSV_HEADER[2:], fields[2:], flags):
-            if flag not in (0, 1):
-                raise _line_error(path, lineno, f"{name} {token!r} is not 0 or 1")
-        if event_id != expected_id:
-            raise _line_error(
-                path, lineno, f"event_id {event_id} out of order (expected {expected_id})"
-            )
-        if not 0.0 <= phi < TWO_PI:
-            raise _line_error(path, lineno, f"phi {phi} is not in [0, 2*pi)")
-        rows.append((phi, *flags))
-    return EventSample(*np.array(rows, dtype=np.float64).T)
+
+def _line_fault(line: bytes, row: int, scratch: _ChunkParser) -> str:
+    """What is wrong with ``line``, the line of event ``row``, which
+    :func:`_canonical_chunk` rejects: first a wrong value, as ``int()`` or
+    ``float()`` reads its token, then a right value in a form the writer
+    never writes, then a missing line end."""
+    # A byte that is not ASCII decodes to a character that no field accepts.
+    text = line.decode("ascii", "surrogateescape")
+    body = text[:-1].removesuffix("\r") if text.endswith("\n") else text
+    if "\r" in body:
+        return "carriage return without a line feed"
+    if not body.strip():
+        return "blank line"
+    fields = body.split(",")
+    if len(fields) != len(CSV_HEADER):
+        return f"expected {len(CSV_HEADER)} fields, got {len(fields)}"
+    event_id, phi, *flags = fields
+    try:
+        value = int(event_id)
+    except ValueError:
+        return f"event_id {event_id!r} is not a 64-bit integer"
+    try:
+        angle = float(phi)
+    except ValueError:
+        return f"phi {phi!r} is not a number"
+    for name, token in zip(CSV_HEADER[2:], flags):
+        if token not in ("0", "1"):
+            return f"{name} {token!r} is not 0 or 1"
+    if value != row:
+        return f"event_id {value} out of order (expected {row})"
+    if not 0.0 <= angle < TWO_PI:
+        return f"phi {angle} is not in [0, 2*pi)"
+    if event_id != str(row):
+        return f"event_id {event_id!r} is not in the form hepbell writes"
+    probe = np.frombuffer(f"{row},{phi},0,0,0\n".encode(), dtype=np.uint8)
+    if _canonical_chunk(probe, row, scratch) is None:
+        return f"phi {phi!r} is not in the form hepbell writes"
+    if not text.endswith("\n"):
+        return "no line end after the last row"
+    return "not an event row as hepbell writes it"
 
 
 def _no_events() -> EventSample:
@@ -1084,7 +1071,7 @@ def _runs_after_header(fh, path: Path) -> Iterator[tuple[int, np.ndarray]]:
         fields = header.decode("ascii", "surrogateescape").split(",")
         raise ValueError(f"unexpected event file header {fields} in {path}")
     if line[len(header) :] not in (b"", b"\n", b"\r\n"):
-        raise _line_error(path, 1, "carriage return without a line feed")
+        raise ValueError(f"{path}, line 1: carriage return without a line feed")
     return runs
 
 
@@ -1093,13 +1080,12 @@ def iter_events_csv(path) -> Iterator[EventSample]:
     (one empty sample for a header-only file), in this process, enforcing
     the header and ids that count up from 0.
 
-    The file is read once, in binary blocks.  A run of lines that the writer
-    could have written is parsed by :func:`_canonical_chunk`; any other run
-    by :func:`_parse_lines`, which also accepts signs, spaces, leading zeros
-    and LF-only line ends, and raises ValueError naming the file and the
-    first bad line.  A chunk is yielded only once every one of its rows has
-    been read, so no row of a malformed chunk reaches the caller, nor any
-    chunk after it.
+    The file is read once, in binary blocks, and each run of lines is
+    parsed by :func:`_canonical_chunk`, whose rows are the only ones the
+    reader accepts.  A run it rejects raises ValueError naming the file and
+    the first bad line, found by :func:`_parse_lines`.  A chunk is yielded
+    only once every one of its rows has been read, so no row of a malformed
+    chunk reaches the caller, nor any chunk after it.
     """
     path = Path(path)
     with open(path, "rb") as fh:

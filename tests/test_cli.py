@@ -527,6 +527,35 @@ class TestEventPipeline:
         echoed = (tmp_path / "events.csv").read_text().count("\n") - 1
         assert echoed == 800  # flag overrides the config file
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", -1, "seed must be an integer >= 0, got -1"),
+            ("seed", True, "seed must be an integer >= 0, got True"),
+            ("n_events", 0, "n_events must be an integer >= 1, got 0"),
+            ("n_events", "100", "n_events must be an integer >= 1, got '100'"),
+            ("workers", 1.5, "workers must be an integer >= 1, got 1.5"),
+            ("eta_1", 2, "eta_1 must be a number in [0, 1], got 2"),
+            ("eta_2", -0.1, "eta_2 must be a number in [0, 1], got -0.1"),
+            ("background_fraction", "0.1", "background_fraction must be a number in [0, 1], got '0.1'"),
+            ("br_weight", 1.5, "br_weight must be a number in [0, 1], got 1.5"),
+            ("m_parent", 0, "m_parent must be a positive finite number, got 0"),
+            ("m_vector", None, "m_vector must be a positive finite number, got None"),
+            ("settings", [0, 1], "settings must be four angles, got [0, 1]"),
+            ("settings", [0, 1, 2, None], "settings must be four angles, got [0, 1, 2, None]"),
+            ("bin_width", -0.1, "bin_width must be a positive finite number, got -0.1"),
+            ("output_dir", 5, "output_dir must be a string, got 5"),
+        ],
+    )
+    def test_config_value_outside_the_schema_is_usage_error(
+        self, tmp_path, capsys, field, value, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: value}))
+        assert run(["--config", str(config), "--output-dir", str(tmp_path), "kinematics"]) == 2
+        assert capsys.readouterr().err == f"hepbell: error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
     def test_unknown_config_field_is_usage_error(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"unknown_field": 1}))
@@ -570,13 +599,11 @@ class TestProcessSplit:
                     *common, "chtest", "--events", str(events), "--eta1", "0.9", "--eta2", "0.9",
                     "--out", str(ch),
                 ]) == 0
-                # The same events with LF-only rows in chunk 2 and a signed
-                # id in chunk 4, which only the line parser reads.
+                # The same events with LF-only rows in chunk 2.
                 lines = events.read_bytes().splitlines(keepends=True)
                 lines[1 + 2 * 777 : 1 + 3 * 777] = [
                     line.replace(b"\r\n", b"\n") for line in lines[1 + 2 * 777 : 1 + 3 * 777]
                 ]
-                lines[1 + 4 * 777 + 5] = b"+" + lines[1 + 4 * 777 + 5]
                 mixed = tmp_path / f"mixed-{workers}-{processes}"
                 mixed.write_bytes(b"".join(lines))
                 est_mixed, ch_mixed = tmp_path / "est-mixed", tmp_path / "ch-mixed"
@@ -625,12 +652,12 @@ class TestProcessSplit:
         mesonlab.derive_kappa()
         parse_lines, parsed = mesonlab._parse_lines, tmp_path / "parsed"
 
-        def dwelling(run, first_id, path):
+        def dwelling(run, first_id, scratch):
             with open(parsed, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
             if first_id == bad_rows[0] // 7 * 7:
                 time.sleep(0.5)
-            return parse_lines(run, first_id, path)
+            return parse_lines(run, first_id, scratch)
 
         monkeypatch.setattr(mesonlab, "_parse_lines", dwelling)
         forked = forced_split(processes)
@@ -860,6 +887,12 @@ class TestScalarCommands:
             outputs = [tmp_path / name for name in ("events.csv", "estimate.json", "chtest.json")]
             runs.append([echo, *(path.read_bytes() for path in outputs)])
         assert runs[0] == runs[1]
+        # The same reports written to another directory.
+        other = ["--output-dir", str(tmp_path / "other")]
+        assert run([*other, "estimate", "--events", str(events)]) == 0
+        assert run([*other, "chtest", "--events", str(events), *eta]) == 0
+        for index, name in enumerate(("estimate.json", "chtest.json"), start=2):
+            assert (tmp_path / "other" / name).read_bytes() == runs[0][index]
 
 
 LOADED_MODULES_SCRIPT = """

@@ -476,21 +476,21 @@ def assert_same_events(a, b):
 
 @pytest.fixture
 def line_parser_calls(monkeypatch):
-    """The first ids of the chunks that went to the line parser while the
-    test runs, one entry per call."""
+    """The first ids of the chunks whose fault ``mesonlab._parse_lines``
+    named while the test runs, one entry per call."""
     calls = []
     parse_lines = mesonlab._parse_lines
 
-    def counting(run, first_id, path):
+    def counting(run, first_id, scratch):
         calls.append(first_id)
-        return parse_lines(run, first_id, path)
+        return parse_lines(run, first_id, scratch)
 
     monkeypatch.setattr(mesonlab, "_parse_lines", counting)
     return calls
 
 
-# The dtype and options np.loadtxt reads an event file body with: the
-# grammar the reader's fields follow.
+# The dtype and options np.loadtxt reads an event file body with: every
+# body the reader accepts reads to the same rows under it.
 CSV_DTYPE = np.dtype(
     [
         ("event_id", np.int64),
@@ -776,6 +776,15 @@ FUZZ_TOKENS = [
 ]
 
 
+def estimate_outcome(events):
+    """The report of ``estimate_probability(events)``, or the type and text
+    of the error it raises."""
+    try:
+        return estimate_probability(events).to_dict()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 class TestReaderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -799,22 +808,31 @@ class TestReaderFuzz:
             prefix = directory / "prefix.csv"
             prefix.write_bytes(b"".join(lines[: int(match[1]) - 1]))
             read_events_csv(prefix)
+            # The CLI's counting entry names the same line.
+            with pytest.raises(ValueError) as counted:
+                estimate_probability(path)
+            assert str(counted.value) == str(exc)
         else:
             assert_reads_as_loadtxt(sample, body)
+            assert estimate_outcome(path) == estimate_outcome(sample)
 
     @pytest.mark.parametrize("bare_cr", [False, True], ids=["crlf", "bare-cr"])
     def test_line_end_across_read_blocks(self, tmp_path, bare_cr):
         block = mesonlab._READ_BLOCK  # iter_events_csv reads the file in blocks of this size
+        # A phi token of each width the writer writes: 1 and 3 to 14 bytes.
+        tokens = {len(token): token for token in (b"%.9g" % 2.0**-k for k in range(13))}
         rows, size = [HEADER_BYTES], len(HEADER_BYTES)
-        while size < block - 64:
+        while block - 1 - size > 54:
             rows.append(b"%d,0.5,1,1,0\r\n" % (len(rows) - 1))
             size += len(rows[-1])
-        # Trailing zeros on one phi put its CR last in the first block.
-        last = len(rows) - 1
-        pad = block - 1 - size - len(b"%d,0.5,1,1,0" % last)
-        rows.append(b"%d,0.5%s,1,1,0\r%s" % (last, b"0" * pad, b"" if bare_cr else b"\n"))
-        # A blank line makes up for the line feed the bare CR lacks.
-        rows.append(b"%d,0.5,1,1,0\r\n%s" % (last + 1, b"\r\n" if bare_cr else b""))
+        # Two rows whose phi widths put the second one's CR last in the
+        # first block.
+        last = len(rows)
+        width = block - 1 - size - len(b"%d,,1,1,0\r\n%d,,1,1,0" % (last - 1, last))
+        first, second = next((a, b) for a in tokens for b in tokens if a + b == width)
+        rows.append(b"%d,%s,1,1,0\r\n" % (last - 1, tokens[first]))
+        rows.append(b"%d,%s,1,1,0\r%s" % (last, tokens[second], b"" if bare_cr else b"\n"))
+        rows.append(b"%d,0.5,1,1,0\r\n" % (last + 1))
         data = b"".join(rows)
         assert data[block - 1 : block] == b"\r"
         path = tmp_path / "events.csv"
@@ -831,11 +849,11 @@ class TestReaderFuzz:
             (b"event_id,phi,detected_1,detected_2,is_background\r0,0.5,1,1,0\r", 1),
             (HEADER_BYTES + b"0,0.5,1,1,0\r1,0.5,1,1,0\r\n", 2),
             (HEADER_BYTES + b"0,0.5,1,1,0\r", 2),
-            (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,1, +01 \r\n2,0.5,1,1,0\n3,0.5,1,1,0", None),
+            (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,1, +01 \r\n2,0.5,1,1,0\n3,0.5,1,1,0", 3),
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,1,0\xa0\r\n", 3),
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n9223372036854775808,0.5,1,1,0\r\n", 3),
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,1,128\r\n", 3),
-            (HEADER_BYTES + b"0" * 5000 + b",0.5,1,1,0\r\n1,0.5,1,1,0\r\n1" + b"0" * 5000 + b",0.5,1,1,0", 4),
+            (HEADER_BYTES + b"0" * 5000 + b",0.5,1,1,0\r\n1,0.5,1,1,0\r\n1" + b"0" * 5000 + b",0.5,1,1,0", 2),
             # Rows laid out as the writer lays them out, with a bad value.
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n2,0.5,1,1,0\r\n", 3),
             (HEADER_BYTES + b"0,0.5,1,1,0\r\n1,0.5,1,2,0\r\n", 3),
@@ -856,11 +874,39 @@ class TestReaderFuzz:
     def test_line_ends_and_tokens_follow_loadtxt(self, tmp_path, body, lineno):
         path = tmp_path / "events.csv"
         path.write_bytes(body)
-        if lineno is None:
-            assert len(read_events_csv(path)) == 4
-        else:
-            with pytest.raises(ValueError, match=rf", line {lineno}: "):
-                read_events_csv(path)
+        with pytest.raises(ValueError, match=rf", line {lineno}: "):
+            read_events_csv(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        row=st.integers(min_value=0, max_value=5 * 64 + 16),
+        start=st.integers(min_value=0, max_value=24),
+        length=st.integers(min_value=0, max_value=3),
+        token=st.sampled_from([token for token in FUZZ_TOKENS if b"\n" not in token]),
+    )
+    def test_one_edited_row_is_named_by_its_line(
+        self, tmp_path_factory, row, start, length, token
+    ):
+        # 64-row chunks: the fault namer bisects over up to 64 lines.
+        path = tmp_path_factory.mktemp("edit") / "events.csv"
+        det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
+        write_events_csv(generate_events(5 * 64 + 17, det, seed=5), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        text = lines[row + 1][:-2]
+        start = min(start, len(text))
+        lines[row + 1] = text[:start] + token + text[start + length :] + b"\r\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 64)
+            try:
+                sample = read_events_csv(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}, line {row + 2}: "), str(exc)
+                with pytest.raises(ValueError) as counted:
+                    estimate_probability(path)
+                assert str(counted.value) == str(exc)
+            else:
+                assert_reads_as_loadtxt(sample, b"".join(lines[1:]))
 
 
 def event_file_bytes(n):
@@ -894,20 +940,25 @@ class TestReaderPaths:
         assert_same_events(read_events_csv(lf), read_events_csv(crlf))
         assert line_parser_calls == []
 
-    # Each odd row sends its chunk to the line parser, but "0.50", which has
-    # the canonical layout and an exact value, and a row ending in LF alone.
+    # Of the forms the writer never writes, "0.50", which has the writer's
+    # layout and an exact value, and a row ending in LF alone read as
+    # np.loadtxt reads them.  Every other one is an error naming its line.
     @pytest.mark.parametrize(
-        "row, line, line_parser_chunks",
+        "row, line, message",
         [
-            (5, b"005,0.5,1,1,0\r\n", 1),
-            (5, b"+5,0.5,+1,1,0\r\n", 1),
-            (5, b" 5 , 0.5 ,1, 1 ,0 \r\n", 1),
-            (5, b"5,0.50,1,1,0\r\n", 0),
-            (5, b"5,5e-1,1,1,0\r\n", 1),
-            (5, b"5,0.,1,1,0\r\n", 1),
-            (5, b"5,0.5,1,1,0\n", 0),
-            (5, b"5,0.0001234567891,1,1,0\r\n", 1),
-            (13, b"13,0.5,1,1,0", 1),
+            (5, b"005,0.5,1,1,0\r\n", "event_id '005' is not in the form hepbell writes"),
+            (5, b"+5,0.5,+1,1,0\r\n", "detected_1 '+1' is not 0 or 1"),
+            (5, b" 5 , 0.5 ,1, 1 ,0 \r\n", "detected_2 ' 1 ' is not 0 or 1"),
+            (5, b"5,0.50,1,1,0\r\n", None),
+            (5, b"5,5e-1,1,1,0\r\n", "phi '5e-1' is not in the form hepbell writes"),
+            (5, b"5,0.,1,1,0\r\n", "phi '0.' is not in the form hepbell writes"),
+            (5, b"5,0.5,1,1,0\n", None),
+            (
+                5,
+                b"5,0.0001234567891,1,1,0\r\n",
+                "phi '0.0001234567891' is not in the form hepbell writes",
+            ),
+            (13, b"13,0.5,1,1,0", "no line end after the last row"),
         ],
         ids=[
             "leading-zeros", "plus-signs", "spaces", "trailing-zero", "exponent", "bare-point",
@@ -915,18 +966,39 @@ class TestReaderPaths:
         ],
     )
     def test_forms_the_writer_never_writes_read_as_loadtxt_reads_them(
-        self, tmp_path, monkeypatch, line_parser_calls, row, line, line_parser_chunks
+        self, tmp_path, monkeypatch, line_parser_calls, row, line, message
     ):
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 4)
         rows = [b"%d,0.%d,1,%d,0\r\n" % (i, i + 1, i % 2) for i in range(14)]
         rows[row] = line
         path = tmp_path / "events.csv"
         path.write_bytes(HEADER_BYTES + b"".join(rows))
-        assert [len(chunk) for chunk in iter_events_csv(path)] == [4, 4, 4, 2]
-        assert len(line_parser_calls) == line_parser_chunks
-        sample = read_events_csv(path)
-        assert_same_events(sample, reference_read_events_csv(path))
-        assert_reads_as_loadtxt(sample, b"".join(rows))
+        if message is None:
+            assert [len(chunk) for chunk in iter_events_csv(path)] == [4, 4, 4, 2]
+            assert line_parser_calls == []
+            sample = read_events_csv(path)
+            assert_same_events(sample, reference_read_events_csv(path))
+            assert_reads_as_loadtxt(sample, b"".join(rows))
+        else:
+            with pytest.raises(ValueError) as raised:
+                read_events_csv(path)
+            assert str(raised.value) == f"{path}, line {row + 2}: {message}"
+            assert line_parser_calls == [row // 4 * 4]
+
+    def test_a_fault_the_messages_do_not_explain_is_still_named(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.csv"
+        path.write_bytes(event_file_bytes(6))
+        canonical_chunk = mesonlab._canonical_chunk
+
+        def refusing_row_3(run, first_id, scratch):
+            if b"\n3,0.4,1,1,0\r\n" in b"\n" + run.tobytes():
+                return None
+            return canonical_chunk(run, first_id, scratch)
+
+        monkeypatch.setattr(mesonlab, "_canonical_chunk", refusing_row_3)
+        with pytest.raises(ValueError) as raised:
+            read_events_csv(path)
+        assert str(raised.value) == f"{path}, line 5: not an event row as hepbell writes it"
 
 
 class TestStreamedEvents:
