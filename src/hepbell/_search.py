@@ -1,9 +1,10 @@
 """Deterministic grid + golden-section maximization over angle boxes.
 
-Used by the violation maximizers.  Everything here is order-independent:
-all grid candidates are refined together, as rows of one array in lockstep
-golden sections, and ties are broken by the lexicographically smallest
-canonicalized coordinate tuple.
+Used by the violation maximizers in :mod:`hepbell.spin1`.  Everything here
+is order-independent: all grid candidates are refined together, as rows of
+one array in lockstep golden sections (along each coordinate, then along
+each sweep's displacement), and ties are broken by the lexicographically
+smallest canonicalized coordinate tuple.
 """
 
 from __future__ import annotations
@@ -35,30 +36,40 @@ class GridTooFine(ValueError):
 def _golden_section_max(
     func_vec: Callable[..., np.ndarray],
     point: np.ndarray,
-    axis: int,
-    half_width: float,
-    x_tol: float,
+    direction: np.ndarray,
+    lo: np.ndarray | float,
+    hi: np.ndarray | float,
+    x_tol: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Golden section along coordinate ``axis`` of every row of ``point``.
+    """Golden section of t -> f(point[r] + t * direction[r]) on every row r.
 
-    Row r brackets [point[r, axis] - half_width, point[r, axis] + half_width].
-    The rows step in lockstep, each branching on its own ``fc >= fd`` and
-    retiring once its bracket is within ``x_tol``; per row this is the
-    arithmetic of a scalar golden section.  Returns the arrays (x, f(x)).
+    Row r brackets t in [lo[r], hi[r]]; ``lo``, ``hi`` and ``x_tol`` are
+    arrays over the rows or scalars.  The rows step in lockstep, each
+    branching on its own ``fc >= fd`` and retiring once its bracket is
+    within ``x_tol[r]``; per row this is the arithmetic of a scalar golden
+    section.  A coordinate that no row moves along is passed to ``func_vec``
+    as it is.  Returns the points ``point + t * direction`` at the brackets'
+    midpoints, shape ``(rows, coordinates)``, and their values.
     """
+    n_rows = len(point)
+    lo, hi = (np.array(np.broadcast_to(v, n_rows), dtype=float) for v in (lo, hi))
+    tol = np.broadcast_to(x_tol, n_rows)
+    moving = [j for j in range(point.shape[1]) if direction[:, j].any()]
 
-    def func(rows, x):
-        args = [col[rows] for col in point.T]
-        args[axis] = x
-        return func_vec(*args)
+    def at(base, step, t):
+        args = list(base)
+        for k, j in enumerate(moving):
+            args[j] = base[j] + t * step[k]
+        return args
 
-    lo, hi = point[:, axis] - half_width, point[:, axis] + half_width
-    rows = np.flatnonzero(hi - lo > x_tol)
+    rows = np.flatnonzero(hi - lo > tol)
+    # The columns of the rows still searching, gathered again only when rows retire.
+    base, step, tol = point.T[:, rows], direction.T[moving][:, rows], tol[rows]
     a, b = lo[rows], hi[rows]
     h = b - a
     c, d = a + _INVPHI2 * h, a + _INVPHI * h
     if rows.size:
-        fc, fd = func(rows, c), func(rows, d)
+        fc, fd = func_vec(*at(base, step, c)), func_vec(*at(base, step, d))
     while rows.size:
         # The maximum stays in [a, d] (left) or [c, b]; the interior point
         # kept becomes d (left) or c, and the other one is new.
@@ -67,15 +78,17 @@ def _golden_section_max(
         h = b - a
         kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
         new = a + np.where(left, _INVPHI2, _INVPHI) * h
-        f_new = func(rows, new)
+        f_new = func_vec(*at(base, step, new))
         c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
         d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
-        done = h <= x_tol
+        done = h <= tol
         if done.any():
             lo[rows[done]], hi[rows[done]] = a[done], b[done]
-            rows, a, b, c, d, fc, fd = (v[~done] for v in (rows, a, b, c, d, fc, fd))
-    x = 0.5 * (lo + hi)
-    return x, func(slice(None), x)
+            go = ~done
+            rows, a, b, c, d, fc, fd, tol = (v[go] for v in (rows, a, b, c, d, fc, fd, tol))
+            base, step = base[:, go], step[:, go]
+    args = at(point.T, direction.T[moving], 0.5 * (lo + hi))
+    return np.stack(args, axis=1), func_vec(*args)
 
 
 def refine_lockstep(
@@ -85,26 +98,50 @@ def refine_lockstep(
     x_tol: float = _X_TOL,
     max_sweeps: int = 60,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic per-coordinate golden-section ascent around each row of ``starts``.
+    """Cyclic per-coordinate golden-section ascent around each row of
+    ``starts``, with a line search along each sweep's displacement.
 
     ``func_vec`` takes one array per coordinate.  A sweep runs one lockstep
-    golden section per coordinate over the rows still live; a row takes a
-    coordinate's result only where it beats the row's best value, and
-    retires after a sweep that improved it by less than 1e-15.  Returns the
-    refined points, shape ``(rows, coordinates)``, and their values.
+    golden section per coordinate over the rows still live.  The first
+    sweep brackets a row's coordinate by +-``half_width``; later ones by +-4
+    times the row's largest coordinate move over the previous sweep,
+    clipped to [``x_tol``, ``half_width``].  Then a row that moved by d
+    searches p + t * d for t in [0, 4], to ``x_tol`` in each coordinate: the
+    pattern move of Hooke and Jeeves, which follows a ridge that the
+    coordinate searches zig-zag along.  A row takes a search's result only
+    where it beats the row's best value, and retires after a sweep, line
+    step included, that improved it by less than 1e-15.  Returns the refined
+    points, shape ``(rows, coordinates)``, and their values.
     """
     point = np.array(starts, dtype=float)
     best = func_vec(*point.T)
+    width = np.full(len(point), float(half_width))
+    axes = np.eye(point.shape[1])
     live = np.arange(len(point))
     for _ in range(max_sweeps):
-        sub, sub_best = point[live], best[live]
+        start, sub, sub_best = point[live], point[live], best[live]
         improved = np.zeros(live.size)
-        for i in range(point.shape[1]):
-            x, fx = _golden_section_max(func_vec, sub, i, half_width, x_tol)
-            up = fx > sub_best
-            improved[up] += fx[up] - sub_best[up]
-            sub[up, i], sub_best[up] = x[up], fx[up]
+
+        def take(rows, x, fx):
+            """Rows ``rows`` of ``sub`` move to ``x`` where ``fx`` beats them."""
+            up = fx > sub_best[rows]
+            rows, x, fx = rows[up], x[up], fx[up]
+            improved[rows] += fx - sub_best[rows]
+            sub[rows], sub_best[rows] = x, fx
+
+        every, w = np.arange(live.size), width[live]
+        for axis in axes:
+            direction = np.broadcast_to(axis, sub.shape)
+            take(every, *_golden_section_max(func_vec, sub, direction, -w, w, x_tol))
+        move = sub - start
+        reach = np.abs(move).max(axis=1)
+        moved = np.flatnonzero(reach > 0.0)
+        if moved.size:
+            tol = x_tol / reach[moved]
+            take(moved, *_golden_section_max(func_vec, sub[moved], move[moved], 0.0, 4.0, tol))
+            reach = np.abs(sub - start).max(axis=1)
         point[live], best[live] = sub, sub_best
+        width[live] = np.clip(4.0 * reach, x_tol, half_width)
         live = live[improved >= 1e-15]
         if not live.size:
             break
@@ -124,34 +161,22 @@ def _grid_candidates(
     n_axes: int,
     slack: float,
 ) -> list[tuple[float, tuple[float, ...]]]:
-    """(value, point) pairs within ``slack`` of the grid maximum.
+    """(value, point) pairs within ``slack`` of the grid maximum, best first.
 
-    The first axis is evaluated slab by slab so dense grids never
-    materialize the full mesh.
+    The first axis is evaluated slab by slab into one array of the grid's
+    values, so dense grids never materialize the full mesh of arguments.
     """
-    rest_shape = [len(axis)] * (n_axes - 1)
     rest = [
         axis.reshape([1] * i + [-1] + [1] * (n_axes - 2 - i)) for i in range(n_axes - 1)
     ]
-    slabs: list[np.ndarray] = []
-    grid_max = -np.inf
-    for x0 in axis:
-        values = np.asarray(func_vec(x0, *rest), dtype=float)
-        values = np.broadcast_to(values, rest_shape) if rest_shape else values
-        slabs.append(values)
-        slab_max = float(values.max()) if values.size else float(values)
-        grid_max = max(grid_max, slab_max)
-
-    out: list[tuple[float, tuple[float, ...]]] = []
-    for i0, values in enumerate(slabs):
-        hits = np.argwhere(np.atleast_1d(values) >= grid_max - slack)
-        for idx in hits:
-            point = (float(axis[i0]),) + tuple(float(axis[i]) for i in idx[: n_axes - 1])
-            value = float(np.atleast_1d(values)[tuple(idx)])
-            out.append((value, point))
+    values = np.empty((len(axis),) * n_axes)
+    for i0, x0 in enumerate(axis):
+        values[i0] = func_vec(x0, *rest)
+    hits = np.nonzero(values >= values.max() - slack)
+    points, found = [axis[i] for i in hits], values[hits]
     # Exact maximizers first; index order breaks value ties deterministically.
-    out.sort(key=lambda item: (-item[0], item[1]))
-    return out[:_MAX_CANDIDATES]
+    order = np.lexsort([*points[::-1], -found])[:_MAX_CANDIDATES]
+    return list(zip(found[order].tolist(), zip(*(p[order].tolist() for p in points))))
 
 
 def maximize_on_grid(

@@ -125,8 +125,10 @@ def _load_config(path: str | None) -> RunConfig:
     return replace(config, **{name: _config_value(name, value) for name, value in data.items()})
 
 
-# The lower bound report.schema.json gives each integer field of the config.
+# The lower bound report.schema.json gives each integer field of the config,
+# and the upper bound it gives the seed, a 64-bit key of the generator.
 _INTEGER_FIELDS = {"seed": 0, "n_events": 1, "workers": 1}
+_SEED_MAX = 2**64 - 1
 _UNIT_FIELDS = ("eta_1", "eta_2", "background_fraction", "br_weight")
 
 
@@ -149,6 +151,8 @@ def _config_value(name: str, value):
         raise ValueError(f"output_dir must be a string, got {value!r}")
     if name in _INTEGER_FIELDS and (type(value) is not int or value < _INTEGER_FIELDS[name]):
         raise ValueError(f"{name} must be an integer >= {_INTEGER_FIELDS[name]}, got {value!r}")
+    if name == "seed" and value > _SEED_MAX:
+        raise ValueError(f"seed must be an integer <= {_SEED_MAX}, got {value!r}")
     if name == "bin_width" and isinstance(value, str):
         value = parse_angle(value)
     number = type(value) in (int, float)
@@ -292,14 +296,14 @@ def _cmd_chtest(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_efficiency(config: RunConfig, args: argparse.Namespace) -> int:
-    from . import mesonlab
+    from . import spin1
 
-    threshold = mesonlab.efficiency_threshold(search_tol=args.tol)
+    threshold = spin1.efficiency_threshold(search_tol=args.tol)
     eta_grid = [round(0.5 + 0.01 * k, 2) for k in range(51)]
     payload = {
         "threshold": threshold,
         "eta_grid": eta_grid,
-        "max_s": [mesonlab.max_s_of_eta(eta) for eta in eta_grid],
+        "max_s": [spin1.max_s_of_eta(eta) for eta in eta_grid],
     }
     _write_report(config, "efficiency", payload, args.out)
     return EXIT_OK

@@ -2,8 +2,9 @@
 
 Covers the transverse entangled state, the azimuthal-angle density between
 the two decay planes, reproducible Monte Carlo event generation with a
-detector model, the histogram probability estimator, the event-based CH
-evaluation and the detection-efficiency threshold.
+detector model, the histogram probability estimator and the event-based CH
+evaluation.  The detection-efficiency threshold, a property of the state
+that no event enters, is :func:`hepbell.spin1.efficiency_threshold`.
 
 Events take one path each way: :func:`generate_event_chunks` draws and
 formats the rows that :func:`write_events_csv` writes, and
@@ -579,47 +580,6 @@ def ch_from_events(
     return make_report(terms, value, term_errors=errors, stat_err=stat_err)
 
 
-@lru_cache(maxsize=1)
-def _max_joint_combination() -> float:
-    """Maximum of the signed joint combination over settings: 1 + max CH value."""
-    # Imported here, so that the event commands load neither spin1 nor the search.
-    from .spin1 import maximize_ch_vv
-
-    _, best = maximize_ch_vv()
-    return best + 1.0
-
-
-def max_s_of_eta(eta: float, joint_max: float | None = None) -> float:
-    """Largest reachable efficiency-scaled CH value at symmetric efficiency."""
-    c = _max_joint_combination() if joint_max is None else float(joint_max)
-    return eta * eta * c - eta
-
-
-def efficiency_threshold(search_tol: float = 1e-9, joint_max: float | None = None) -> float:
-    """Smallest symmetric efficiency at which the CH test can still violate.
-
-    Bisection on eta of max_S(eta) = eta^2 * C - eta with C the
-    setting-optimized joint combination; analytically 2(sqrt(2)-1) for the
-    transverse state.  Capping the joints at the classical bound (C <= 1)
-    makes violation impossible, reported as threshold 1.0.
-    """
-    if not math.isfinite(search_tol):
-        raise ValueError(f"search_tol must be finite, got {search_tol!r}")
-    if search_tol < 1e-9:
-        raise ValueError("search_tol must be >= 1e-9")
-    c = _max_joint_combination() if joint_max is None else float(joint_max)
-    if c <= 1.0:
-        return 1.0
-    lo, hi = 1e-6, 1.0  # S(lo) < 0 and S(1) = C - 1 > 0
-    while hi - lo > search_tol:
-        mid = 0.5 * (lo + hi)
-        if max_s_of_eta(mid, c) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 CSV_HEADER = ["event_id", "phi", "detected_1", "detected_2", "is_background"]
 # Events per chunk when they are drawn, written and read.  Measured at 1e6
 # events, `generate` peaks at 46 MiB with 65 536 rows and 38 MiB with 16 384
@@ -1063,7 +1023,8 @@ def _columns(sample: EventSample) -> tuple[np.ndarray, ...]:
 
 
 def _runs_after_header(fh, path: Path) -> Iterator[tuple[int, np.ndarray]]:
-    """The runs of :func:`_runs` after the header line, which is checked."""
+    """The runs of :func:`_runs` after the header line, which is checked:
+    like every row, it must end in a line feed."""
     runs = _runs(fh)
     line = next(runs, (0, np.empty(0, dtype=np.uint8)))[1].tobytes()
     header = line.split(b"\r", 1)[0].rstrip(b"\n")
@@ -1072,6 +1033,8 @@ def _runs_after_header(fh, path: Path) -> Iterator[tuple[int, np.ndarray]]:
         raise ValueError(f"unexpected event file header {fields} in {path}")
     if line[len(header) :] not in (b"", b"\n", b"\r\n"):
         raise ValueError(f"{path}, line 1: carriage return without a line feed")
+    if not line.endswith(b"\n"):
+        raise ValueError(f"{path}, line 1: no line end after the header")
     return runs
 
 

@@ -1,6 +1,8 @@
 """Spin-1 operator algebra, the two-vector-meson singlet-like state, the
 Hardy-type probabilities and their local-realism constraint, plus the
-maximal-violation searches used by the experimental scheme."""
+maximal-violation searches used by the experimental scheme and the
+detection-efficiency threshold of the two-meson CH test, which rests on
+the CH maximum."""
 
 from __future__ import annotations
 
@@ -224,3 +226,41 @@ def maximize_ch_vv(
         return ch_vv_joint_combination(t1, t1p, t2, t2p) - 1.0
 
     return maximize_on_grid(objective, 4, grid_step)
+
+
+@lru_cache(maxsize=1)
+def _max_joint_combination() -> float:
+    """Maximum of the signed joint combination over settings: 1 + max CH value."""
+    _, best = maximize_ch_vv()
+    return best + 1.0
+
+
+def max_s_of_eta(eta: float, joint_max: float | None = None) -> float:
+    """Largest reachable efficiency-scaled CH value at symmetric efficiency."""
+    c = _max_joint_combination() if joint_max is None else float(joint_max)
+    return eta * eta * c - eta
+
+
+def efficiency_threshold(search_tol: float = 1e-9, joint_max: float | None = None) -> float:
+    """Smallest symmetric efficiency at which the CH test can still violate.
+
+    Bisection on eta of max_S(eta) = eta^2 * C - eta with C the
+    setting-optimized joint combination; analytically 2(sqrt(2)-1) for the
+    transverse state.  Capping the joints at the classical bound (C <= 1)
+    makes violation impossible, reported as threshold 1.0.
+    """
+    if not math.isfinite(search_tol):
+        raise ValueError(f"search_tol must be finite, got {search_tol!r}")
+    if search_tol < 1e-9:
+        raise ValueError("search_tol must be >= 1e-9")
+    c = _max_joint_combination() if joint_max is None else float(joint_max)
+    if c <= 1.0:
+        return 1.0
+    lo, hi = 1e-6, 1.0  # S(lo) < 0 and S(1) = C - 1 > 0
+    while hi - lo > search_tol:
+        mid = 0.5 * (lo + hi)
+        if max_s_of_eta(mid, c) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

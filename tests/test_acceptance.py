@@ -164,7 +164,7 @@ def test_criterion_07_ch_for_vv():
 
 
 def test_criterion_08_efficiency_threshold():
-    threshold = mesonlab.efficiency_threshold()
+    threshold = spin1.efficiency_threshold()
     assert abs(threshold - 0.828427) < 1e-6
     report(8, f"bisection threshold eta = {threshold:.6f} (= 82.8%)")
 

@@ -329,6 +329,14 @@ class TestEventPipeline:
         assert f"{events}, line 2:" in err
         assert "Traceback" not in err
 
+    def test_header_without_line_end_is_usage_error_naming_line_1(self, tmp_path, capsys):
+        events = tmp_path / "header.csv"
+        events.write_bytes(EVENTS_HEADER.rstrip("\r\n").encode())
+        assert run(["--output-dir", str(tmp_path), "estimate", "--events", str(events)]) == 2
+        err = capsys.readouterr().err
+        assert f"{events}, line 1: no line end after the header" in err
+        assert not (tmp_path / "estimate.json").exists()
+
     @pytest.mark.parametrize("command", ["estimate", "chtest"])
     # The last row of the second 7-row chunk and the first row of the third.
     @pytest.mark.parametrize("row", [13, 14])
@@ -555,6 +563,27 @@ class TestEventPipeline:
         assert run(["--config", str(config), "--output-dir", str(tmp_path), "kinematics"]) == 2
         assert capsys.readouterr().err == f"hepbell: error: {message}\n"
         assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    def test_seed_beyond_64_bits_is_refused_by_every_command(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 2**64, "n_events": 10}))
+        message = "seed must be an integer <= 18446744073709551615, got 18446744073709551616"
+        for command in ("kinematics", "generate"):
+            assert run(["--config", str(config), "--output-dir", str(tmp_path), command]) == 2
+            assert capsys.readouterr().err == f"hepbell: error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+        config.write_text(json.dumps({"seed": 2**64 - 1, "n_events": 10}))
+        assert run(["--config", str(config), "--output-dir", str(tmp_path), "generate"]) == 0
+
+    def test_schema_bounds_the_seed_to_64_bits(self, tmp_path, schema):
+        out = tmp_path / "k.json"
+        assert run(["kinematics", "--out", str(out)]) == 0
+        doc = load(out)
+        doc["config"]["seed"] = 2**64 - 1
+        validate(doc, schema)
+        doc["config"]["seed"] = 2**64
+        with pytest.raises(jsonschema.ValidationError, match="maximum"):
+            validate(doc, schema)
 
     def test_unknown_config_field_is_usage_error(self, tmp_path):
         config = tmp_path / "config.json"
@@ -947,6 +976,12 @@ class TestImports:
         assert "hepbell.mesonlab" in modules
         loaded = {"hepbell.photon3", "hepbell.lhv", "hepbell.spin1", "hepbell._search"} & modules
         assert not loaded
+
+    def test_efficiency_loads_no_event_modules(self, tmp_path):
+        codes, modules = loaded_modules(["--output-dir", str(tmp_path), "efficiency"])
+        assert codes == [0]
+        assert {"hepbell.spin1", "hepbell._search"} <= modules
+        assert not {"hepbell.mesonlab", "hepbell._workers"} & modules
 
     def test_insufficient_statistics_is_exit_4_as_a_script(self, tmp_path):
         # As ``python -m hepbell.cli`` the module is __main__, and main still

@@ -25,7 +25,6 @@ from hepbell.mesonlab import (
     ch_from_events,
     derive_kappa,
     effective_statistics,
-    efficiency_threshold,
     estimate_probability,
     generate_events,
     iter_events_csv,
@@ -35,6 +34,7 @@ from hepbell.mesonlab import (
     write_events_csv,
 )
 from hepbell.qcore import Projector, born_probability
+from hepbell.spin1 import efficiency_threshold, max_s_of_eta
 
 SQ2 = np.sqrt(2.0)
 MAX_GAP = (SQ2 - 1.0) / 2.0
@@ -340,8 +340,8 @@ class TestEfficiencyThreshold:
 
     def test_threshold_brackets_violation(self):
         threshold = efficiency_threshold()
-        assert mesonlab.max_s_of_eta(threshold + 1e-3) > 0.0
-        assert mesonlab.max_s_of_eta(threshold - 1e-3) < 0.0
+        assert max_s_of_eta(threshold + 1e-3) > 0.0
+        assert max_s_of_eta(threshold - 1e-3) < 0.0
 
     def test_tolerance_validation(self):
         for search_tol in (1e-12, float("nan"), float("inf")):
@@ -1022,6 +1022,16 @@ class TestStreamedEvents:
         path.write_bytes(HEADER_BYTES)
         assert [len(chunk) for chunk in iter_events_csv(path)] == [0]
         assert len(read_events_csv(path)) == 0
+
+    @pytest.mark.parametrize("ending", [b"", b"\r"])
+    def test_header_without_line_end_is_refused(self, tmp_path, ending):
+        path = tmp_path / "events.csv"
+        path.write_bytes(HEADER_BYTES.rstrip(b"\r\n") + ending)
+        message = "no line end after the header" if not ending else "carriage return"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 1: {message}"):
+            read_events_csv(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 1: {message}"):
+            estimate_probability(path)
 
     def test_fault_after_yielded_chunks_still_raises(self, tmp_path, monkeypatch):
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 4)

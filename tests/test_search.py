@@ -1,10 +1,10 @@
-"""The lockstep array refiner against the scalar golden-section search.
+"""The lockstep array refiner against its scalar twin.
 
-``golden_section_max`` and ``refine_coordinatewise`` below are the scalar
-search the array path replaced, kept as the reference.  Run on one-element
-arrays, so that each objective value comes from the same arithmetic as in
-the array path, it must give every refined row bit for bit.  The scalar
-search as it ran before, on Python floats, must give the same optimum.
+``golden_section_max``, ``line_max`` and ``refine_coordinatewise`` below
+are the refinement written for one point on Python lists, kept as the
+reference.  Run on one-element arrays, so that each objective value comes
+from the same arithmetic as in the array path, it must give every refined
+row bit for bit.  Run on Python floats, it must give the same optimum.
 """
 
 import math
@@ -43,24 +43,40 @@ def golden_section_max(func, lo, hi, x_tol=1e-8):
     return x, func(x)
 
 
+def line_max(func, point, direction, lo, hi, x_tol):
+    """Golden section of t -> func(point + t * direction) on [lo, hi];
+    returns (point + t * direction, its value)."""
+
+    def at(t):
+        return [p + t * d for p, d in zip(point, direction)]
+
+    t, value = golden_section_max(lambda t: func(at(t)), lo, hi, x_tol)
+    return at(t), value
+
+
 def refine_coordinatewise(func, start, half_width, x_tol=1e-8, max_sweeps=60):
-    """Cyclic per-coordinate golden-section ascent around ``start``."""
+    """Cyclic per-coordinate golden-section ascent around ``start``, each
+    sweep followed by a line search along its displacement."""
     point = [float(v) for v in start]
     best = func(point)
+    width = half_width
     for _ in range(max_sweeps):
-        improved = 0.0
+        before, improved = point, 0.0
         for i in range(len(point)):
-            def slice_func(x, i=i):
-                trial = list(point)
-                trial[i] = x
-                return func(trial)
-
-            x, fx = golden_section_max(
-                slice_func, point[i] - half_width, point[i] + half_width, x_tol
-            )
+            axis = [float(j == i) for j in range(len(point))]
+            x, fx = line_max(func, point, axis, -width, width, x_tol)
             if fx > best:
                 improved += fx - best
-                point[i], best = x, fx
+                point, best = x, fx
+        move = [p - q for p, q in zip(point, before)]
+        reach = max(abs(m) for m in move)
+        if reach > 0.0:
+            x, fx = line_max(func, point, move, 0.0, 4.0, x_tol / reach)
+            if fx > best:
+                improved += fx - best
+                point, best = x, fx
+            reach = max(abs(p - q) for p, q in zip(point, before))
+        width = min(max(4.0 * reach, x_tol), half_width)
         if improved < 1e-15:
             break
     return tuple(point), best
@@ -77,13 +93,13 @@ def on_elements(func_vec):
 
 
 def on_floats(func_vec):
-    """Evaluate at one point on Python floats, as the scalar search did."""
+    """Evaluate at one point on Python floats, as a scalar search would."""
     return lambda p: float(func_vec(*p))
 
 
 def reference_rows(func_vec, starts, half_width, x_tol=1e-8, max_sweeps=60,
                    evaluate=on_elements):
-    """The scalar search run on each row alone, as refine_lockstep's arrays."""
+    """The scalar twin run on each row alone, as refine_lockstep's arrays."""
     rows = [
         refine_coordinatewise(evaluate(func_vec), start, half_width, x_tol, max_sweeps)
         for start in np.asarray(starts, dtype=float).tolist()
@@ -107,7 +123,7 @@ def assert_same_rows(func_vec, starts, half_width, x_tol=1e-8, max_sweeps=60):
 @pytest.mark.parametrize("steps", [16, 20, 24])
 @pytest.mark.parametrize("maximize", [spin1.maximize_violation, spin1.maximize_ch_vv])
 def test_searches_match_scalar_search(monkeypatch, maximize, steps, x_tol):
-    """The optimum is that of the scalar search on Python floats, at the
+    """The optimum is that of the scalar twin on Python floats, at the
     search's own bracket tolerance (1e-8) and at tighter ones."""
     grid_step = math.pi / steps
     monkeypatch.setattr(_search, "_X_TOL", x_tol)
@@ -203,34 +219,38 @@ def test_box_within_tolerance_returns_midpoint():
     def func_vec(x, y):
         return np.cos(x) * np.cos(2.0 * y)
 
-    # Boxes 0.6 wide under x_tol = 1 take no golden step.  For these x the
-    # midpoint ((x - 0.3) + (x + 0.3)) / 2 is not x itself.
+    # Brackets [0, 0.6] and [-0.4, 0.2] under x_tol = 1 take no golden step;
+    # each row lands on its bracket's midpoint along its own direction.
     point = np.array([[0.05, 0.3], [0.101, 1.9], [0.085, 0.156]])
+    direction = np.array([[1.0, 0.0], [0.3, -0.7], [0.0, 1.0]])
+    lo, hi = np.array([0.0, -0.4, 0.0]), np.array([0.6, 0.2, 0.6])
     calls = []
 
     def recording(x, y):
         calls.append(np.size(x))
         return func_vec(x, y)
 
-    x, fx = _search._golden_section_max(recording, point, 0, 0.3, 1.0)
+    x, fx = _search._golden_section_max(recording, point, direction, lo, hi, 1.0)
     assert calls == [3]
-    assert (x != point[:, 0]).all()
     on_row = on_elements(func_vec)
-    for row, (start, y) in enumerate(point.tolist()):
-        want = golden_section_max(lambda v: on_row([v, y]), start - 0.3, start + 0.3, 1.0)
-        assert (float.hex(x[row]), float.hex(fx[row])) == tuple(map(float.hex, want))
+    for row, args in enumerate(zip(point.tolist(), direction.tolist(), lo, hi)):
+        want_x, want_f = line_max(on_row, *args, 1.0)
+        assert [float.hex(v) for v in x[row]] == [float.hex(v) for v in want_x]
+        assert float.hex(fx[row]) == float.hex(want_f)
     assert_same_rows(func_vec, point, 0.3, x_tol=1.0)
 
 
 @pytest.mark.parametrize(
     "maximize, objective, budget",
     [
-        (spin1.maximize_ch_vv, "ch_vv_joint_combination", 2_000),
-        (spin1.maximize_violation, "hardy_difference_closed", 10_000),
+        (spin1.maximize_ch_vv, "ch_vv_joint_combination", 480),
+        (spin1.maximize_violation, "hardy_difference_closed", 1_800),
     ],
 )
 def test_search_call_budget(monkeypatch, maximize, objective, budget):
-    """Candidates are refined as arrays, not one scalar call per point."""
+    """Candidates are refined as arrays, not one scalar call per point, and
+    the line steps keep the sweeps few: the default grids take 387 and 1 458
+    calls, about 25 % under these budgets."""
     original = getattr(spin1, objective)
     calls = []
 
