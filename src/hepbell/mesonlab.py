@@ -9,8 +9,9 @@ that no event enters, is :func:`hepbell.spin1.efficiency_threshold`.
 Events take one path each way: :func:`generate_event_chunks` draws and
 formats the rows that :func:`write_events_csv` writes, and
 :func:`estimate_probability` and :func:`ch_from_events` count a sample, or
-an event file chunk by chunk.  :mod:`hepbell._workers` decides how many
-processes share those chunks.
+an event file chunk by chunk, in half-open arcs of the circle of plane
+angles, histogram bins or CH windows, by one counter (:func:`_arc_estimates`).
+:mod:`hepbell._workers` decides how many processes share those chunks.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .reports import InequalityReport, make_report
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_BIN_COUNT = 64
+# The most bins `estimate_probability` makes: its edge and count arrays take
+# 8 B a bin each, in every process (0.8 GB apiece at a width of 2*pi/1e8).
+MAX_BIN_COUNT = 2**20
 
 # ch_from_events reads windows centered on the setting differences.  The
 # window-average bias at the paper settings grows as width**2.5 * sqrt(N) in
@@ -409,14 +413,6 @@ def generate_event_chunks(
     return _workers.round_robin(range(0, n, _CSV_CHUNK_ROWS), rows, n)
 
 
-def _counted(events, count: Callable[[EventSample], np.ndarray]) -> np.ndarray:
-    """``count`` of the sample ``events``, or summed over the chunks of the
-    event file ``events``."""
-    if isinstance(events, (str, os.PathLike)):
-        return _event_counts(events, count)
-    return count(events)
-
-
 @dataclass(frozen=True)
 class HistogramEstimate:
     """Density-normalized histogram of the plane angle for detected events.
@@ -460,6 +456,37 @@ def _checked_width(width: float) -> float:
     return width
 
 
+def _arc_estimates(
+    events: EventSample | str | os.PathLike, lo: np.ndarray, hi: np.ndarray, width: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Counts, p_hat = kappa * count / (N * width), its Poisson errors and
+    kappa for the coincidences of ``events`` in the half-open arcs [lo, hi)
+    of [0, 2*pi), N being all coincidences.  An arc with lo > hi wraps past
+    2*pi and is split there; one with lo == hi is empty.  A chunk's sorted
+    coincidences give how many lie below each arc end, as numpy's histogram
+    of an array of bins counts them; these add up over the chunks, and an
+    arc's count is the difference at its ends."""
+    edges = np.unique(np.concatenate((lo, hi)))
+    first, last = np.searchsorted(edges, lo), np.searchsorted(edges, hi)
+
+    def count(sample: EventSample) -> np.ndarray:
+        """The coincidences below each edge, then their number."""
+        # np.compress takes half the time of boolean indexing here.
+        phis = np.compress(sample.coincidence_mask, sample.phi)
+        phis.sort()
+        return np.append(np.searchsorted(phis, edges), phis.size)
+
+    in_file = isinstance(events, (str, os.PathLike))
+    below = _event_counts(events, count) if in_file else count(events)
+    n_detected = int(below[-1])
+    if n_detected == 0:
+        raise NoData("no detected coincidences in the event sample")
+    counts = below[last] - below[first] + n_detected * (first > last)
+    kappa = derive_kappa()
+    scale = kappa / (n_detected * width)
+    return counts, counts * scale, np.sqrt(counts) * scale, kappa
+
+
 def estimate_probability(
     events: EventSample | str | os.PathLike,
     bin_width: float = TWO_PI / DEFAULT_BIN_COUNT,
@@ -468,37 +495,20 @@ def estimate_probability(
 
     ``events`` may be a sample or its event file: the integer counts of the
     file are summed over its chunks and ``kappa`` and the scale applied
-    once, so the estimate does not depend on how the file is split.
+    once, so the estimate does not depend on how the file is split.  More
+    than ``MAX_BIN_COUNT`` bins are refused before any array is made.
     """
-    n_bins = round(TWO_PI / _checked_width(bin_width))
+    bins = TWO_PI / _checked_width(bin_width)
+    if bins >= MAX_BIN_COUNT + 0.5:
+        raise ValueError(f"bin width {bin_width} gives {bins:.7g} bins, more than {MAX_BIN_COUNT}")
+    n_bins = round(bins)
     if n_bins < 1 or abs(TWO_PI - n_bins * bin_width) > 1e-9:
         raise ValueError(f"bin_width {bin_width} does not divide 2*pi within 1e-9")
     edges = np.linspace(0.0, TWO_PI, n_bins + 1)
-
-    def count(sample: EventSample) -> np.ndarray:
-        """The bin counts of the coincidences, then their number."""
-        phis = sample.phi[sample.coincidence_mask]
-        return np.append(np.histogram(phis, bins=edges)[0], phis.size)
-
-    counts = _counted(events, count)
-    counts, n_detected = counts[:-1], int(counts[-1])
-    if n_detected == 0:
-        raise NoData("no detected coincidences in the event sample")
-    kappa = derive_kappa()
-    scale = kappa / (n_detected * bin_width)
-    p_hat = counts * scale
-    stat_err = np.sqrt(counts) * scale
+    counts, p_hat, stat_err, kappa = _arc_estimates(events, edges[:-1], edges[1:], bin_width)
     return HistogramEstimate(
         bin_edges=edges, counts=counts, p_hat=p_hat, stat_err=stat_err, kappa=kappa
     )
-
-
-def _window_count(phis: np.ndarray, center: float, width: float) -> int:
-    lo = (center - 0.5 * width) % TWO_PI
-    hi = (lo + width) % TWO_PI
-    if lo < hi:
-        return int(np.count_nonzero((phis >= lo) & (phis < hi)))
-    return int(np.count_nonzero((phis >= lo) | (phis < hi)))
 
 
 def ch_from_events(
@@ -519,7 +529,8 @@ def ch_from_events(
 
     so branching fractions thin the sample but do not change S.  ``events``
     may be a sample or its event file, whose window counts are summed over
-    its chunks.
+    its chunks.  A window narrower than the spacing of doubles at its
+    center holds nothing, and is named as empty.
     """
     window = _checked_width(window)
     det = det or DetectorModel()
@@ -544,39 +555,24 @@ def ch_from_events(
                     "(mod 2*pi), separated by at least one window width"
                 )
 
-    def count(sample: EventSample) -> np.ndarray:
-        """The window counts of the coincidences, then their number."""
-        phis = sample.phi[sample.coincidence_mask]
-        return np.array([_window_count(phis, center, window) for center in centers] + [phis.size])
-
-    *counts, n_detected = _counted(events, count).tolist()
-    if n_detected == 0:
-        raise NoData("no detected coincidences in the event sample")
-    kappa = derive_kappa()
-    scale = kappa / (n_detected * window)
-
-    terms, errors, signs = [], [], []
-    for (label, _, sign), center, count in zip(diffs, centers, counts):
+    lo = [(center - 0.5 * window) % TWO_PI for center in centers]
+    hi = [(start + window) % TWO_PI for start in lo]
+    counts, values, errors, _ = _arc_estimates(events, np.array(lo), np.array(hi), window)
+    for (label, _, _), center, count in zip(diffs, centers, counts.tolist()):
         if count == 0:
             raise InsufficientStatistics(
-                f"empty histogram window for {label} at phi={center:.6f} "
-                f"(width {window:.6f})",
+                f"empty histogram window for {label} at phi={center:.6f} (width {window:.6f})",
                 bin_phi=center,
                 bin_width=window,
             )
-        terms.append((label, count * scale))
-        errors.append(math.sqrt(count) * scale)
-        signs.append(sign)
-
-    joint = sum(sign * value for sign, (_, value) in zip(signs, terms))
-    joint_err = math.sqrt(sum(e * e for e in errors))
-    singles_1 = 0.5 * det.eta_1
-    singles_2 = 0.5 * det.eta_2
+    terms = [(label, value) for (label, _, _), value in zip(diffs, values.tolist())]
+    joint = sum(sign * value for (_, _, sign), (_, value) in zip(diffs, terms))
+    joint_err = math.sqrt(sum(e * e for e in errors.tolist()))
+    singles_1, singles_2 = 0.5 * det.eta_1, 0.5 * det.eta_2
     value = det.eta_1 * det.eta_2 * joint - (singles_1 + singles_2)
     stat_err = det.eta_1 * det.eta_2 * joint_err
-
     terms += [("P(n1')", singles_1), ("P(n2)", singles_2)]
-    errors += [0.0, 0.0]
+    errors = [*errors.tolist(), 0.0, 0.0]
     return make_report(terms, value, term_errors=errors, stat_err=stat_err)
 
 

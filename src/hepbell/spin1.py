@@ -247,16 +247,19 @@ def efficiency_threshold(search_tol: float = 1e-9, joint_max: float | None = Non
     Bisection on eta of max_S(eta) = eta^2 * C - eta with C the
     setting-optimized joint combination; analytically 2(sqrt(2)-1) for the
     transverse state.  Capping the joints at the classical bound (C <= 1)
-    makes violation impossible, reported as threshold 1.0.
+    makes violation impossible, reported as threshold 1.0.  ``search_tol``
+    lies in [1e-9, 1 - 1e-6), below the width of the bracket [1e-6, 1].
     """
     if not math.isfinite(search_tol):
         raise ValueError(f"search_tol must be finite, got {search_tol!r}")
     if search_tol < 1e-9:
         raise ValueError("search_tol must be >= 1e-9")
+    lo, hi = 1e-6, 1.0  # S(lo) < 0 and S(1) = C - 1 > 0
+    if search_tol >= hi - lo:
+        raise ValueError(f"search_tol {search_tol!r} is not below the bracket width {hi - lo!r}")
     c = _max_joint_combination() if joint_max is None else float(joint_max)
     if c <= 1.0:
         return 1.0
-    lo, hi = 1e-6, 1.0  # S(lo) < 0 and S(1) = C - 1 > 0
     while hi - lo > search_tol:
         mid = 0.5 * (lo + hi)
         if max_s_of_eta(mid, c) > 0.0:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -446,6 +447,42 @@ class TestEventPipeline:
                 f"hepbell {command}: error: argument --bin-width: "
                 f"malformed angle token {width!r}\n"
             )
+        assert [path.name for path in tmp_path.iterdir()] == ["events.csv"]
+
+    @pytest.mark.parametrize("width", ["1e-17", "1e-300"])
+    def test_window_narrower_than_a_double_is_exit_4(self, tmp_path, capsys, width):
+        # Each window's ends round to one double: it holds nothing, and the
+        # first window is named as empty.
+        events = tmp_path / "events.csv"
+        mesonlab.write_events_csv(mesonlab.generate_events(2000, seed=1), events)
+        out = tmp_path / "report.json"
+        args = ["--output-dir", str(tmp_path), "chtest", "--events", str(events)]
+        assert exit_code([*args, f"--bin-width={width}", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "hepbell: error: empty histogram window for P(n1,n2) at phi=1.178097 "
+            "(width 0.000000)\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["events.csv"]
+
+    @pytest.mark.parametrize(
+        "width, bins", [("1e-300", "6.283185e+300"), ("2pi/100000000", "1e+08")]
+    )
+    def test_too_many_bins_is_usage_error_before_any_array(self, tmp_path, capsys, width, bins):
+        events = tmp_path / "events.csv"
+        mesonlab.write_events_csv(mesonlab.generate_events(2000, seed=1), events)
+        out = tmp_path / "report.json"
+        args = ["--output-dir", str(tmp_path), "estimate", "--events", str(events)]
+        tracemalloc.start()
+        try:
+            assert exit_code([*args, f"--bin-width={width}", "--out", str(out)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        value = cli.parse_angle(width)
+        assert capsys.readouterr().err == (
+            f"hepbell: error: bin width {value} gives {bins} bins, more than 1048576\n"
+        )
+        assert peak < 1e6
         assert [path.name for path in tmp_path.iterdir()] == ["events.csv"]
 
     def test_write_error_names_the_out_path(self, tmp_path, capsys):
@@ -895,6 +932,16 @@ class TestScalarCommands:
         assert run(["--output-dir", str(tmp_path), *args, "--out", str(tmp_path / "r.json")]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("tol", ["2", "0.999999"])
+    def test_tolerance_as_wide_as_the_bracket_is_usage_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "r.json"
+        args = ["--output-dir", str(tmp_path), "efficiency", "--tol", tol, "--out", str(out)]
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            f"hepbell: error: search_tol {float(tol)!r} is not below the bracket width 0.999999\n"
+        )
+        assert not out.exists()
 
     def test_idempotent_reports(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"

@@ -331,6 +331,157 @@ class TestChFromEvents:
             ch_from_events(events, (0.0, 0.0, 0.0, 0.0))
 
 
+def reference_histogram(phis, edges):
+    """The bin counts as numpy's histogram of an array of bins gives them."""
+    return np.histogram(phis, bins=edges)[0]
+
+
+def reference_arc_count(phis, lo, hi):
+    """The angles in [lo, hi) by comparison, or in [lo, 2*pi) and [0, hi)
+    where the arc wraps; none where lo == hi."""
+    if lo <= hi:
+        return int(np.count_nonzero((phis >= lo) & (phis < hi)))
+    return int(np.count_nonzero((phis >= lo) | (phis < hi)))
+
+
+def coincident(phis):
+    """A sample of background-free coincidences at the angles ``phis``."""
+    flags = np.ones(len(phis), dtype=bool)
+    return EventSample(np.asarray(phis, dtype=np.float64), flags, flags, ~flags)
+
+
+def angles_at(ends, extra=()):
+    """Every end, the doubles on either side of it, 0 and the last double
+    below 2*pi, and ``extra``: those of them that lie in [0, 2*pi)."""
+    values = [0.0, np.nextafter(TWO_PI, 0.0), *extra]
+    for end in ends:
+        values += [np.nextafter(end, -1.0), end, np.nextafter(end, 7.0)]
+    return np.array([v for v in values if 0.0 <= v < TWO_PI])
+
+
+ARC_ENDS = st.one_of(
+    st.floats(0.0, TWO_PI),
+    st.sampled_from([0.0, 1.0, np.nextafter(TWO_PI, 0.0), TWO_PI]),
+)
+
+
+class TestArcCounter:
+    """Both estimators count in half-open arcs of [0, 2*pi) with one counter,
+    checked against numpy's histogram and against comparisons."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_arcs_count_as_comparisons(self, data):
+        # Arcs drawn from a few ends share edges, wrap (lo > hi), end at 2*pi
+        # (hi 0.0 or 2*pi) or collapse (lo == hi).
+        ends = data.draw(st.lists(ARC_ENDS, min_size=1, max_size=6))
+        arcs = data.draw(
+            st.lists(st.tuples(st.sampled_from(ends), st.sampled_from(ends)), min_size=1)
+        )
+        extra = data.draw(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), max_size=20))
+        phis = angles_at(ends, extra)
+        lo, hi = (np.array(side) for side in zip(*arcs))
+        counts = mesonlab._arc_estimates(coincident(phis), lo, hi, 1.0)[0]
+        assert counts.tolist() == [reference_arc_count(phis, a, b) for a, b in arcs]
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            ([6.0], [0.5]),  # wraps past 2*pi
+            ([6.0, 6.0], [0.0, TWO_PI]),  # ends exactly at 2*pi
+            ([1.0, 2.0], [2.0, 3.0]),  # share an edge
+            ([TWO_PI], [0.5]),  # starts at 2*pi: only [0, 0.5)
+        ],
+    )
+    def test_wrapping_and_shared_edges(self, lo, hi):
+        phis = angles_at([*lo, *hi], np.linspace(0.0, 6.28, 200))
+        counts = mesonlab._arc_estimates(coincident(phis), np.array(lo), np.array(hi), 1.0)[0]
+        expected = [reference_arc_count(phis, a, b) for a, b in zip(lo, hi)]
+        assert counts.tolist() == expected
+        assert min(expected) > 0
+
+    def test_collapsed_arc_counts_nothing(self):
+        phis = np.array([0.0, 1.0, 3.0])
+        ends = np.array([0.0, 1.0, 3.0])
+        counts = mesonlab._arc_estimates(coincident(phis), ends, ends, 1.0)[0]
+        assert counts.tolist() == [0, 0, 0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_bins=st.integers(min_value=1, max_value=700),
+        extra=st.lists(st.floats(0.0, TWO_PI, exclude_max=True), max_size=50),
+    )
+    def test_bins_count_as_numpy_histogram(self, n_bins, extra):
+        edges = np.linspace(0.0, TWO_PI, n_bins + 1)
+        phis = angles_at(edges.tolist(), extra)
+        estimate = estimate_probability(coincident(phis), bin_width=TWO_PI / n_bins)
+        expected = reference_histogram(phis, edges)
+        assert estimate.counts.dtype == expected.dtype
+        assert estimate.counts.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "setting_angles, window",
+        [
+            (OPTIMAL, TWO_PI / 64),
+            (OPTIMAL, mesonlab.DEFAULT_CH_WINDOW),
+            ((0.0, 1.0, 2.0, 6.2), 0.3),  # one window wraps past 2*pi
+        ],
+    )
+    def test_ch_terms_are_window_comparisons(self, setting_angles, window):
+        det = DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
+        events = generate_events(100_000, det, seed=7)
+        report = ch_from_events(events, setting_angles, det, window=window)
+        phis = events.phi[events.coincidence_mask]
+        t1, t1p, t2, t2p = setting_angles
+        scale = derive_kappa() / (phis.size * window)
+        for label, diff in [
+            ("P(n1,n2)", t2 - t1),
+            ("P(n1,n2')", t2p - t1),
+            ("P(n1',n2)", t2 - t1p),
+            ("P(n1',n2')", t2p - t1p),
+        ]:
+            lo = (diff % TWO_PI - 0.5 * window) % TWO_PI
+            count = reference_arc_count(phis, lo, (lo + window) % TWO_PI)
+            assert report.term(label) == count * scale
+
+    @pytest.mark.parametrize("window", [1e-17, 1e-300])
+    def test_window_narrower_than_a_double_is_empty(self, window):
+        # Its ends round to one double, which used to count every coincidence.
+        events = generate_events(2000, seed=1)
+        with pytest.raises(InsufficientStatistics) as raised:
+            ch_from_events(events, OPTIMAL, window=window)
+        assert str(raised.value).startswith("empty histogram window for P(n1,n2) at phi=1.178097")
+
+
+class TestBinCap:
+    @pytest.mark.parametrize(
+        "width, bins",
+        [
+            (1e-300, "6.283185e+300"),
+            (TWO_PI / 100_000_000, "1e+08"),
+            (TWO_PI / (2**20 + 1), "1048577"),
+            (5e-324, "inf"),
+        ],
+    )
+    def test_too_many_bins_refused_before_any_array(self, tmp_path, width, bins):
+        path = tmp_path / "events.csv"
+        write_events_csv(generate_events(100, seed=1), path)
+        for events in (generate_events(100, seed=1), path):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError) as raised:
+                    estimate_probability(events, bin_width=width)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(raised.value) == f"bin width {width} gives {bins} bins, more than 1048576"
+            assert peak < 1e6
+
+    def test_the_cap_itself_is_allowed(self):
+        estimate = estimate_probability(generate_events(1000, seed=1), bin_width=TWO_PI / 2**20)
+        assert estimate.counts.size == mesonlab.MAX_BIN_COUNT == 2**20
+
+
 class TestEfficiencyThreshold:
     def test_matches_analytic_value(self):
         assert abs(efficiency_threshold() - 2 * (SQ2 - 1)) < 1e-6
@@ -347,6 +498,21 @@ class TestEfficiencyThreshold:
         for search_tol in (1e-12, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 efficiency_threshold(search_tol=search_tol)
+
+
+    @pytest.mark.parametrize("search_tol", [2.0, 1.0, 1.0 - 1e-6])
+    def test_tolerance_as_wide_as_the_bracket_refused(self, search_tol):
+        # It used to return the bracket's midpoint, 0.5000005, untested.
+        with pytest.raises(ValueError) as raised:
+            efficiency_threshold(search_tol=search_tol)
+        assert str(raised.value) == (
+            f"search_tol {search_tol!r} is not below the bracket width 0.999999"
+        )
+
+    def test_tolerance_just_below_the_bracket_bisects(self):
+        threshold = efficiency_threshold(search_tol=0.99)
+        assert threshold != 0.5000005
+        assert abs(threshold - 2 * (SQ2 - 1)) <= 0.99 / 2
 
 
 class TestKinematics:
