@@ -24,14 +24,6 @@ _MAX_CANDIDATES = 512
 # Bracket width at which a golden section stops.
 _X_TOL = 1e-8
 
-# Most grid points a scan may evaluate: the scan keeps every value (8 bytes
-# each, 32 MiB at the cap).  Admits pi/45 on four axes and pi/161 on three.
-_MAX_GRID_POINTS = 1 << 22
-
-
-class GridTooFine(ValueError):
-    """A grid step whose mesh exceeds _MAX_GRID_POINTS."""
-
 
 def _golden_section_max(
     func_vec: Callable[..., np.ndarray],
@@ -190,18 +182,10 @@ def maximize_on_grid(
     pi-periodic in each.  All grid points within a slack of the grid maximum
     are refined so every member of a discrete family of maximizers is found;
     the winner is the lexicographically smallest canonical representative
-    (coordinates reduced mod pi).  ``grid_step`` must be in (0, pi/16], and
-    its mesh of ``ceil(pi / grid_step) ** n_axes`` points within
-    _MAX_GRID_POINTS; both are checked before anything is allocated.
+    (coordinates reduced mod pi).  ``grid_step`` must be in (0, pi/16].
     """
     if not (0.0 < grid_step <= math.pi / 16 + 1e-15):
         raise ValueError("grid_step must be in (0, pi/16]")
-    per_axis = math.ceil(math.pi / grid_step)  # len(np.arange(0, pi, grid_step))
-    if per_axis**n_axes > _MAX_GRID_POINTS:
-        raise GridTooFine(
-            f"grid_step {grid_step!r} gives {per_axis}**{n_axes} grid points, "
-            f"more than the {_MAX_GRID_POINTS} allowed"
-        )
     x_tol = _X_TOL
     axis = np.arange(0.0, math.pi, grid_step)
     # The slack covers the quadratic drop to the nearest grid point for the

@@ -243,7 +243,7 @@ def _cmd_hardy(config: RunConfig, args: argparse.Namespace) -> int:
     lhv_max, _ = lhv.max_hardy_spin1_lhv()
     payload = {"settings": asdict(settings), "report": report.to_dict(), "lhv_max": lhv_max}
     if args.optimize:
-        best_settings, best_value = spin1.maximize_violation(grid_step=args.grid_step)
+        best_settings, best_value = spin1.maximize_violation()
         payload["optimum"] = {**asdict(best_settings), "value": best_value}
     _write_report(config, "hardy", payload, args.out)
     return EXIT_OK
@@ -298,7 +298,7 @@ def _cmd_chtest(config: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_efficiency(config: RunConfig, args: argparse.Namespace) -> int:
     from . import spin1
 
-    threshold = spin1.efficiency_threshold(search_tol=args.tol)
+    threshold = spin1.efficiency_threshold()
     eta_grid = [round(0.5 + 0.01 * k, 2) for k in range(51)]
     payload = {
         "threshold": threshold,
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=parse_angle, default=_PI / 4)
     p.add_argument("--gamma", type=parse_angle, default=5 * _PI / 8)
     p.add_argument("--optimize", action="store_true", help="also search for the maximum")
-    p.add_argument("--grid-step", dest="grid_step", type=parse_angle, default=_PI / 16)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_hardy)
 
@@ -381,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_chtest)
 
     p = sub.add_parser("efficiency", help="detection-efficiency threshold scan")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_efficiency)
 

@@ -1,8 +1,8 @@
 """Deterministic local-hidden-variable strategies for both inequalities.
 
-Exhaustive enumeration certifies the classical bounds (the extreme points of
-the local polytope are deterministic response functions), and a seeded
-sampler realizes arbitrary stochastic mixtures of strategies.
+Exhaustive enumeration certifies the classical bounds: the extreme points of
+the local polytope are deterministic response functions, so no stochastic
+mixture of strategies exceeds the largest strategy value.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -19,8 +18,6 @@ import numpy as np
 LINEAR_OUTCOMES = ("H", "V")
 CIRCULAR_OUTCOMES = ("L", "R")
 SPIN_OUTCOMES = (-1, 0, 1)
-
-_WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True, order=True)
@@ -116,64 +113,3 @@ def max_hardy_spin1_lhv() -> tuple[float, StrategySpin1]:
 def strategy_values(kind: str) -> np.ndarray:
     """Read-only vector of deterministic inequality values in enumeration order."""
     return _strategy_table(kind)[1]
-
-
-def mixture_expectation(weights: Sequence[float], kind: str) -> float:
-    """Exact expected inequality value of a strategy mixture."""
-    weights = _validated_weights(weights, kind)
-    return float(weights @ strategy_values(kind))
-
-
-def _validated_weights(weights: Sequence[float], kind: str) -> np.ndarray:
-    values = strategy_values(kind)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != values.shape:
-        raise ValueError(
-            f"mixture needs {values.size} weights for kind {kind!r}, got {weights.shape}"
-        )
-    if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-        raise ValueError("mixture weights must be finite and nonnegative")
-    if abs(float(weights.sum()) - 1.0) > _WEIGHT_TOL:
-        raise ValueError("mixture weights must sum to 1 within 1e-12")
-    return weights
-
-
-class LhvSample:
-    """Outcome records drawn i.i.d. from a strategy mixture.
-
-    Each event is a full deterministic assignment, so the empirical
-    inequality value is the mean of per-strategy values and converges to the
-    mixture expectation (never significantly above the classical bound 0).
-    """
-
-    def __init__(self, kind: str, indices: np.ndarray):
-        self.kind = kind
-        self.indices = indices
-        self.indices.setflags(write=False)
-        self._strategies, self._values = _strategy_table(kind)
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def records(self) -> Iterator:
-        for idx in self.indices:
-            yield self._strategies[idx]
-
-    def empirical_value(self) -> float:
-        return float(self._values[self.indices].mean())
-
-
-def lhv_event_stream(
-    weights: Sequence[float], n: int, seed: int, kind: str = "3gamma"
-) -> LhvSample:
-    """Sample ``n`` strategy records from the mixture, reproducibly.
-
-    Randomness comes from numpy's Philox (4x64, 10 rounds) counter-based
-    generator keyed with (seed, 0), matching the event generator's scheme.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    weights = _validated_weights(weights, kind)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    indices = rng.choice(weights.size, size=int(n), p=weights)
-    return LhvSample(kind, indices)

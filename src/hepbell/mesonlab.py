@@ -42,7 +42,7 @@ MAX_BIN_COUNT = 2**20
 # window-average bias at the paper settings grows as width**2.5 * sqrt(N) in
 # units of the statistical error.  With eta = 0.9 this default keeps it near
 # 0.12 sigma at 1e7 events, but `chtest` passes its `bin_width` (2*pi/64),
-# whose bias is 0.70 sigma at 1e7 and 2.2 sigma at 1e8 (ROADMAP item 2).
+# whose bias is 0.70 sigma at 1e7 and 2.2 sigma at 1e8 (ROADMAP item 3).
 DEFAULT_CH_WINDOW = TWO_PI / 128
 
 
@@ -433,7 +433,11 @@ class HistogramEstimate:
         return float(self.bin_edges[1] - self.bin_edges[0])
 
     def bin_index(self, phi: float) -> int:
-        return int(math.floor((phi % TWO_PI) / self.bin_width))
+        """The bin [edge_i, edge_i+1) that holds phi mod 2*pi, as the
+        estimator counted it.  Just below 0, phi % 2*pi rounds up to 2*pi,
+        the end of the last bin."""
+        index = int(np.searchsorted(self.bin_edges, phi % TWO_PI, side="right")) - 1
+        return min(index, self.counts.size - 1)
 
     def value_at(self, phi: float) -> tuple[float, float]:
         idx = self.bin_index(phi)

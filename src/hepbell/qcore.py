@@ -14,9 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Largest total Hilbert-space dimension tensor() will build (3x3 (x) 3x3).
-MAX_TOTAL_DIM = 81
-
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 IDEMPOTENT_TOL = 1e-10
@@ -28,7 +25,7 @@ _PHASE_ZERO_REL = 1e-8
 
 
 class DimensionError(ValueError):
-    """Dimensions are inconsistent or exceed the configured maximum."""
+    """Dimensions are inconsistent."""
 
 
 class NotAnEigenvalue(ValueError):
@@ -114,10 +111,6 @@ class StateVector:
     def site_count(self) -> int:
         return len(self.dims)
 
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
-
     def as_tensor(self) -> np.ndarray:
         return self.amps.reshape(self.dims)
 
@@ -127,34 +120,6 @@ class StateVector:
             raise DimensionError("outcome length does not match site count")
         idx = tuple(self.labels[s].index(lab) for s, lab in enumerate(outcome))
         return complex(self.as_tensor()[idx])
-
-    def overlap(self, other: "StateVector") -> complex:
-        if self.dims != other.dims:
-            raise DimensionError("overlap requires identical dims")
-        return complex(np.vdot(self.amps, other.amps))
-
-
-def basis_state(
-    dims: Sequence[int],
-    indices: Sequence[int],
-    labels: Sequence[Sequence[str]] | None = None,
-) -> StateVector:
-    """Product basis state |i1 i2 ...> over the given dims."""
-    dims = tuple(int(d) for d in dims)
-    amps = np.zeros(int(np.prod(dims)), dtype=np.complex128)
-    flat = int(np.ravel_multi_index(tuple(indices), dims))
-    amps[flat] = 1.0
-    return StateVector(dims, amps, None if labels is None else tuple(map(tuple, labels)))
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product of two states; amplitudes are the Kronecker product."""
-    total = a.total_dim * b.total_dim
-    if total > MAX_TOTAL_DIM:
-        raise DimensionError(
-            f"tensor product dimension {total} exceeds maximum {MAX_TOTAL_DIM}"
-        )
-    return StateVector(a.dims + b.dims, np.kron(a.amps, b.amps), a.labels + b.labels)
 
 
 @dataclass(frozen=True)
@@ -252,10 +217,6 @@ class Projector:
             object.__setattr__(projector, "matrix", mat)
             projectors.append(projector)
         return projectors
-
-    @classmethod
-    def identity(cls, dim: int) -> "Projector":
-        return cls(np.eye(dim, dtype=np.complex128))
 
     def complement(self) -> "Projector":
         return Projector(np.eye(self.dim, dtype=np.complex128) - self.matrix)

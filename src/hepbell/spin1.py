@@ -22,6 +22,9 @@ SPIN1_LABELS = ("+1", "0", "-1")
 # Closed-form vs projector-route disagreement above this raises.
 _CROSS_CHECK_TOL = 1e-8
 
+# Grid step of the violation searches' coarse scan.
+_GRID_STEP = math.pi / 16
+
 
 class InternalInconsistency(RuntimeError):
     """Closed-form and Born-rule probability routes disagree; signals an
@@ -175,14 +178,15 @@ def hardy_probabilities(settings: HardySettings) -> HardyReport:
     )
 
 
-def maximize_violation(grid_step: float = math.pi / 16) -> tuple[HardySettings, float]:
+def maximize_violation() -> tuple[HardySettings, float]:
     """Search [0, pi)^3 for the maximal constraint violation.
 
-    Coarse grid scan first, then coordinate-wise golden-section refinement of
-    every near-maximal grid point; ties across the discrete symmetry family
-    are broken by the lexicographically smallest (alpha, beta, gamma).
+    Coarse grid scan at pi/16 first, then coordinate-wise golden-section
+    refinement of every near-maximal grid point; ties across the discrete
+    symmetry family are broken by the lexicographically smallest
+    (alpha, beta, gamma).
     """
-    point, value = maximize_on_grid(hardy_difference_closed, 3, grid_step)
+    point, value = maximize_on_grid(hardy_difference_closed, 3, _GRID_STEP)
     return HardySettings(*point), value
 
 
@@ -217,15 +221,13 @@ def ch_value_vv(t1: float, t1p: float, t2: float, t2p: float) -> InequalityRepor
     return make_report(terms, value)
 
 
-def maximize_ch_vv(
-    grid_step: float = math.pi / 16,
-) -> tuple[tuple[float, float, float, float], float]:
-    """Grid + refinement maximum of the CH combination over all four angles."""
+def maximize_ch_vv() -> tuple[tuple[float, float, float, float], float]:
+    """Grid (pi/16) + refinement maximum of the CH combination over all four angles."""
 
     def objective(t1, t1p, t2, t2p):
         return ch_vv_joint_combination(t1, t1p, t2, t2p) - 1.0
 
-    return maximize_on_grid(objective, 4, grid_step)
+    return maximize_on_grid(objective, 4, _GRID_STEP)
 
 
 @lru_cache(maxsize=1)
@@ -235,35 +237,17 @@ def _max_joint_combination() -> float:
     return best + 1.0
 
 
-def max_s_of_eta(eta: float, joint_max: float | None = None) -> float:
+def max_s_of_eta(eta: float) -> float:
     """Largest reachable efficiency-scaled CH value at symmetric efficiency."""
-    c = _max_joint_combination() if joint_max is None else float(joint_max)
-    return eta * eta * c - eta
+    return eta * eta * _max_joint_combination() - eta
 
 
-def efficiency_threshold(search_tol: float = 1e-9, joint_max: float | None = None) -> float:
+def efficiency_threshold() -> float:
     """Smallest symmetric efficiency at which the CH test can still violate.
 
-    Bisection on eta of max_S(eta) = eta^2 * C - eta with C the
-    setting-optimized joint combination; analytically 2(sqrt(2)-1) for the
-    transverse state.  Capping the joints at the classical bound (C <= 1)
-    makes violation impossible, reported as threshold 1.0.  ``search_tol``
-    lies in [1e-9, 1 - 1e-6), below the width of the bracket [1e-6, 1].
+    max_S(eta) = eta^2 * C - eta with C the setting-optimized joint
+    combination, so the threshold is the root 1/C: analytically
+    2(sqrt(2)-1) for the transverse state, and ``max_s_of_eta`` of it is
+    exactly 0.0.
     """
-    if not math.isfinite(search_tol):
-        raise ValueError(f"search_tol must be finite, got {search_tol!r}")
-    if search_tol < 1e-9:
-        raise ValueError("search_tol must be >= 1e-9")
-    lo, hi = 1e-6, 1.0  # S(lo) < 0 and S(1) = C - 1 > 0
-    if search_tol >= hi - lo:
-        raise ValueError(f"search_tol {search_tol!r} is not below the bracket width {hi - lo!r}")
-    c = _max_joint_combination() if joint_max is None else float(joint_max)
-    if c <= 1.0:
-        return 1.0
-    while hi - lo > search_tol:
-        mid = 0.5 * (lo + hi)
-        if max_s_of_eta(mid, c) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return 1.0 / _max_joint_combination()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,8 @@ from hepbell.lhv import (
     enumerate_3gamma_strategies,
     enumerate_spin1_strategies,
     hardy_spin1_strategy_value,
-    lhv_event_stream,
     max_ch_3gamma_lhv,
     max_hardy_spin1_lhv,
-    mixture_expectation,
     strategy_values,
 )
 
@@ -26,6 +26,10 @@ class TestEnumeration:
         assert list(strategies) == sorted(strategies)
         spins = enumerate_spin1_strategies()
         assert list(spins) == sorted(spins)
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown strategy kind 'other'"):
+            strategy_values("other")
 
 
 class TestDeterministicBounds:
@@ -69,6 +73,19 @@ class TestDeterministicBounds:
         assert witness == first
 
 
+def function_values(kind):
+    """Each strategy's value from its value function, in enumeration order."""
+    if kind == "3gamma":
+        return np.array([ch_3gamma_strategy_value(s) for s in enumerate_3gamma_strategies()])
+    return np.array([hardy_spin1_strategy_value(s) for s in enumerate_spin1_strategies()])
+
+
+def sampled_values(weights, n, seed, kind):
+    """Values of ``n`` strategies drawn i.i.d. from the mixture ``weights``."""
+    values = function_values(kind)
+    return values[np.random.default_rng(seed).choice(values.size, size=n, p=weights)]
+
+
 class TestMixtures:
     def test_expectation_matches_enumeration_dot_product(self, rng):
         for kind, size in (("3gamma", 64), ("spin1", 81)):
@@ -76,56 +93,18 @@ class TestMixtures:
             for _ in range(50):
                 w = rng.random(size)
                 w /= w.sum()
-                assert abs(mixture_expectation(w, kind) - float(w @ values)) < 1e-12
+                exact = math.fsum(wi * v for wi, v in zip(w, function_values(kind)))
+                assert abs(float(w @ values) - exact) < 1e-12
 
     def test_uniform_mixture_empirical_value(self):
         w = np.full(64, 1 / 64)
-        sample = lhv_event_stream(w, 100_000, seed=17)
-        expected = mixture_expectation(w, "3gamma")
+        empirical = float(sampled_values(w, 100_000, 17, "3gamma").mean())
+        expected = float(w @ strategy_values("3gamma"))
         sigma = float(strategy_values("3gamma").std() / np.sqrt(100_000))
-        assert abs(sample.empirical_value() - expected) < 3 * sigma
-        assert sample.empirical_value() < 3 * sigma  # never significantly positive
+        assert abs(empirical - expected) < 3 * sigma
+        assert empirical < 3 * sigma  # never significantly positive
 
     def test_point_mass_reproduces_deterministic_value(self):
-        values = strategy_values("spin1")
         w = np.zeros(81)
         w[37] = 1.0
-        sample = lhv_event_stream(w, 5_000, seed=3, kind="spin1")
-        assert sample.empirical_value() == values[37]
-
-    def test_fifty_random_mixtures_stay_below_classical_bound(self, rng):
-        for i in range(50):
-            kind = "3gamma" if i % 2 == 0 else "spin1"
-            size = 64 if kind == "3gamma" else 81
-            w = rng.random(size)
-            w /= w.sum()
-            sample = lhv_event_stream(w, 1_000_000, seed=1000 + i, kind=kind)
-            assert sample.empirical_value() <= 1e-2
-
-    def test_sampling_is_deterministic(self):
-        w = np.full(81, 1 / 81)
-        a = lhv_event_stream(w, 10_000, seed=5, kind="spin1")
-        b = lhv_event_stream(w, 10_000, seed=5, kind="spin1")
-        assert np.array_equal(a.indices, b.indices)
-
-    def test_records_are_strategies(self):
-        w = np.zeros(64)
-        w[0] = 1.0
-        sample = lhv_event_stream(w, 3, seed=0)
-        records = list(sample.records())
-        assert records == [enumerate_3gamma_strategies()[0]] * 3
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            lhv_event_stream(np.full(63, 1 / 63), 10, seed=0)
-        bad = np.full(64, 1 / 64)
-        bad[0] = -bad[0]
-        with pytest.raises(ValueError):
-            lhv_event_stream(bad, 10, seed=0)
-        unnormalized = np.full(64, 1 / 32)
-        with pytest.raises(ValueError):
-            lhv_event_stream(unnormalized, 10, seed=0)
-        with pytest.raises(ValueError):
-            lhv_event_stream(np.full(64, 1 / 64), 0, seed=0)
-        with pytest.raises(ValueError):
-            strategy_values("other")
+        assert np.all(sampled_values(w, 5_000, 3, "spin1") == strategy_values("spin1")[37])

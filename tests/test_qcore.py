@@ -11,10 +11,8 @@ from hepbell.qcore import (
     Observable,
     Projector,
     StateVector,
-    basis_state,
     born_probability,
     eigenvector_for_eigenvalue,
-    tensor,
 )
 
 from conftest import random_state_amps
@@ -58,45 +56,6 @@ class TestStateVector:
         state = ket(1.0, 0.0)
         with pytest.raises(ValueError):
             state.amps[0] = 5.0
-
-
-class TestTensor:
-    def test_basis_case(self):
-        r = StateVector((2,), [1, 0], (("R", "L"),))
-        l = StateVector((2,), [0, 1], (("R", "L"),))
-        rl = tensor(r, l)
-        assert rl.dims == (2, 2)
-        assert np.allclose(rl.amps, [0, 1, 0, 0])
-        assert rl.amplitude(("R", "L")) == 1.0
-
-    def test_linearity(self):
-        plus = StateVector((2,), [1, 1], (("R", "L"),))
-        r = StateVector((2,), [1, 0], (("R", "L"),))
-        out = tensor(plus, r)
-        assert np.allclose(out.amps, [1 / SQ2, 0, 1 / SQ2, 0])
-
-    def test_norm_preserved_on_random_inputs(self, rng):
-        for _ in range(100):
-            a = StateVector((3,), random_state_amps(3, rng))
-            b = StateVector((2, 2), random_state_amps(4, rng))
-            out = tensor(a, b)
-            assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
-
-    def test_associative_up_to_relabeling(self, rng):
-        a = StateVector((2,), random_state_amps(2, rng))
-        b = StateVector((3,), random_state_amps(3, rng))
-        c = StateVector((2,), random_state_amps(2, rng))
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        assert left.dims == right.dims
-        assert np.max(np.abs(left.amps - right.amps)) < 1e-12
-
-    def test_dimension_overflow_rejected(self):
-        nine = StateVector((3, 3), random_state_amps(9, np.random.default_rng(0)))
-        eightyone = tensor(nine, nine)
-        assert eightyone.total_dim == 81
-        with pytest.raises(DimensionError):
-            tensor(eightyone, StateVector((2,), [1, 0]))
 
 
 class TestProjector:
@@ -184,7 +143,7 @@ class TestBornProbability:
     def test_rejects_dim_mismatch(self):
         state = StateVector((3,), [1, 0, 0])
         with pytest.raises(DimensionError):
-            born_probability(state, [Projector.identity(2)])
+            born_probability(state, [Projector(np.eye(2))])
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2), (3, 3, 3)])
     def test_matches_tensordot_contraction_bit_for_bit(self, rng, dims):
@@ -264,7 +223,3 @@ class TestEigenvectorForEigenvalue:
                 vec = eigenvector_for_eigenvalue(obs, float(lam)).amps
                 assert np.linalg.norm(obs.matrix @ vec - lam * vec) < 1e-9
 
-
-def test_basis_state_helper():
-    state = basis_state((2, 2), (0, 1), (("R", "L"), ("R", "L")))
-    assert state.amplitude(("R", "L")) == 1.0

@@ -123,17 +123,18 @@ def assert_same_rows(func_vec, starts, half_width, x_tol=1e-8, max_sweeps=60):
 @pytest.mark.parametrize("steps", [16, 20, 24])
 @pytest.mark.parametrize("maximize", [spin1.maximize_violation, spin1.maximize_ch_vv])
 def test_searches_match_scalar_search(monkeypatch, maximize, steps, x_tol):
-    """The optimum is that of the scalar twin on Python floats, at the
-    search's own bracket tolerance (1e-8) and at tighter ones."""
-    grid_step = math.pi / steps
+    """The optimum is that of the scalar twin on Python floats, on the
+    searches' own grid (pi/16) and finer ones, at the search's own bracket
+    tolerance (1e-8) and at tighter ones."""
+    monkeypatch.setattr(spin1, "_GRID_STEP", math.pi / steps)
     monkeypatch.setattr(_search, "_X_TOL", x_tol)
-    got = maximize(grid_step=grid_step)
+    got = maximize()
 
     def scalar_search(func_vec, starts, half_width, x_tol):
         return reference_rows(func_vec, starts, half_width, x_tol, evaluate=on_floats)
 
     monkeypatch.setattr(_search, "refine_lockstep", scalar_search)
-    want = maximize(grid_step=grid_step)
+    want = maximize()
     # repr of a float round-trips, so equal reprs are equal bits.
     assert repr(got) == repr(want)
 
@@ -275,20 +276,6 @@ def grid_axis_refused(monkeypatch):
         raise GridReached
 
     monkeypatch.setattr(np, "arange", refuse)
-
-
-@pytest.mark.parametrize(
-    "n_axes, grid_step",
-    [(4, 1e-9), (3, 1e-9), (3, math.pi / 2000), (4, math.pi / 46), (3, math.pi / 162)],
-)
-def test_grid_beyond_budget_is_refused_before_allocation(grid_axis_refused, n_axes, grid_step):
-    per_axis = math.ceil(math.pi / grid_step)
-    with pytest.raises(_search.GridTooFine) as excinfo:
-        _search.maximize_on_grid(np.cos, n_axes, grid_step)
-    assert str(excinfo.value) == (
-        f"grid_step {grid_step!r} gives {per_axis}**{n_axes} grid points, "
-        f"more than the {_search._MAX_GRID_POINTS} allowed"
-    )
 
 
 @pytest.mark.parametrize(

@@ -205,6 +205,17 @@ class TestHardyViolation:
         assert float(values.max()) <= MAX_GAP + 1e-9
 
 
+    def test_gap_is_the_two_meson_ch_at_beta_0_gamma_alpha(self):
+        """With J(x) = sin^2(x)/2, P(J_x=0, J_alpha!=0) = 1/2 - J(alpha) and
+        P(J_beta!=0, J_gamma=0) = 1/2 - J(beta - gamma), so the gap is the
+        CH joint combination at (t1, t1', t2, t2') = (beta, 0, gamma, alpha)
+        less 1."""
+        alpha, beta, gamma = np.random.default_rng(6).uniform(0.0, np.pi, (3, 100_000))
+        gap = hardy_difference_closed(alpha, beta, gamma)
+        ch = ch_vv_joint_combination(beta, 0.0, gamma, alpha) - 1.0
+        assert float(np.max(np.abs(gap - ch))) <= 1e-15
+
+
 class TestMaximizeViolation:
     def test_defaults_recover_canonical_maximum(self):
         settings, value = maximize_violation()
@@ -225,9 +236,9 @@ class TestMaximizeViolation:
         assert float(values.max()) <= 1e-12
 
     def test_parameter_validation(self):
-        for maximize in (maximize_violation, maximize_ch_vv):
+        for n_axes in (3, 4):
             with pytest.raises(ValueError, match="grid_step"):
-                maximize(grid_step=np.pi / 8)
+                _search.maximize_on_grid(hardy_difference_closed, n_axes, np.pi / 8)
 
 
 class TestChValueVV:
