@@ -907,15 +907,39 @@ class TestScalarCommands:
         assert run(["--output-dir", str(tmp_path), "efficiency", "--out", str(out)]) == 0
         assert float.hex(load(out)["threshold"]) == "0x1.a827999fcef31p-1"
 
-    @pytest.mark.parametrize(
-        "args", [["hardy", "--optimize", "--grid-step", "pi/16"], ["efficiency", "--tol", "1e-9"]]
-    )
+    @pytest.mark.parametrize("args", [["hardy", "--optimize", "--grid-step", "pi/16"]])
     def test_removed_flags_are_usage_errors(self, tmp_path, capsys, args):
         with pytest.raises(SystemExit) as excinfo:
             run(["--output-dir", str(tmp_path), *args, "--out", str(tmp_path / "r.json")])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    # The threshold is the closed form 1/C, so efficiency takes no search
+    # tolerance: any --tol, finite or not, is refused before a file is written.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["efficiency", "--tol", "nan"],
+            ["efficiency", "--tol", "inf"],
+        ],
+    )
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--output-dir", str(tmp_path), *args, "--out", str(tmp_path / "r.json")])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("tol", ["2", "0.999999"])
+    def test_tolerance_as_wide_as_the_bracket_is_usage_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "r.json"
+        args = ["--output-dir", str(tmp_path), "efficiency", "--tol", tol, "--out", str(out)]
+        with pytest.raises(SystemExit) as excinfo:
+            run(args)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_idempotent_reports(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"
