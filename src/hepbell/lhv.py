@@ -58,13 +58,17 @@ def enumerate_spin1_strategies() -> tuple[StrategySpin1, ...]:
 
 
 def ch_3gamma_strategy_value(strategy: Strategy3Gamma) -> float:
-    """CH expression value for one deterministic strategy (0/1 indicators)."""
-    lin, circ = strategy.linear, strategy.circular
-    t1 = lin[0] == "V" and lin[1] == "V"
-    t2 = lin[0] == "V" and circ[1] != circ[2]
-    t3 = circ[0] != circ[2] and lin[1] == "V"
-    t4 = circ[0] == circ[1] == circ[2]
-    return float(t1) - float(t2) - float(t3) - float(t4)
+    """CH expression value for one deterministic strategy: the sum of each
+    term's sign over the term's outcome words that the strategy spells."""
+    from .photon3 import ch_words  # here, so that the spin-1 commands skip photon3
+
+    outcomes = tuple(zip(strategy.linear, strategy.circular))
+    return float(sum(
+        sign
+        for _, sign, words in ch_words()
+        for word in words
+        if all(c == "." or c in pair for c, pair in zip(word, outcomes))
+    ))
 
 
 def hardy_spin1_strategy_value(strategy: StrategySpin1) -> float:

@@ -470,7 +470,9 @@ def _arc_estimates(
     coincidences give how many lie below each arc end, as numpy's histogram
     of an array of bins counts them; these add up over the chunks, and an
     arc's count is the difference at its ends."""
-    edges = np.unique(np.concatenate((lo, hi)))
+    # np.unique's edges, without the numpy.ma import its first call costs.
+    edges = np.sort(np.concatenate((lo, hi)))
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     first, last = np.searchsorted(edges, lo), np.searchsorted(edges, hi)
 
     def count(sample: EventSample) -> np.ndarray:

@@ -1,16 +1,18 @@
 """Three-photon polarization state from triplet-onium annihilation.
 
 Builds the state in circular, linear and mixed polarization bases, evaluates
-joint/conditional outcome probabilities, the CH-type inequality they embed
-into, and the residual tripartite entanglement (3-tangle) certificate.
+joint/conditional probabilities of events written as outcome words, the
+CH-type inequality as one table of signed words (which the local-hidden-
+variable enumeration in :mod:`hepbell.lhv` reads too), and the residual
+tripartite entanglement (3-tangle) certificate.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -51,12 +53,6 @@ def circular_linear_transform() -> np.ndarray:
     return np.array([[1.0, 1.0j], [1.0, -1.0j]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def _rl_amps_of_linear(label: str) -> np.ndarray:
-    m = circular_linear_transform()
-    e = np.array([1.0, 0.0]) if label == "H" else np.array([0.0, 1.0])
-    return m.conj() @ e
-
-
 @lru_cache(maxsize=8)
 def make_ortho_ps_state(
     basis: tuple[PolBasis, PolBasis, PolBasis] = (
@@ -88,162 +84,93 @@ def make_ortho_ps_state(
     return StateVector((2, 2, 2), amps.ravel(), labels)
 
 
-@dataclass(frozen=True)
-class CircularRelation:
-    """Constraint among circular outcomes: 'same'/'different' on a site pair,
-    or 'all_same' across all three photons."""
-
-    kind: str
-    sites: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("same", "different", "all_same"):
-            raise ValueError(f"unknown relation kind {self.kind!r}")
-        sites = tuple(int(s) for s in self.sites)
-        expected = 3 if self.kind == "all_same" else 2
-        if len(sites) != expected or len(set(sites)) != expected:
-            raise ValueError(f"relation {self.kind!r} needs {expected} distinct sites")
-        if any(s not in range(N_PHOTONS) for s in sites):
-            raise ValueError("relation sites out of range")
-        object.__setattr__(self, "sites", sites)
-
-
-def same_circular(i: int, j: int) -> CircularRelation:
-    return CircularRelation("same", (i, j))
-
-
-def different_circular(i: int, j: int) -> CircularRelation:
-    return CircularRelation("different", (i, j))
-
-
-def all_same_circular() -> CircularRelation:
-    return CircularRelation("all_same", (0, 1, 2))
-
-
-@dataclass(frozen=True)
-class TripartiteOutcomeSpec:
-    """One measurement event on the three photons (sites are 0-based).
-
-    Each photon may carry a fixed linear outcome, a fixed circular outcome,
-    participate in at most one circular relation, or stay marginal.
-    """
-
-    linear: tuple[tuple[int, str], ...] = ()
-    circular: tuple[tuple[int, str], ...] = ()
-    relation: CircularRelation | None = None
-
-    def __post_init__(self):
-        as_pairs = lambda v: tuple(v.items()) if isinstance(v, Mapping) else tuple(v)
-        linear = tuple(sorted((int(s), str(l)) for s, l in as_pairs(self.linear)))
-        circular = tuple(sorted((int(s), str(l)) for s, l in as_pairs(self.circular)))
-        used: set[int] = set()
-        for site, lab in linear:
-            if site not in range(N_PHOTONS) or lab not in LINEAR_LABELS:
-                raise ValueError(f"bad linear entry ({site}, {lab!r})")
-            if site in used:
-                raise ValueError(f"site {site} constrained twice")
-            used.add(site)
-        for site, lab in circular:
-            if site not in range(N_PHOTONS) or lab not in CIRCULAR_LABELS:
-                raise ValueError(f"bad circular entry ({site}, {lab!r})")
-            if site in used:
-                raise ValueError(f"site {site} constrained twice")
-            used.add(site)
-        if self.relation is not None:
-            for site in self.relation.sites:
-                if site in used:
-                    raise ValueError(f"site {site} constrained twice")
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "circular", circular)
-
-    def merged_with(self, other: "TripartiteOutcomeSpec") -> "TripartiteOutcomeSpec":
-        if self.relation is not None and other.relation is not None:
-            raise ValueError("cannot merge two specs that both carry a relation")
-        return TripartiteOutcomeSpec(
-            linear=self.linear + other.linear,
-            circular=self.circular + other.circular,
-            relation=self.relation or other.relation,
-        )
+# An outcome word has one letter per photon: H/V a linear outcome, R/L a
+# circular one, "." not measured.  An event is a sequence of words.
+_BASIS = {"H": "HV", "V": "HV", "R": "RL", "L": "RL", ".": "."}
 
 
 @lru_cache(maxsize=None)
-def _linear_projector_in_circular(label: str) -> Projector:
-    return Projector.onto(_rl_amps_of_linear(label))
+def _projector(letter: str) -> Projector:
+    """Projector onto one photon's outcome ``letter`` in the circular basis."""
+    if letter in LINEAR_LABELS:
+        ket = circular_linear_transform().conj() @ np.eye(2)[LINEAR_LABELS.index(letter)]
+    else:
+        ket = np.eye(2)[CIRCULAR_LABELS.index(letter)]
+    return Projector.onto(ket)
 
 
-@lru_cache(maxsize=None)
-def _circular_projector(label: str) -> Projector:
-    e = np.array([1.0, 0.0]) if label == "R" else np.array([0.0, 1.0])
-    return Projector.onto(e)
+def _words(event: Sequence[str]) -> tuple[str, ...]:
+    """The words of ``event``, checked mutually exclusive: every word
+    measures each photon in the same basis, and none repeats."""
+    words = tuple(event)
+    for word in words:
+        if not isinstance(word, str) or len(word) != N_PHOTONS or not set(word) <= _BASIS.keys():
+            raise ValueError(f"bad outcome word {word!r}: one of H, V, R, L, . per photon")
+        if [_BASIS[c] for c in word] != [_BASIS[c] for c in words[0]]:
+            raise ValueError(f"word {word!r} measures other bases than {words[0]!r}")
+        if words.count(word) > 1:
+            raise ValueError(f"word {word!r} repeats")
+    return words
 
 
-def _relation_assignments(relation: CircularRelation | None):
-    if relation is None:
-        return [()]
-    if relation.kind == "same":
-        return [("R", "R"), ("L", "L")]
-    if relation.kind == "different":
-        return [("R", "L"), ("L", "R")]
-    return [("R", "R", "R"), ("L", "L", "L")]
-
-
-def _event_probability(spec: TripartiteOutcomeSpec) -> float:
+def _probability(event: Sequence[str]) -> float:
     """Born probability of the event on the circular-basis state."""
     state = make_ortho_ps_state()
     total = 0.0
-    for assignment in _relation_assignments(spec.relation):
-        ops: list[Projector | None] = [None] * N_PHOTONS
-        for site, lab in spec.linear:
-            ops[site] = _linear_projector_in_circular(lab)
-        for site, lab in spec.circular:
-            ops[site] = _circular_projector(lab)
-        if spec.relation is not None:
-            for site, lab in zip(spec.relation.sites, assignment):
-                ops[site] = _circular_projector(lab)
-        total += born_probability(state, ops)
+    for word in _words(event):
+        total += born_probability(state, [None if c == "." else _projector(c) for c in word])
     return min(total, 1.0)
 
 
-def outcome_probability(
-    spec: TripartiteOutcomeSpec,
-    conditional_on: TripartiteOutcomeSpec | None = None,
-) -> float:
-    """Joint (or conditional) probability of an outcome event on the state."""
-    if conditional_on is None:
-        return _event_probability(spec)
-    p_cond = _event_probability(conditional_on)
-    if p_cond < _NULL_EVENT_TOL:
+def _joint(word: str, given: str) -> str:
+    if any("." not in (a, b) and a != b for a, b in zip(word, given)):
+        raise ValueError(f"words {word!r} and {given!r} give one photon two outcomes")
+    return "".join(b if a == "." else a for a, b in zip(word, given))
+
+
+def outcome_probability(event: Sequence[str], given: Sequence[str] | None = None) -> float:
+    """Probability of an event of outcome words, or its conditional on ``given``."""
+    if given is None:
+        return _probability(event)
+    p_given = _probability(given)
+    if p_given < _NULL_EVENT_TOL:
         raise ConditionOnNullEvent(
-            f"conditioning event has probability {p_cond} < {_NULL_EVENT_TOL}"
+            f"conditioning event has probability {p_given} < {_NULL_EVENT_TOL}"
         )
-    return _event_probability(spec.merged_with(conditional_on)) / p_cond
+    return _probability([_joint(w, g) for w in _words(event) for g in _words(given)]) / p_given
 
 
-def _ch_terms(labeling: tuple[int, int, int]) -> list[tuple[str, float]]:
-    i, j, k = labeling
-    disp = tuple(s + 1 for s in labeling)  # 1-based names for reports
-    return [
-        (
-            f"P({disp[0]}=V,{disp[1]}=V)",
-            outcome_probability(TripartiteOutcomeSpec(linear=((i, "V"), (j, "V")))),
-        ),
-        (
-            f"P({disp[0]}=V,C{disp[1]}!=C{disp[2]})",
-            outcome_probability(
-                TripartiteOutcomeSpec(linear=((i, "V"),), relation=different_circular(j, k))
-            ),
-        ),
-        (
-            f"P(C{disp[0]}!=C{disp[2]},{disp[1]}=V)",
-            outcome_probability(
-                TripartiteOutcomeSpec(linear=((j, "V"),), relation=different_circular(i, k))
-            ),
-        ),
-        (
-            "P(C1=C2=C3)",
-            outcome_probability(TripartiteOutcomeSpec(relation=all_same_circular())),
-        ),
-    ]
+# The CH expression as (report label, sign, words) on the labeling (i, j, k);
+# a word's n-th letter is photon labeling[n]'s outcome.
+_CH_TEMPLATE = (
+    ("P({i}=V,{j}=V)", 1, ("VV.",)),
+    ("P({i}=V,C{j}!=C{k})", -1, ("VRL", "VLR")),
+    ("P(C{i}!=C{k},{j}=V)", -1, ("RVL", "LVR")),
+    ("P(C1=C2=C3)", -1, ("RRR", "LLL")),
+)
+_SYMMETRIZED_LABELS = ("P(two of three=V)", "P(V,Cdiff) sym", "P(Cdiff,V) sym", "3*P(C1=C2=C3)")
+
+
+def _placed(labeling: tuple[int, int, int], word: str) -> str:
+    return "".join(word[labeling.index(photon)] for photon in range(N_PHOTONS))
+
+
+@lru_cache(maxsize=None)
+def ch_words(
+    labeling: tuple[int, int, int] = (0, 1, 2),
+) -> tuple[tuple[str, int, tuple[str, ...]], ...]:
+    """The CH terms for a (0-based) labeling as (report label, sign, words)."""
+    if sorted(labeling) != [0, 1, 2]:
+        raise ValueError(f"labeling must be a permutation of (0, 1, 2), got {labeling}")
+    names = dict(zip("ijk", (s + 1 for s in labeling)))  # 1-based names for reports
+    return tuple(
+        (label.format(**names), sign, tuple(_placed(labeling, w) for w in words))
+        for label, sign, words in _CH_TEMPLATE
+    )
+
+
+def _ch_terms(labeling: tuple[int, int, int]) -> list[tuple[str, int, float]]:
+    return [(label, sign, outcome_probability(words)) for label, sign, words in ch_words(labeling)]
 
 
 def ch_value_3gamma(
@@ -255,21 +182,15 @@ def ch_value_3gamma(
     reading sums the expression over the three cyclic labelings, turning the
     first term into the probability that some two photons are vertical.
     """
-    if sorted(labeling) != [0, 1, 2]:
-        raise ValueError(f"labeling must be a permutation of (0, 1, 2), got {labeling}")
-    if not symmetrized:
-        terms = _ch_terms(tuple(labeling))
-        value = terms[0][1] - terms[1][1] - terms[2][1] - terms[3][1]
-        return make_report(terms, value)
-    i, j, k = labeling
-    cycles = [(i, j, k), (j, k, i), (k, i, j)]
-    summed = [0.0] * 4
-    for cyc in cycles:
-        for t, (_, p) in enumerate(_ch_terms(cyc)):
-            summed[t] += p
-    labels = ["P(two of three=V)", "P(V,Cdiff) sym", "P(Cdiff,V) sym", "3*P(C1=C2=C3)"]
-    value = summed[0] - summed[1] - summed[2] - summed[3]
-    return make_report(list(zip(labels, summed)), value)
+    terms = _ch_terms(tuple(labeling))
+    if symmetrized:
+        i, j, k = labeling
+        cycles = zip(_SYMMETRIZED_LABELS, terms, _ch_terms((j, k, i)), _ch_terms((k, i, j)))
+        terms = [
+            (label, sign, p + q + r) for label, (_, sign, p), (_, _, q), (_, _, r) in cycles
+        ]
+    value = sum(sign * p for _, sign, p in terms)
+    return make_report([(label, p) for label, _, p in terms], value)
 
 
 class SloccClass(str, enum.Enum):
@@ -320,18 +241,13 @@ def three_tangle(state: StateVector) -> TangleReport:
 
 def probability_summary(labeling: tuple[int, int, int] = (0, 1, 2)) -> dict:
     """The four headline probabilities for the given labeling (i, j, k)."""
-    i, j, k = labeling
-    sym = ch_value_3gamma(symmetrized=True).terms[0][1]
+    two_v, *_, all_same = ch_words(tuple(labeling))
     return {
-        "p_two_v_symmetrized": sym,
-        "p_two_v_fixed": outcome_probability(
-            TripartiteOutcomeSpec(linear=((i, "V"), (j, "V")))
-        ),
+        "p_two_v_symmetrized": ch_value_3gamma(symmetrized=True).terms[0][1],
+        "p_two_v_fixed": outcome_probability(two_v[2]),
         "p_same_pair_given_v": outcome_probability(
-            TripartiteOutcomeSpec(relation=same_circular(j, k)),
-            conditional_on=TripartiteOutcomeSpec(linear=((i, "V"),)),
+            [_placed(labeling, ".RR"), _placed(labeling, ".LL")],
+            given=[_placed(labeling, "V..")],
         ),
-        "p_all_same_circular": outcome_probability(
-            TripartiteOutcomeSpec(relation=all_same_circular())
-        ),
+        "p_all_same_circular": outcome_probability(all_same[2]),
     }

@@ -11,12 +11,7 @@ import time
 import numpy as np
 
 from hepbell import kinematics, lhv, mesonlab, photon3, spin1
-from hepbell.photon3 import (
-    SloccClass,
-    TripartiteOutcomeSpec,
-    all_same_circular,
-    same_circular,
-)
+from hepbell.photon3 import SloccClass
 from hepbell.qcore import StateVector, born_probability
 
 SQ2 = math.sqrt(2.0)
@@ -29,17 +24,10 @@ def report(criterion: int, message: str) -> None:
 
 def test_criterion_01_tripartite_probabilities():
     start = time.perf_counter()
-    p_cond = photon3.outcome_probability(
-        TripartiteOutcomeSpec(relation=same_circular(1, 2)),
-        conditional_on=TripartiteOutcomeSpec(linear=((0, "V"),)),
-    )
-    p_all_same = photon3.outcome_probability(
-        TripartiteOutcomeSpec(relation=all_same_circular())
-    )
+    p_cond = photon3.outcome_probability([".RR", ".LL"], given=["V.."])
+    p_all_same = photon3.outcome_probability(["RRR", "LLL"])
     p_sym = photon3.ch_value_3gamma(symmetrized=True).terms[0][1]
-    p_fixed = photon3.outcome_probability(
-        TripartiteOutcomeSpec(linear=((0, "V"), (1, "V")))
-    )
+    p_fixed = photon3.outcome_probability(["VV."])
     elapsed = time.perf_counter() - start
     assert abs(p_cond - 1.0) < 1e-12
     assert abs(p_all_same) < 1e-12
@@ -182,11 +170,17 @@ def test_criterion_10_estimator_closure():
     events = mesonlab.generate_events(1_000_000, seed=42)
     estimate = mesonlab.estimate_probability(events)
     p_half, err_half = estimate.value_at(math.pi / 2)
-    assert abs(p_half - 0.5) < 3.0 * err_half
+    # The bin [pi/2, pi/2 + w) averages sin^2(phi)/2 to 1/4 + sin(2w)/(8w),
+    # 0.49840 at w = pi/32, not the 0.5 at its lower edge.
+    w = estimate.bin_width
+    assert estimate.bin_edges[estimate.bin_index(math.pi / 2)] == math.pi / 2
+    p_bin = 0.25 + math.sin(2 * w) / (8 * w)
+    assert abs(p_bin - 0.49840) < 5e-6
+    assert abs(p_half - p_bin) < 3.0 * err_half
     integral = float(estimate.p_hat.sum() * estimate.bin_width)
     integral_err = float(np.sqrt((estimate.stat_err**2).sum()) * estimate.bin_width)
     assert abs(integral - math.pi / 2) < max(3.0 * integral_err, 1e-9)
-    report(10, f"P(pi/2) = {p_half:.4f} ± {err_half:.4f}; sum(p_hat)*width = "
+    report(10, f"P(pi/2 bin) = {p_half:.4f} ± {err_half:.4f} (expected {p_bin:.5f}); sum(p_hat)*width = "
                f"{integral:.9f} = kappa = pi/2")
 
 

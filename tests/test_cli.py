@@ -171,6 +171,41 @@ class TestTripartiteCommand:
     def test_bad_labeling_is_usage_error(self, tmp_path):
         assert run(["tripartite", "--labeling", "1,1,3"]) == 2
 
+    @pytest.mark.parametrize("args, fixed_labels, value", [
+        ([], ("P(1=V,2=V)", "P(1=V,C2!=C3)", "P(C1!=C3,2=V)"), "0x1.0000000000004p-2"),
+        (
+            ["--labeling", "2,3,1", "--symmetrized", "false"],
+            ("P(2=V,3=V)", "P(2=V,C3!=C1)", "P(C2!=C1,3=V)"),
+            "0x1.555555555555ap-4",
+        ),
+    ])
+    def test_numbers_keep_their_bits(self, tmp_path, args, fixed_labels, value):
+        out = tmp_path / "t.json"
+        assert run(["--output-dir", str(tmp_path), "tripartite", *args, "--out", str(out)]) == 0
+        doc = load(out)
+        hexed = lambda numbers: {k: float.hex(v) for k, v in numbers.items()}
+        zero, twelfth, quarter = "0x0.0p+0", "0x1.555555555555ap-4", "0x1.0000000000004p-2"
+        assert hexed(doc["probabilities"]) == {
+            "p_all_same_circular": zero,
+            "p_same_pair_given_v": "0x1.0000000000000p+0",
+            "p_two_v_fixed": twelfth,
+            "p_two_v_symmetrized": quarter,
+        }
+        two_v, v_cdiff, cdiff_v = fixed_labels
+        assert hexed(doc["ch_fixed"]["terms"]) == {
+            two_v: twelfth, v_cdiff: zero, cdiff_v: zero, "P(C1=C2=C3)": zero,
+        }
+        assert float.hex(doc["ch_fixed"]["value"]) == twelfth
+        assert hexed(doc["ch_symmetrized"]["terms"]) == {
+            "P(two of three=V)": quarter,
+            "P(V,Cdiff) sym": zero,
+            "P(Cdiff,V) sym": zero,
+            "3*P(C1=C2=C3)": zero,
+        }
+        assert float.hex(doc["ch_symmetrized"]["value"]) == quarter
+        assert float.hex(doc["value"]) == value
+        assert float.hex(doc["tangle"]["tau"]) == "0x1.5555555555559p-2"
+
 
 class TestHardyCommand:
     def test_paper_settings(self, tmp_path, schema):
@@ -1021,6 +1056,14 @@ class TestImports:
         assert "hepbell.mesonlab" in modules
         loaded = {"hepbell.photon3", "hepbell.lhv", "hepbell.spin1", "hepbell._search"} & modules
         assert not loaded
+        assert "numpy.ma" not in modules
+
+    def test_spin1_commands_load_no_photon3(self, tmp_path):
+        common = ["--output-dir", str(tmp_path)]
+        codes, modules = loaded_modules([*common, "hardy"], [*common, "efficiency"])
+        assert codes == [0, 0]
+        assert {"hepbell.lhv", "hepbell.spin1"} <= modules
+        assert "hepbell.photon3" not in modules
 
     def test_efficiency_loads_no_event_modules(self, tmp_path):
         codes, modules = loaded_modules(["--output-dir", str(tmp_path), "efficiency"])

@@ -57,6 +57,17 @@ class TestDeterministicBounds:
         assert ch_3gamma_strategy_value(strategy) == -1.0
         assert ch_3gamma_strategy_value(strategy) <= 0.0
 
+    def test_ch_values_match_the_hand_written_terms(self):
+        for strategy in enumerate_3gamma_strategies():
+            lin, circ = strategy.linear, strategy.circular
+            expected = (
+                (lin[0] == "V" and lin[1] == "V")
+                - (lin[0] == "V" and circ[1] != circ[2])
+                - (circ[0] != circ[2] and lin[1] == "V")
+                - (circ[0] == circ[1] == circ[2])
+            )
+            assert ch_3gamma_strategy_value(strategy) == expected
+
     def test_spin1_lhs_compensated_by_rhs(self):
         strategy = StrategySpin1(v_x=0, v_beta=1, v_gamma=0, v_alpha=0)
         assert hardy_spin1_strategy_value(strategy) == 0.0

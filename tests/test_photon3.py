@@ -6,14 +6,11 @@ from hepbell.photon3 import (
     ConditionOnNullEvent,
     PolBasis,
     SloccClass,
-    TripartiteOutcomeSpec,
-    all_same_circular,
     ch_value_3gamma,
+    ch_words,
     circular_linear_transform,
-    different_circular,
     make_ortho_ps_state,
     outcome_probability,
-    same_circular,
     three_tangle,
 )
 from hepbell.qcore import DimensionError, Projector, StateVector, born_probability
@@ -76,113 +73,79 @@ class TestBasisTransform:
         assert np.max(np.abs(v_block - (-1j) * np.array([1, 0, 0, -1]) / np.sqrt(12))) < 1e-12
 
 
-def linear_projector_in_hv(label):
-    return Projector.onto([1.0, 0.0] if label == "H" else [0.0, 1.0])
-
-
-def circular_projector_in_hv(label):
+def projector_in_hv(letter):
+    if letter in "HV":
+        return Projector.onto([1.0, 0.0] if letter == "H" else [0.0, 1.0])
     # |R> = (|H> + i|V>)/sqrt(2), |L> = (|H> - i|V>)/sqrt(2)
-    sign = 1j if label == "R" else -1j
+    sign = 1j if letter == "R" else -1j
     return Projector.onto(np.array([1.0, sign]) / SQ2)
 
 
-def probability_in_linear_basis(linear=(), circular_pairs=()):
-    """Independent oracle: same events evaluated on the all-linear state."""
+def probability_in_linear_basis(words):
+    """Independent oracle: the same words evaluated on the all-linear state."""
     state = make_ortho_ps_state(ALL_LINEAR)
-    total = 0.0
-    assignments = [()] if not circular_pairs else circular_pairs
-    for assignment in assignments:
-        ops = [None] * 3
-        for site, lab in linear:
-            ops[site] = linear_projector_in_hv(lab)
-        for site, lab in assignment:
-            ops[site] = circular_projector_in_hv(lab)
-        total += born_probability(state, ops)
-    return total
+    return sum(
+        born_probability(state, [None if c == "." else projector_in_hv(c) for c in word])
+        for word in words
+    )
+
+
+LABELINGS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
 
 
 class TestOutcomeProbabilities:
     def test_same_pair_given_vertical_is_one(self):
-        p = outcome_probability(
-            TripartiteOutcomeSpec(relation=same_circular(1, 2)),
-            conditional_on=TripartiteOutcomeSpec(linear=((0, "V"),)),
-        )
+        p = outcome_probability([".RR", ".LL"], given=["V.."])
         assert abs(p - 1.0) < 1e-12
 
     def test_all_same_circular_is_zero(self):
-        p = outcome_probability(TripartiteOutcomeSpec(relation=all_same_circular()))
+        p = outcome_probability(["RRR", "LLL"])
         assert abs(p) < 1e-12
 
     def test_fixed_two_vertical_is_one_twelfth(self):
-        p = outcome_probability(TripartiteOutcomeSpec(linear=((0, "V"), (1, "V"))))
+        p = outcome_probability(["VV."])
         assert abs(p - 1 / 12) < 1e-12
 
     def test_symmetrized_two_vertical_is_one_quarter(self):
-        total = sum(
-            outcome_probability(TripartiteOutcomeSpec(linear=((i, "V"), (j, "V"))))
-            for i, j in ((0, 1), (1, 2), (2, 0))
-        )
+        total = sum(outcome_probability([word]) for word in ("VV.", ".VV", "V.V"))
         assert abs(total - 0.25) < 1e-12
 
     def test_condition_on_null_event_raises(self):
         with pytest.raises(ConditionOnNullEvent):
-            outcome_probability(
-                TripartiteOutcomeSpec(linear=((0, "V"),)),
-                conditional_on=TripartiteOutcomeSpec(relation=all_same_circular()),
-            )
+            outcome_probability(["V.."], given=["RRR", "LLL"])
 
     def test_basis_change_consistency(self):
         # Probabilities evaluated on the circular-basis state must match the
         # same events evaluated on the linear-basis state within 1e-10.
-        cases = [
-            (
-                outcome_probability(TripartiteOutcomeSpec(linear=((0, "V"), (1, "V")))),
-                probability_in_linear_basis(linear=((0, "V"), (1, "V"))),
-            ),
-            (
-                outcome_probability(
-                    TripartiteOutcomeSpec(linear=((0, "V"),), relation=same_circular(1, 2))
-                ),
-                probability_in_linear_basis(
-                    linear=((0, "V"),),
-                    circular_pairs=[(((1, "R"), (2, "R"))), (((1, "L"), (2, "L")))],
-                ),
-            ),
-            (
-                outcome_probability(
-                    TripartiteOutcomeSpec(linear=((0, "V"),), relation=different_circular(1, 2))
-                ),
-                probability_in_linear_basis(
-                    linear=((0, "V"),),
-                    circular_pairs=[(((1, "R"), (2, "L"))), (((1, "L"), (2, "R")))],
-                ),
-            ),
-            (
-                outcome_probability(TripartiteOutcomeSpec(relation=all_same_circular())),
-                probability_in_linear_basis(
-                    circular_pairs=[
-                        ((0, "R"), (1, "R"), (2, "R")),
-                        ((0, "L"), (1, "L"), (2, "L")),
-                    ]
-                ),
-            ),
-            (
-                outcome_probability(TripartiteOutcomeSpec(linear=((2, "V"),))),
-                probability_in_linear_basis(linear=((2, "V"),)),
-            ),
-        ]
-        for via_circular, via_linear in cases:
-            assert abs(via_circular - via_linear) < 1e-10
+        events = [("VV.",), ("VRR", "VLL"), ("VRL", "VLR"), ("RRR", "LLL"), ("..V",)]
+        events += [words for labeling in LABELINGS for _, _, words in ch_words(labeling)]
+        for words in events:
+            assert abs(outcome_probability(words) - probability_in_linear_basis(words)) < 1e-10
+
+    def test_conditional_is_joint_over_given(self):
+        joint = outcome_probability(["VRR", "VLL", "HRR", "HLL"])
+        given = outcome_probability(["V..", "H.."])
+        p = outcome_probability([".RR", ".LL"], given=["V..", "H.."])
+        assert abs(given - 1.0) < 1e-12
+        assert p == joint / given
+        assert outcome_probability(["V.."], given=["V.."]) == 1.0
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            TripartiteOutcomeSpec(linear=((0, "V"), (0, "H")))
-        with pytest.raises(ValueError):
-            TripartiteOutcomeSpec(linear=((0, "R"),))
-        with pytest.raises(ValueError):
-            TripartiteOutcomeSpec(circular=((1, "R"),), relation=same_circular(1, 2))
-        with pytest.raises(ValueError):
-            same_circular(1, 1)
+        for event, match in (
+            ("VV.", "bad outcome word 'V'"),
+            (["VV"], "bad outcome word 'VV'"),
+            (["VX."], "bad outcome word 'VX.'"),
+            ([("V", "V", ".")], "bad outcome word"),
+            (["V..", "R.."], "word 'R..' measures other bases than 'V..'"),
+            (["V..", ".V."], "word '.V.' measures other bases"),
+            (["V..", "H..", "V.."], "word 'V..' repeats"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                outcome_probability(event)
+        with pytest.raises(ValueError, match="words 'V..' and 'H..' give one photon two"):
+            outcome_probability(["V.."], given=["H.."])
+        with pytest.raises(ValueError, match="words 'V..' and 'R..'"):
+            outcome_probability(["V.."], given=["R.."])
 
 
 class TestChValue:
@@ -201,11 +164,22 @@ class TestChValue:
         assert report.violated
 
     def test_all_labelings_identical(self):
-        values = {
-            round(ch_value_3gamma(labeling=lab).value, 15)
-            for lab in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
-        }
+        values = {round(ch_value_3gamma(labeling=lab).value, 15) for lab in LABELINGS}
         assert len(values) == 1
+
+    def test_words_of_the_ch_terms(self):
+        assert ch_words() == (
+            ("P(1=V,2=V)", 1, ("VV.",)),
+            ("P(1=V,C2!=C3)", -1, ("VRL", "VLR")),
+            ("P(C1!=C3,2=V)", -1, ("RVL", "LVR")),
+            ("P(C1=C2=C3)", -1, ("RRR", "LLL")),
+        )
+        assert ch_words((1, 2, 0)) == (
+            ("P(2=V,3=V)", 1, (".VV",)),
+            ("P(2=V,C3!=C1)", -1, ("LVR", "RVL")),
+            ("P(C2!=C1,3=V)", -1, ("LRV", "RLV")),
+            ("P(C1=C2=C3)", -1, ("RRR", "LLL")),
+        )
 
     def test_fixed_equals_symmetrized_over_three(self):
         fixed = ch_value_3gamma().value
