@@ -2,7 +2,10 @@
 
 Exhaustive enumeration certifies the classical bounds: the extreme points of
 the local polytope are deterministic response functions, so no stochastic
-mixture of strategies exceeds the largest strategy value.
+mixture of strategies exceeds the largest strategy value.  A strategy's
+value is read off the same tables of signed terms the quantum evaluations
+use: the three-photon CH words of :func:`hepbell.photon3.ch_words` and
+Hardy's terms, :data:`hepbell.reports.HARDY_TERMS`.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .reports import HARDY_TERMS
 
 # Outcome alphabets in lexicographic order so the enumeration order of
 # strategies doubles as the canonical (witness-reporting) order.
@@ -72,12 +77,13 @@ def ch_3gamma_strategy_value(strategy: Strategy3Gamma) -> float:
 
 
 def hardy_spin1_strategy_value(strategy: StrategySpin1) -> float:
-    """LHS - RHS of the spin-1 constraint for one deterministic strategy."""
-    lhs = strategy.v_x == 0 and strategy.v_gamma == 0
-    r1 = strategy.v_x == 0 and strategy.v_alpha != 0
-    r2 = strategy.v_beta != 0 and strategy.v_gamma == 0
-    r3 = strategy.v_beta == 0 and strategy.v_alpha == 0
-    return float(lhs) - float(r1) - float(r2) - float(r3)
+    """LHS - RHS of the spin-1 constraint for one deterministic strategy:
+    the sum of the signs of the HARDY_TERMS whose two outcomes it gives."""
+
+    def gives(setting: str, outcome: str) -> bool:
+        return (getattr(strategy, f"v_{setting}") == 0) == (outcome == "0")
+
+    return float(sum(sign for _, sign, s1, s2 in HARDY_TERMS if gives(*s1) and gives(*s2)))
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,9 @@
 Covers the transverse entangled state, the azimuthal-angle density between
 the two decay planes, reproducible Monte Carlo event generation with a
 detector model, the histogram probability estimator and the event-based CH
-evaluation.  The detection-efficiency threshold, a property of the state
-that no event enters, is :func:`hepbell.spin1.efficiency_threshold`.
+evaluation, which takes its joints and S from :mod:`hepbell.reports`.  The
+detection-efficiency threshold, a property of the state that no event
+enters, is :func:`hepbell.spin1.efficiency_threshold`.
 
 Events take one path each way: :func:`generate_event_chunks` draws and
 formats the rows that :func:`write_events_csv` writes, and
@@ -29,7 +30,7 @@ from typing import NoReturn
 import numpy as np
 
 from .qcore import Projector, StateVector, born_probability
-from .reports import InequalityReport, make_report
+from .reports import CH_VV_JOINTS, InequalityReport, ch_vv_report
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,11 +53,6 @@ class NoData(ValueError):
 
 class InsufficientStatistics(ValueError):
     """A histogram bin required by the evaluation is empty."""
-
-    def __init__(self, message: str, bin_phi: float, bin_width: float):
-        super().__init__(message)
-        self.bin_phi = bin_phi
-        self.bin_width = bin_width
 
 
 def transverse_state() -> StateVector:
@@ -525,11 +521,11 @@ def ch_from_events(
 ) -> InequalityReport:
     """Event-based CH evaluation at passive (relative-angle) settings.
 
-    The four joint terms are read from the angle histogram in windows
-    centered on the setting differences; the singles are the analytic 1/2
-    per side.  Because decay directions cannot be chosen, only this
-    restricted class of local models is being tested.  The reported value is
-    efficiency-scaled,
+    The joints of ``CH_VV_JOINTS`` are read from the angle histogram in
+    windows centered on their setting differences; the singles are the
+    analytic eta/2 per side.  Because decay directions cannot be chosen,
+    only this restricted class of local models is being tested.  The
+    reported value is efficiency-scaled (:func:`hepbell.reports.ch_vv_s`),
 
         S = eta1*eta2*(joint combination) - (eta1 + eta2)/2,
 
@@ -540,18 +536,12 @@ def ch_from_events(
     """
     window = _checked_width(window)
     det = det or DetectorModel()
-    t1, t1p, t2, t2p = (float(v) for v in settings)
-    if not all(map(math.isfinite, (t1, t1p, t2, t2p))):
-        raise ValueError(f"settings must be finite, got {[t1, t1p, t2, t2p]}")
-    diffs = [
-        ("P(n1,n2)", t2 - t1, 1.0),
-        ("P(n1,n2')", t2p - t1, -1.0),
-        ("P(n1',n2)", t2 - t1p, 1.0),
-        ("P(n1',n2')", t2p - t1p, 1.0),
-    ]
+    settings = [float(v) for v in settings]
+    if len(settings) != 4 or not all(map(math.isfinite, settings)):
+        raise ValueError(f"settings must be four finite angles, got {settings}")
     # The four joints must come from disjoint histogram windows so their
     # Poisson errors are independent.
-    centers = [d % TWO_PI for _, d, _ in diffs]
+    centers = [(settings[j] - settings[i]) % TWO_PI for _, _, i, j in CH_VV_JOINTS]
     for a in range(len(centers)):
         for b in range(a + 1, len(centers)):
             gap = abs(centers[a] - centers[b])
@@ -564,22 +554,12 @@ def ch_from_events(
     lo = [(center - 0.5 * window) % TWO_PI for center in centers]
     hi = [(start + window) % TWO_PI for start in lo]
     counts, values, errors, _ = _arc_estimates(events, np.array(lo), np.array(hi), window)
-    for (label, _, _), center, count in zip(diffs, centers, counts.tolist()):
+    for (label, *_), center, count in zip(CH_VV_JOINTS, centers, counts.tolist()):
         if count == 0:
             raise InsufficientStatistics(
-                f"empty histogram window for {label} at phi={center:.6f} (width {window:.6f})",
-                bin_phi=center,
-                bin_width=window,
+                f"empty histogram window for {label} at phi={center:.6f} (width {window:.6g})"
             )
-    terms = [(label, value) for (label, _, _), value in zip(diffs, values.tolist())]
-    joint = sum(sign * value for (_, _, sign), (_, value) in zip(diffs, terms))
-    joint_err = math.sqrt(sum(e * e for e in errors.tolist()))
-    singles_1, singles_2 = 0.5 * det.eta_1, 0.5 * det.eta_2
-    value = det.eta_1 * det.eta_2 * joint - (singles_1 + singles_2)
-    stat_err = det.eta_1 * det.eta_2 * joint_err
-    terms += [("P(n1')", singles_1), ("P(n2)", singles_2)]
-    errors = [*errors.tolist(), 0.0, 0.0]
-    return make_report(terms, value, term_errors=errors, stat_err=stat_err)
+    return ch_vv_report(values.tolist(), det.eta_1, det.eta_2, errors=errors.tolist())
 
 
 CSV_HEADER = ["event_id", "phi", "detected_1", "detected_2", "is_background"]

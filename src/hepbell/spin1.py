@@ -1,8 +1,8 @@
 """Spin-1 operator algebra, the two-vector-meson singlet-like state, the
-Hardy-type probabilities and their local-realism constraint, plus the
-maximal-violation searches used by the experimental scheme and the
-detection-efficiency threshold of the two-meson CH test, which rests on
-the CH maximum."""
+Hardy-type probabilities and the two-meson CH expression, read term by term
+from the tables in :mod:`hepbell.reports`, plus the maximal-violation
+searches used by the experimental scheme and the detection-efficiency
+threshold of the CH test, which rests on the CH maximum."""
 
 from __future__ import annotations
 
@@ -15,12 +15,19 @@ import numpy as np
 
 from ._search import maximize_on_grid
 from .qcore import Observable, Projector, StateVector, born_probability, eigenvector_for_eigenvalue
-from .reports import VIOLATION_TOL, InequalityReport, make_report
+from .reports import (
+    CH_VV_JOINTS, HARDY_TERMS, VIOLATION_TOL, InequalityReport, ch_vv_report, ch_vv_s,
+)
 
 SPIN1_LABELS = ("+1", "0", "-1")
 
 # Closed-form vs projector-route disagreement above this raises.
 _CROSS_CHECK_TOL = 1e-8
+
+# The largest |angle| HardySettings takes.  The closed forms round angle
+# differences, the Born route does not: they part by up to 5.8e-11 at 1e6,
+# but by 6.6e-8 at 10**9.5.
+MAX_ANGLE = 1e6
 
 # Grid step of the violation searches' coarse scan.
 _GRID_STEP = math.pi / 16
@@ -72,34 +79,21 @@ class HardySettings:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
             value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+            if not abs(value) <= MAX_ANGLE:  # NaN fails too
+                raise ValueError(f"{name} must lie in [-{MAX_ANGLE:g}, {MAX_ANGLE:g}], got {value}")
             object.__setattr__(self, name, value)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.alpha, self.beta, self.gamma)
 
 
 @dataclass(frozen=True)
 class HardyReport:
-    """The four joint probabilities and the local-realism gap they produce."""
+    """The HARDY_TERMS probabilities by key and the gap they produce."""
 
-    p_bb_aa: float   # P(J_beta=0, J_alpha=0)
-    p_bneq_g: float  # P(J_beta!=0, J_gamma=0)
-    p_x_aneq: float  # P(J_x=0, J_alpha!=0)
-    p_x_g: float     # P(J_x=0, J_gamma=0)
+    probabilities: dict[str, float]
     lhs_minus_rhs: float
     violated: bool
 
     def to_dict(self) -> dict:
-        return {
-            "p_bb_aa": self.p_bb_aa,
-            "p_bneq_g": self.p_bneq_g,
-            "p_x_aneq": self.p_x_aneq,
-            "p_x_g": self.p_x_g,
-            "lhs_minus_rhs": self.lhs_minus_rhs,
-            "violated": self.violated,
-        }
+        return {**self.probabilities, "lhs_minus_rhs": self.lhs_minus_rhs, "violated": self.violated}
 
 
 def zero_projector(theta: float) -> Projector:
@@ -113,69 +107,65 @@ def nonzero_projector(theta: float) -> Projector:
     return zero_projector(theta).complement()
 
 
-def _half_square(s):
-    """s * s / 2.  ``s ** 2`` is C pow on a scalar but s * s on an array, and
-    the two can differ in the last bit; s * s is the same on both."""
+def _joint(theta_1, theta_2, both_zero=True):
+    """Joint probability on the singlet-like state: sin^2(theta_2 - theta_1)/2
+    for J=0 on both sides, cos^2 for J != 0 on one (vectorizable).  s * s, not
+    ``s ** 2``, which is C pow on a scalar and can differ in the last bit."""
+    s = np.sin(theta_2 - theta_1) if both_zero else np.cos(theta_2 - theta_1)
     return 0.5 * (s * s)
 
 
-def hardy_closed_forms(
-    alpha: float, beta: float, gamma: float
-) -> tuple[float, float, float, float]:
-    """Closed forms of the four joint probabilities (vectorizable)."""
-    return (
-        _half_square(np.sin(alpha - beta)),
-        _half_square(np.cos(beta - gamma)),
-        _half_square(np.cos(alpha)),
-        _half_square(np.sin(gamma)),
+def _angles(alpha, beta, gamma) -> dict:
+    """The in-plane angle of each setting HARDY_TERMS names."""
+    return {"x": 0.0, "alpha": alpha, "beta": beta, "gamma": gamma}
+
+
+def hardy_closed_forms(alpha, beta, gamma) -> tuple:
+    """Closed forms of the HARDY_TERMS probabilities (vectorizable)."""
+    angles = _angles(alpha, beta, gamma)
+    return tuple(
+        _joint(angles[setting_1], angles[setting_2], outcome_1 == outcome_2 == "0")
+        for _, _, (setting_1, outcome_1), (setting_2, outcome_2) in HARDY_TERMS
     )
+
+
+def _gap(probabilities):
+    """LHS - RHS of Hardy's constraint from the HARDY_TERMS probabilities,
+    the RHS summed in the order the constraint writes it: last row first."""
+    signed = list(zip((sign for _, sign, _, _ in HARDY_TERMS), probabilities))[::-1]
+    return sum(p for sign, p in signed if sign > 0) - sum(p for sign, p in signed if sign < 0)
 
 
 def hardy_difference_closed(alpha, beta, gamma):
     """Closed-form LHS - RHS of the local-realism constraint (vectorizable)."""
-    p_bb_aa, p_bneq_g, p_x_aneq, p_x_g = hardy_closed_forms(alpha, beta, gamma)
-    return p_x_g - (p_x_aneq + p_bneq_g + p_bb_aa)
+    return _gap(hardy_closed_forms(alpha, beta, gamma))
 
 
 def hardy_probabilities(settings: HardySettings) -> HardyReport:
-    """The four joint probabilities, computed two independent ways, and the
-    gap they give in the local-realism constraint
-
-        P(J_x=0, J_gamma=0) <= P(J_x=0, J_alpha!=0) + P(J_beta!=0, J_gamma=0)
-                               + P(J_beta=0, J_alpha=0).
+    """The HARDY_TERMS probabilities, computed two independent ways, and the
+    gap they give in Hardy's constraint.
 
     Closed trigonometric forms are returned.  A Born-rule evaluation with
     eigenprojectors on the singlet-like state is computed beside them, and
     a disagreement beyond ``_CROSS_CHECK_TOL`` (1e-8) raises
-    :class:`InternalInconsistency`.  In each pair the first-listed condition
-    is measured on side 1, the second on side 2.
+    :class:`InternalInconsistency`.
     """
-    alpha, beta, gamma = settings.as_tuple()
-    closed = hardy_closed_forms(alpha, beta, gamma)
+    closed = hardy_closed_forms(settings.alpha, settings.beta, settings.gamma)
+    angles = _angles(settings.alpha, settings.beta, settings.gamma)
+
+    def projector(setting: str, outcome: str) -> Projector:
+        return (zero_projector if outcome == "0" else nonzero_projector)(angles[setting])
 
     state = make_singlet_like()
-    born = (
-        born_probability(state, [zero_projector(beta), zero_projector(alpha)]),
-        born_probability(state, [nonzero_projector(beta), zero_projector(gamma)]),
-        born_probability(state, [zero_projector(0.0), nonzero_projector(alpha)]),
-        born_probability(state, [zero_projector(0.0), zero_projector(gamma)]),
-    )
+    born = [born_probability(state, [projector(*s1), projector(*s2)]) for *_, s1, s2 in HARDY_TERMS]
     worst = max(abs(c - b) for c, b in zip(closed, born))
     if worst > _CROSS_CHECK_TOL:
         raise InternalInconsistency(
             f"closed-form vs projector probabilities disagree by {worst}"
         )
-
-    p_bb_aa, p_bneq_g, p_x_aneq, p_x_g = (float(p) for p in closed)
-    diff = p_x_g - (p_x_aneq + p_bneq_g + p_bb_aa)
-    return HardyReport(
-        p_bb_aa=p_bb_aa,
-        p_bneq_g=p_bneq_g,
-        p_x_aneq=p_x_aneq,
-        p_x_g=p_x_g,
-        lhs_minus_rhs=diff,
-        violated=diff > VIOLATION_TOL,
-    )
+    probabilities = {key: float(p) for (key, *_), p in zip(HARDY_TERMS, closed)}
+    diff = _gap(probabilities.values())
+    return HardyReport(probabilities, lhs_minus_rhs=diff, violated=diff > VIOLATION_TOL)
 
 
 def maximize_violation() -> tuple[HardySettings, float]:
@@ -193,39 +183,22 @@ def maximize_violation() -> tuple[HardySettings, float]:
 def ch_vv_joint_combination(t1, t1p, t2, t2p):
     """Signed sum of the four joint terms of the two-meson CH expression
     (vectorizable); each joint is (1/2)sin^2 of the setting difference."""
-    return (
-        _half_square(np.sin(t2 - t1))
-        - _half_square(np.sin(t2p - t1))
-        + _half_square(np.sin(t2 - t1p))
-        + _half_square(np.sin(t2p - t1p))
-    )
+    settings = (t1, t1p, t2, t2p)
+    return sum(sign * _joint(settings[i], settings[j]) for _, sign, i, j in CH_VV_JOINTS)
 
 
 def ch_value_vv(t1: float, t1p: float, t2: float, t2p: float) -> InequalityReport:
-    """Two-meson CH combination with quantum joints and 1/2 singles.
-
-    P(n1,n2) - P(n1,n2') + P(n1',n2) + P(n1',n2') - P(n1') - P(n2) with
-    P = (1/2)sin^2(theta2 - theta1); the classical bound is 0.
-    """
-    terms = [
-        ("P(n1,n2)", _half_square(math.sin(t2 - t1))),
-        ("P(n1,n2')", _half_square(math.sin(t2p - t1))),
-        ("P(n1',n2)", _half_square(math.sin(t2 - t1p))),
-        ("P(n1',n2')", _half_square(math.sin(t2p - t1p))),
-        ("P(n1')", 0.5),
-        ("P(n2)", 0.5),
-    ]
-    value = (
-        terms[0][1] - terms[1][1] + terms[2][1] + terms[3][1] - terms[4][1] - terms[5][1]
-    )
-    return make_report(terms, value)
+    """The two-meson CH report with quantum joints, (1/2)sin^2 of each
+    setting difference, and 1/2 singles; the classical bound is 0."""
+    settings = (t1, t1p, t2, t2p)
+    return ch_vv_report([float(_joint(settings[i], settings[j])) for _, _, i, j in CH_VV_JOINTS])
 
 
 def maximize_ch_vv() -> tuple[tuple[float, float, float, float], float]:
     """Grid (pi/16) + refinement maximum of the CH combination over all four angles."""
 
     def objective(t1, t1p, t2, t2p):
-        return ch_vv_joint_combination(t1, t1p, t2, t2p) - 1.0
+        return ch_vv_s(ch_vv_joint_combination(t1, t1p, t2, t2p))
 
     return maximize_on_grid(objective, 4, _GRID_STEP)
 
@@ -239,15 +212,12 @@ def _max_joint_combination() -> float:
 
 def max_s_of_eta(eta: float) -> float:
     """Largest reachable efficiency-scaled CH value at symmetric efficiency."""
-    return eta * eta * _max_joint_combination() - eta
+    return ch_vv_s(_max_joint_combination(), eta, eta)
 
 
 def efficiency_threshold() -> float:
-    """Smallest symmetric efficiency at which the CH test can still violate.
-
-    max_S(eta) = eta^2 * C - eta with C the setting-optimized joint
-    combination, so the threshold is the root 1/C: analytically
-    2(sqrt(2)-1) for the transverse state, and ``max_s_of_eta`` of it is
-    exactly 0.0.
-    """
+    """Smallest symmetric efficiency at which the CH test can still violate:
+    the root 1/C of ``max_s_of_eta``, eta^2 * C - eta, with C the largest
+    joint combination; analytically 2(sqrt(2)-1), and max_s_of_eta of it is
+    exactly 0.0."""
     return 1.0 / _max_joint_combination()

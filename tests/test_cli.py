@@ -234,6 +234,47 @@ class TestHardyCommand:
             "value": "0x1.a827999fcef34p-3",
         }
 
+    @pytest.mark.parametrize("angles, report", [
+        (
+            [],
+            {
+                "p_bb_aa": "0x1.2bec333018867p-4",
+                "p_bneq_g": "0x1.2bec333018869p-4",
+                "p_x_aneq": "0x1.2bec333018869p-4",
+                "p_x_g": "0x1.b504f333f9de6p-2",
+                "lhs_minus_rhs": "0x1.a827999fcef30p-3",
+            },
+        ),
+        (
+            ["--alpha=-5pi/4", "--beta", "7pi/3", "--gamma", "0.3"],
+            {
+                "p_bb_aa": "0x1.ddb3d742c2658p-2",
+                "p_bneq_g": "0x1.138a293306111p-2",
+                "p_x_aneq": "0x1.0000000000002p-2",
+                "p_x_g": "0x1.65b670ede93acp-5",
+                "lhs_minus_rhs": "-0x1.e243992c05a7bp-1",
+            },
+        ),
+    ], ids=["paper", "outside-0-pi"])
+    def test_numbers_keep_their_bits(self, tmp_path, angles, report):
+        out = tmp_path / "h.json"
+        assert run(["--output-dir", str(tmp_path), "hardy", *angles, "--out", str(out)]) == 0
+        doc = load(out)
+        assert {k: float.hex(v) for k, v in doc["report"].items() if k != "violated"} == report
+        assert doc["report"]["violated"] is (not angles)
+        assert doc["lhv_max"] == 0.0
+
+    @pytest.mark.parametrize("value", ["1e10", "-1e10", "1.0000001e6"])
+    def test_angle_beyond_the_closed_form_range_is_usage_error(self, tmp_path, capsys, value):
+        # Past MAX_ANGLE the closed form's angle difference loses the bits
+        # the Born route keeps, and the two routes would disagree.
+        out = tmp_path / "h.json"
+        assert run(["--output-dir", str(tmp_path), "hardy", f"--beta={value}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hepbell: error: beta ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_settings_not_violated(self, tmp_path, schema):
         out = tmp_path / "h.json"
         assert run([
@@ -280,6 +321,55 @@ class TestEventPipeline:
         ch = load(ch_out)
         validate(ch, schema)
         assert abs(ch["value"] - (SQ2 - 1) / 2) < 4 * ch["stat_err"]
+
+    @pytest.mark.parametrize("flags, terms, errors, value, stat_err", [
+        (
+            [],
+            ["0x1.a29c779a6b50ep-2", "0x1.54c985f06f697p-4",
+             "0x1.afb7e90ff9728p-2", "0x1.aacd9e83e425ep-2"],
+            ["0x1.284ad4ab62602p-6", "0x1.0b55e1a45c917p-7",
+             "0x1.2ce52aa722bb0p-6", "0x1.2b2d6a47f7dd2p-6"],
+            "0x1.4fdf3b645a1e0p-3",
+            "0x1.0b41506600cffp-5",
+        ),
+        (
+            ["--settings=pi/4,0,5pi/8,-5pi/8"],
+            ["0x1.a29c779a6b50ep-2", "0x1.1d14e3bcd35abp-4",
+             "0x1.bf487fcb923a6p-2", "0x1.aacd9e83e425ep-2"],
+            ["0x1.284ad4ab62602p-6", "0x1.e905f6646fb58p-8",
+             "0x1.324571682b7c0p-6", "0x1.2b2d6a47f7dd2p-6"],
+            "0x1.8adab9f559b50p-3",
+            "0x1.0b6a714dc3187p-5",
+        ),
+        (
+            ["--settings=pi/4,0,5pi/8,-5pi/8", "--eta1", "0.9", "--eta2", "0.8"],
+            ["0x1.a29c779a6b50ep-2", "0x1.1d14e3bcd35abp-4",
+             "0x1.bf487fcb923a6p-2", "0x1.aacd9e83e425ep-2"],
+            ["0x1.284ad4ab62602p-6", "0x1.e905f6646fb58p-8",
+             "0x1.324571682b7c0p-6", "0x1.2b2d6a47f7dd2p-6"],
+            "0x1.20e1f7d73ca00p-7",
+            "0x1.8114284704753p-6",
+        ),
+    ], ids=["default", "hardy", "hardy-eta"])
+    def test_chtest_numbers_keep_their_bits(
+        self, tmp_path, flags, terms, errors, value, stat_err
+    ):
+        common = ["--output-dir", str(tmp_path)]
+        events, out = tmp_path / "events.csv", tmp_path / "chtest.json"
+        assert run([*common, "generate", "--n", "20000", "--seed", "7", "--out", str(events)]) == 0
+        assert run([*common, "chtest", "--events", str(events), *flags, "--out", str(out)]) == 0
+        doc = load(out)
+        eta_1, eta_2 = (0.9, 0.8) if "--eta1" in flags else (1.0, 1.0)
+        joints = ["P(n1,n2)", "P(n1,n2')", "P(n1',n2)", "P(n1',n2')"]
+        assert {k: float.hex(v) for k, v in doc["terms"].items()} == {
+            **dict(zip(joints, terms)),
+            "P(n1')": float.hex(0.5 * eta_1),
+            "P(n2)": float.hex(0.5 * eta_2),
+        }
+        assert [float.hex(v) for v in doc["term_errors"]] == [*errors, "0x0.0p+0", "0x0.0p+0"]
+        assert float.hex(doc["value"]) == value
+        assert float.hex(doc["stat_err"]) == stat_err
+        assert doc["violated"]
 
     def test_generate_is_bit_identical(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -481,7 +571,7 @@ class TestEventPipeline:
         assert exit_code([*args, f"--bin-width={width}", "--out", str(out)]) == 4
         assert capsys.readouterr().err == (
             "hepbell: error: empty histogram window for P(n1,n2) at phi=1.178097 "
-            "(width 0.000000)\n"
+            f"(width {width})\n"
         )
         assert [path.name for path in tmp_path.iterdir()] == ["events.csv"]
 
@@ -918,6 +1008,28 @@ class TestPeakMemoryInOneProcess:
             assert peaks[reader, 2_000_000][1] == 0  # no worker ran
 
 
+# efficiency's max_s on its 51-point eta grid (0.50 to 1.00), as float.hex.
+MAX_S_BITS = """
+    -0x1.95f619980c432p-3 -0x1.9178fa1092498p-3 -0x1.8c7d4782754d2p-3
+    -0x1.870301edb54dep-3 -0x1.810a2952524bep-3 -0x1.7a92bdb04c470p-3
+    -0x1.739cbf07a33f4p-3 -0x1.6c282d585734cp-3 -0x1.643508a268278p-3
+    -0x1.5bc350e5d6178p-3 -0x1.52d30622a1048p-3 -0x1.49642858c8eecp-3
+    -0x1.3f76b7884dd62p-3 -0x1.350ab3b12fbacp-3 -0x1.2a201cd36e9cap-3
+    -0x1.1eb6f2ef0a7b8p-3 -0x1.12cf36040357cp-3 -0x1.0668e61259314p-3
+    -0x1.f3080634180f8p-4 -0x1.d8411a3637b78p-4 -0x1.bc7d082b11590p-4
+    -0x1.9fbbd012a4f50p-4 -0x1.81fd71ecf28c0p-4 -0x1.6341edb9fa1d0p-4
+    -0x1.43894379bba88p-4 -0x1.22d3732c372e0p-4 -0x1.01207cd16cae0p-4
+    -0x1.bce0c0d2b8520p-5 -0x1.75863be80b3b0p-5 -0x1.2c316ae2d2190p-5
+    -0x1.c1c49b8619d80p-6 -0x1.2731c91177680p-6 -0x1.1154bccf79c80p-7
+    0x1.9d1a47715ba00p-10 0x1.80847f1600d80p-7 0x1.6aa772d403360p-6
+    0x1.0c809f290f0b0p-5 0x1.65a7d102a8880p-5 0x1.c0c94ef6ce0e0p-5
+    0x1.0ef28c82bfd08p-4 0x1.3e7d97975e9f0p-4 0x1.6f05c8b943738p-4
+    0x1.a08b1fe86e4d8p-4 0x1.d30d9d24df2d8p-4 0x1.0346a0374b090p-3
+    0x1.1d8504e2c97e8p-3 0x1.3841fc94eaf68p-3 0x1.537d874daf718p-3
+    0x1.6f37a50d16ef0p-3 0x1.8b7055d321700p-3 0x1.a827999fcef38p-3
+""".split()
+
+
 class TestScalarCommands:
     def test_kinematics_defaults(self, tmp_path, schema):
         out = tmp_path / "k.json"
@@ -941,6 +1053,11 @@ class TestScalarCommands:
         out = tmp_path / "e.json"
         assert run(["--output-dir", str(tmp_path), "efficiency", "--out", str(out)]) == 0
         assert float.hex(load(out)["threshold"]) == "0x1.a827999fcef31p-1"
+
+    def test_efficiency_max_s_bits(self, tmp_path):
+        out = tmp_path / "e.json"
+        assert run(["--output-dir", str(tmp_path), "efficiency", "--out", str(out)]) == 0
+        assert [float.hex(v) for v in load(out)["max_s"]] == MAX_S_BITS
 
     @pytest.mark.parametrize("args", [["hardy", "--optimize", "--grid-step", "pi/16"]])
     def test_removed_flags_are_usage_errors(self, tmp_path, capsys, args):

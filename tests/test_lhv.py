@@ -68,6 +68,16 @@ class TestDeterministicBounds:
             )
             assert ch_3gamma_strategy_value(strategy) == expected
 
+    def test_hardy_values_match_the_hand_written_terms(self):
+        for s in enumerate_spin1_strategies():
+            expected = (
+                (s.v_x == 0 and s.v_gamma == 0)
+                - (s.v_x == 0 and s.v_alpha != 0)
+                - (s.v_beta != 0 and s.v_gamma == 0)
+                - (s.v_beta == 0 and s.v_alpha == 0)
+            )
+            assert hardy_spin1_strategy_value(s) == expected
+
     def test_spin1_lhs_compensated_by_rhs(self):
         strategy = StrategySpin1(v_x=0, v_beta=1, v_gamma=0, v_alpha=0)
         assert hardy_spin1_strategy_value(strategy) == 0.0

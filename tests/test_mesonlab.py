@@ -357,6 +357,12 @@ class TestChFromEvents:
         with pytest.raises(ValueError):
             ch_from_events(events, (0.0, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("settings", [(0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0, 4.0), (0.0, np.nan, 1.0, 2.0)])
+    def test_settings_must_be_four_finite_angles(self, settings):
+        events = generate_events(1_000, seed=1)
+        with pytest.raises(ValueError, match="^settings must be four finite angles, got "):
+            ch_from_events(events, settings)
+
 
 def reference_histogram(phis, edges):
     """The bin counts as numpy's histogram of an array of bins gives them."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,18 +88,18 @@ class TestHardyProbabilities:
         report = hardy_probabilities(PAPER_SETTINGS)
         low = (2 - SQ2) / 8
         high = (2 + SQ2) / 8
-        assert abs(report.p_bb_aa - low) < 1e-12
-        assert abs(report.p_bneq_g - low) < 1e-12
-        assert abs(report.p_x_aneq - low) < 1e-12
-        assert abs(report.p_x_g - high) < 1e-12
+        assert abs(report.probabilities["p_bb_aa"] - low) < 1e-12
+        assert abs(report.probabilities["p_bneq_g"] - low) < 1e-12
+        assert abs(report.probabilities["p_x_aneq"] - low) < 1e-12
+        assert abs(report.probabilities["p_x_g"] - high) < 1e-12
 
     def test_alpha_equals_beta_zeroes_first(self):
         report = hardy_probabilities(HardySettings(0.8, 0.8, 2.0))
-        assert report.p_bb_aa < 1e-12
+        assert report.probabilities["p_bb_aa"] < 1e-12
 
     def test_gamma_zero_zeroes_lhs(self):
         report = hardy_probabilities(HardySettings(0.3, 1.1, 0.0))
-        assert report.p_x_g < 1e-12
+        assert report.probabilities["p_x_g"] < 1e-12
 
     def test_closed_form_vs_independent_born_route(self, rng):
         # Independent oracle: analytic 0-eigenvectors, no library eigensolver.
@@ -124,7 +126,7 @@ class TestHardyProbabilities:
         for _ in range(200):
             a, b, g = rng.uniform(0, 2 * np.pi, 3)
             report = hardy_probabilities(HardySettings(a, b, g))
-            for p in (report.p_bb_aa, report.p_bneq_g, report.p_x_aneq, report.p_x_g):
+            for p in (report.probabilities["p_bb_aa"], report.probabilities["p_bneq_g"], report.probabilities["p_x_aneq"], report.probabilities["p_x_g"]):
                 assert -1e-12 <= p <= 0.5 + 1e-12
 
     def test_complete_outcome_sums(self, rng):
@@ -163,6 +165,21 @@ class TestHardyProbabilities:
         with pytest.raises(ValueError):
             HardySettings(np.inf, 0.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    def test_angles_up_to_max_angle_agree_across_routes(self, monkeypatch, name):
+        # Up to the bound the two routes agree within 1e-10; above it they
+        # part (6.6e-8 at 10**9.5), so larger angles are refused.
+        monkeypatch.setattr(spin1, "_CROSS_CHECK_TOL", 1e-10)
+        for angle in (spin1.MAX_ANGLE, -spin1.MAX_ANGLE, 0.97 * spin1.MAX_ANGLE):
+            hardy_probabilities(HardySettings(**{**PAPER_SETTINGS.__dict__, name: angle}))
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_angle_beyond_max_angle_rejected(self, name, sign):
+        angle = math.nextafter(sign * spin1.MAX_ANGLE, sign * math.inf)
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            HardySettings(**{**PAPER_SETTINGS.__dict__, name: angle})
+
 
 class TestScalarAndArrayEvaluation:
     """The closed forms give the same bits on Python floats as on arrays, so
@@ -181,11 +198,39 @@ class TestScalarAndArrayEvaluation:
         assert scalars.view(np.uint64).tolist() == arrays.view(np.uint64).tolist()
 
 
+    def test_tables_give_the_bits_of_the_hand_written_forms(self, rng):
+        # The forms as written out term by term before the tables: the same
+        # operations in the same order, so the same bits.
+        t1, t1p, t2, t2p = rng.uniform(-7.0, 7.0, (4, 200_000))
+        alpha, beta, gamma = t1, t1p, t2
+
+        def half_square(s):
+            return 0.5 * (s * s)
+
+        forms = (
+            half_square(np.sin(alpha - beta)),
+            half_square(np.cos(beta - gamma)),
+            half_square(np.cos(alpha)),
+            half_square(np.sin(gamma)),
+        )
+        gap = forms[3] - (forms[2] + forms[1] + forms[0])
+        ch = (
+            half_square(np.sin(t2 - t1))
+            - half_square(np.sin(t2p - t1))
+            + half_square(np.sin(t2 - t1p))
+            + half_square(np.sin(t2p - t1p))
+        )
+        bits = lambda values: np.asarray(values).view(np.uint64).tolist()
+        assert bits(hardy_closed_forms(alpha, beta, gamma)) == bits(forms)
+        assert bits(hardy_difference_closed(alpha, beta, gamma)) == bits(gap)
+        assert bits(ch_vv_joint_combination(t1, t1p, t2, t2p)) == bits(ch)
+
+
 class TestHardyViolation:
     def test_paper_settings_gap(self):
         report = hardy_probabilities(PAPER_SETTINGS)
-        assert abs(report.p_x_g - (2 + SQ2) / 8) < 1e-12
-        rhs = report.p_x_aneq + report.p_bneq_g + report.p_bb_aa
+        assert abs(report.probabilities["p_x_g"] - (2 + SQ2) / 8) < 1e-12
+        rhs = report.probabilities["p_x_aneq"] + report.probabilities["p_bneq_g"] + report.probabilities["p_bb_aa"]
         assert abs(rhs - (6 - 3 * SQ2) / 8) < 1e-12
         assert abs(report.lhs_minus_rhs - MAX_GAP) < 1e-12
         assert report.violated
@@ -194,7 +239,7 @@ class TestHardyViolation:
         # Faithful evaluation: lhs = 0 and rhs = 1 (each closed form checked
         # against the Born oracle), so the gap is -1.
         report = hardy_probabilities(HardySettings(0.0, 0.0, 0.0))
-        assert report.p_x_g < 1e-12
+        assert report.probabilities["p_x_g"] < 1e-12
         assert abs(report.lhs_minus_rhs + 1.0) < 1e-12
         assert not report.violated
 

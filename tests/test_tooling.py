@@ -1,10 +1,13 @@
 """The test session's own settings: ``filterwarnings = ["error"]`` in
-pyproject.toml, with the one third-party warning it ignores."""
+pyproject.toml, with the one third-party warning it ignores; and a guard
+that the spin-1 inequalities stay written once, as tables."""
 
+import ast
 import shutil
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,22 @@ def test_other_warnings_still_fail():
             "mypy_extensions.TypedDict is deprecated", DeprecationWarning,
             "spin1.py", 1, module="hepbell.spin1",
         )
+
+
+def test_each_spin1_table_label_is_one_literal_in_the_package():
+    """A report key of Hardy's terms or a label of the two-meson CH is a
+    string literal once in the package, in the table or report that defines
+    it; every evaluator reads it from there.  The JSON schema keeps its own
+    copy of the keys."""
+    from hepbell.reports import HARDY_TERMS, ch_vv_report
+
+    labels = [key for key, *_ in HARDY_TERMS]
+    labels += [label for label, _ in ch_vv_report([0.0] * 4).terms]
+    assert {"p_x_g", "P(n1,n2')", "P(n1')", "P(n2)"} <= set(labels)
+    literals = Counter(
+        node.value
+        for path in sorted((ROOT / "src" / "hepbell").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    assert {label: literals[label] for label in labels} == dict.fromkeys(labels, 1)
