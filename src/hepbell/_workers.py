@@ -59,7 +59,7 @@ def _processes(rows: int, chunks: int) -> int:
     return min(_usable_cores(), chunks)
 
 
-def round_robin(tasks: range, work: Callable[[int], memoryview], rows: int) -> Iterator:
+def round_robin(tasks: range, work: Callable[[int], bytes], rows: int) -> Iterator:
     """``work(task)`` for each of ``tasks``, the chunks of ``rows`` rows, in
     order, task i done by process ``i % P`` (:func:`_processes`): this one
     for 0, forked workers for the others.

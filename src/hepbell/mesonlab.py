@@ -381,11 +381,12 @@ def generate_events(
 
 def generate_event_chunks(
     n: int, det: DetectorModel | None = None, seed: int = 0, workers: int = 1
-) -> Iterator[memoryview]:
+) -> Iterator[bytes | memoryview]:
     """The event file rows of ``generate_events(n, det, seed, workers)``, in
     order, ``_CSV_CHUNK_ROWS`` at a time, each drawn and formatted when it is
-    due, for :func:`write_events_csv` to write.  Each chunk is a view of
-    buffers that the next one reuses.
+    due, for :func:`write_events_csv` to write.  A chunk formatted in this
+    process is ``bytes``; one sent by a worker process is a view of a buffer
+    that the next one reuses.
 
     A bad key ``(seed, n, workers)`` raises here; an error in a draw is
     raised where its chunk is due, and no chunk after it is written.  The
@@ -399,7 +400,7 @@ def generate_event_chunks(
     # Each process draws and formats into its own copy of these.
     buffers = _RowBuffers(min(_CSV_CHUNK_ROWS, n), n - 1)
 
-    def rows(start: int) -> memoryview:
+    def rows(start: int) -> bytes:
         stop = min(start + _CSV_CHUNK_ROWS, n)
         sample = generate_events(
             n, det, seed=seed, workers=workers, start=start, stop=stop, draws=buffers.draws
@@ -431,7 +432,9 @@ class HistogramEstimate:
     def bin_index(self, phi: float) -> int:
         """The bin [edge_i, edge_i+1) that holds phi mod 2*pi, as the
         estimator counted it.  Just below 0, phi % 2*pi rounds up to 2*pi,
-        the end of the last bin."""
+        the end of the last bin.  A phi that is not finite is in no bin."""
+        if not math.isfinite(phi):
+            raise ValueError(f"phi {phi} is not finite")
         index = int(np.searchsorted(self.bin_edges, phi % TWO_PI, side="right")) - 1
         return min(index, self.counts.size - 1)
 
@@ -598,12 +601,6 @@ _ROW_TAIL_FLAGS = np.frombuffer(b"\0\1\0\1\0\1", dtype=np.uint8)
 # The bytes of a row as hepbell writes it, with an id of up to five digits:
 # the reader judges how many rows a file holds by its size.
 _ROW_BYTES = 24
-# The NUL-padded rows of a formatted chunk are compacted this many bytes at
-# a time.  np.compress holds an 8-byte index per kept byte, so the piece
-# bounds that temporary to about 0.65 MB.  Measured at 1e6 events on Linux,
-# pieces of 64 KiB let glibc trim and regrow the heap every chunk (450 page
-# faults per chunk); from 128 KiB on, the heap it grows once is reused.
-_COMPACTED_BYTES = 1 << 17
 
 
 def _ascii_digits(values: np.ndarray, out: np.ndarray) -> None:
@@ -660,14 +657,11 @@ def _phi_tokens(phi: np.ndarray, out: np.ndarray) -> None:
 class _RowBuffers:
     """The arrays one process draws and formats chunks of up to ``rows``
     rows with ids up to ``last_id`` in, allocated once: the four uniform
-    draws, the byte table of :func:`_csv_rows`, which then holds the rows,
-    its transpose, and which bytes of that are kept."""
+    draws and the NUL-padded byte table of :func:`_csv_rows`."""
 
     def __init__(self, rows: int, last_id: int):
-        size = rows * (len(str(last_id)) + 1 + _PHI_WIDTH + 8)
         self.draws = np.empty((4, rows))
-        self.table, self.transposed = np.empty((2, size), dtype=np.uint8)
-        self.kept = np.empty(size, dtype=bool)
+        self.table = np.empty(rows * (len(str(last_id)) + 1 + _PHI_WIDTH + 8), dtype=np.uint8)
 
 
 def _csv_rows(
@@ -677,13 +671,13 @@ def _csv_rows(
     detected_2: np.ndarray,
     is_background: np.ndarray,
     buffers: _RowBuffers | None = None,
-) -> memoryview:
+) -> bytes:
     """Event rows with ids from ``start``, byte for byte
     ``b"%d,%.9g,%d,%d,%d\r\n"`` of each event, phi in [0, 2*pi) and at most
     ``_PHI_TOKEN_MAX``, to which larger angles are lowered.
 
     Each output byte column is one row of a NUL-padded table in
-    ``buffers``; the table is transposed and the NULs dropped.
+    ``buffers``; the rows are the table's transpose without its NULs.
     """
     phi = np.minimum(phi, _PHI_TOKEN_MAX)
     k = phi.size
@@ -692,7 +686,6 @@ def _csv_rows(
     ids = np.arange(start, start + k, dtype=np.uint64 if last >= 1 << 32 else np.uint32)
     buffers = buffers or _RowBuffers(k, last)
     table = buffers.table[: (id_width + 1 + _PHI_WIDTH + 8) * k].reshape(-1, k)
-    transposed, kept = buffers.transposed[: table.size], buffers.kept[: table.size]
     _ascii_digits(ids, table[:id_width])
     for row in range(id_width - 1):
         # Ids are consecutive, so those with this digit as a leading zero
@@ -708,18 +701,10 @@ def _csv_rows(
         at += 2
     table[at] = ord("\r")
     table[at + 1] = ord("\n")
-    np.copyto(transposed.reshape(k, -1), table.T)
-    np.not_equal(transposed, 0, out=kept)
-    at = 0
-    for lo in range(0, kept.size, _COMPACTED_BYTES):
-        piece = slice(lo, lo + _COMPACTED_BYTES)
-        n = int(np.count_nonzero(kept[piece]))
-        np.compress(kept[piece], transposed[piece], out=buffers.table[at : at + n])
-        at += n
-    return buffers.table[:at].data
+    return table.T.tobytes().translate(None, b"\0")
 
 
-def write_events_csv(events: EventSample | Iterator[memoryview], path) -> None:
+def write_events_csv(events: EventSample | Iterator[bytes | memoryview], path) -> None:
     """Write the append-only, order-significant event file from one sample,
     or from the chunks of :func:`generate_event_chunks`, which are its rows
     already formatted.
@@ -749,7 +734,7 @@ def write_events_csv(events: EventSample | Iterator[memoryview], path) -> None:
         partial.unlink(missing_ok=True)
 
 
-def _write_rows(events: EventSample | Iterator[memoryview], path: Path) -> None:
+def _write_rows(events: EventSample | Iterator[bytes | memoryview], path: Path) -> None:
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER_BYTES + b"\r\n")
         if not isinstance(events, EventSample):

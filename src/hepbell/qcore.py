@@ -264,11 +264,11 @@ def eigenvector_for_eigenvalue(
 ) -> StateVector:
     """Unit eigenvector of ``obs`` for the eigenvalue nearest ``target``.
 
-    The eigenvalue is located with a direct Hermitian solve and the vector is
-    taken from the null space of (A - lambda), so results are deterministic.
-    The phase convention makes the first nonzero component real positive.
+    The eigenvalue and its vector come from one Hermitian solve, so results
+    are deterministic.  The phase convention makes the first nonzero
+    component real positive.
     """
-    evals = np.linalg.eigvalsh(obs.matrix)
+    evals, evecs = np.linalg.eigh(obs.matrix)
     matches = np.nonzero(np.abs(evals - target) <= tol)[0]
     if matches.size == 0:
         raise NotAnEigenvalue(
@@ -279,10 +279,7 @@ def eigenvector_for_eigenvalue(
             f"eigenvalue near {target} has multiplicity {matches.size}"
         )
     lam = float(evals[matches[0]])
-    shifted = obs.matrix - lam * np.eye(obs.dim, dtype=np.complex128)
-    # Null-space vector = right singular vector for the smallest singular value.
-    _, _, vh = np.linalg.svd(shifted)
-    vec = fix_phase(vh[-1].conj())
+    vec = fix_phase(evecs[:, matches[0]])
     residual = float(np.linalg.norm(obs.matrix @ vec - lam * vec))
     if residual > 1e-9:
         raise FloatingPointError(f"eigenvector residual {residual} too large")

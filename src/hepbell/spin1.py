@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from ._search import maximize_on_grid
 from .qcore import Observable, Projector, StateVector, born_probability, eigenvector_for_eigenvalue
 from .reports import (
     CH_VV_JOINTS, HARDY_TERMS, VIOLATION_TOL, InequalityReport, ch_vv_report, ch_vv_s,
@@ -176,6 +175,9 @@ def maximize_violation() -> tuple[HardySettings, float]:
     symmetry family are broken by the lexicographically smallest
     (alpha, beta, gamma).
     """
+    # Imported here: hardy without --optimize searches nothing.
+    from ._search import maximize_on_grid
+
     point, value = maximize_on_grid(hardy_difference_closed, 3, _GRID_STEP)
     return HardySettings(*point), value
 
@@ -196,6 +198,7 @@ def ch_value_vv(t1: float, t1p: float, t2: float, t2p: float) -> InequalityRepor
 
 def maximize_ch_vv() -> tuple[tuple[float, float, float, float], float]:
     """Grid (pi/16) + refinement maximum of the CH combination over all four angles."""
+    from ._search import maximize_on_grid
 
     def objective(t1, t1p, t2, t2p):
         return ch_vv_s(ch_vv_joint_combination(t1, t1p, t2, t2p))

@@ -1182,6 +1182,15 @@ class TestImports:
         assert {"hepbell.lhv", "hepbell.spin1"} <= modules
         assert "hepbell.photon3" not in modules
 
+    def test_hardy_loads_the_search_only_to_optimize(self, tmp_path):
+        common = ["--output-dir", str(tmp_path), "hardy"]
+        plain_codes, plain = loaded_modules(common)
+        optimize_codes, optimize = loaded_modules([*common, "--optimize"])
+        assert plain_codes + optimize_codes == [0, 0]
+        assert "hepbell.spin1" in plain
+        assert "hepbell._search" not in plain
+        assert "hepbell._search" in optimize
+
     def test_efficiency_loads_no_event_modules(self, tmp_path):
         codes, modules = loaded_modules(["--output-dir", str(tmp_path), "efficiency"])
         assert codes == [0]

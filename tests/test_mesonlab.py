@@ -266,6 +266,14 @@ class TestEstimateProbability:
         assert np.array_equal(np.bincount(got, minlength=n_bins), estimate.counts)
         assert estimate.bin_index(-1e-20) == n_bins - 1  # -1e-20 % 2pi == 2pi
 
+    @pytest.mark.parametrize("bad_phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_is_in_no_bin(self, bad_phi):
+        estimate = estimate_probability(generate_events(2000, seed=3))
+        with pytest.raises(ValueError, match="finite"):
+            estimate.bin_index(bad_phi)
+        with pytest.raises(ValueError, match="finite"):
+            estimate.value_at(bad_phi)
+
     def test_phat_integrates_to_kappa(self):
         events = generate_events(200_000, seed=9)
         estimate = estimate_probability(events)
