@@ -117,7 +117,16 @@ def _load_config(path: str | None) -> RunConfig:
     file_path = Path(path)
     if not file_path.exists():
         raise FileNotFoundError(f"config file not found: {file_path}")
-    data = json.loads(file_path.read_text())
+    try:
+        data = json.loads(file_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {file_path} is not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"config file {file_path} is not JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from None
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {file_path} must hold a JSON object, got {type(data).__name__}")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(data) - known
     if unknown:

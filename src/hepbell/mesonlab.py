@@ -56,9 +56,10 @@ class InsufficientStatistics(ValueError):
 
 
 def transverse_state() -> StateVector:
-    """Antisymmetric transverse-polarization state of the two vector mesons."""
+    """Antisymmetric transverse-polarization state of the two vector mesons,
+    (|x>|y> - |y>|x>)/sqrt(2), each meson's basis in the order (x, y)."""
     amps = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / np.sqrt(2.0)
-    return StateVector((2, 2), amps, (("x", "y"), ("x", "y")))
+    return StateVector((2, 2), amps)
 
 
 def _transverse_projector(theta: float) -> Projector:
@@ -654,6 +655,17 @@ def _phi_tokens(phi: np.ndarray, out: np.ndarray) -> None:
         out[:, python_rows] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _PHI_WIDTH).T
 
 
+def _keep_heap_top() -> None:
+    """Free one 4 MiB block, so that the chunks' temporaries stay on the heap.
+
+    glibc returns the heap's free top once it exceeds twice the largest
+    mapped block freed so far; without this, a chunk loop gives back and
+    faults in again each chunk's temporaries (at 1e7 rows in the CLI, the
+    reader took 101 k page faults, not 13 k, and the writer 95 k, not 11 k).
+    """
+    np.empty(1 << 22, dtype=np.uint8)
+
+
 class _RowBuffers:
     """The arrays one process draws and formats chunks of up to ``rows``
     rows with ids up to ``last_id`` in, allocated once: the four uniform
@@ -662,6 +674,7 @@ class _RowBuffers:
     def __init__(self, rows: int, last_id: int):
         self.draws = np.empty((4, rows))
         self.table = np.empty(rows * (len(str(last_id)) + 1 + _PHI_WIDTH + 8), dtype=np.uint8)
+        _keep_heap_top()
 
 
 def _csv_rows(
@@ -794,10 +807,7 @@ class _ChunkParser:
         self.digits = np.empty((_PHI_FIXED_WIDTH, rows), dtype=np.uint8)
         self.phi, self.term = np.empty((2, rows))
         self.flags = np.empty((3, rows), dtype=bool)
-        # glibc returns the heap's free top once it exceeds twice the largest
-        # mapped block freed so far: freeing one of 4 MiB keeps the chunks'
-        # temporaries on the heap (at 1e7 rows in the CLI, 13 k page faults, not 101 k).
-        np.empty(1 << 22, dtype=np.uint8)
+        _keep_heap_top()
 
     def read(self, fd: int, offset: int, size: int) -> np.ndarray:
         """``size`` bytes of the file ``fd`` from ``offset``, read by ``pread``."""

@@ -38,10 +38,6 @@ class PolBasis(enum.Enum):
     CIRCULAR = "circular"
     LINEAR = "linear"
 
-    @property
-    def site_labels(self) -> tuple[str, str]:
-        return CIRCULAR_LABELS if self is PolBasis.CIRCULAR else LINEAR_LABELS
-
 
 def circular_linear_transform() -> np.ndarray:
     """Unitary relating linear and circular polarization kets.
@@ -63,10 +59,11 @@ def make_ortho_ps_state(
 ) -> StateVector:
     """The three-photon state in the requested per-site polarization bases.
 
-    The circular-basis amplitudes put weight 1/sqrt(6) on the six words with
-    mixed helicities (RRL, RLR, LRR, LLR, LRL, RLL) and zero on RRR and LLL;
-    sites requested in the linear basis are converted amplitude-wise with the
-    transform from :func:`circular_linear_transform`.
+    Each site's basis order is (R, L) if it is circular and (H, V) if it is
+    linear.  The circular-basis amplitudes put weight 1/sqrt(6) on the six
+    words with mixed helicities (RRL, RLR, LRR, LLR, LRL, RLL) and zero on
+    RRR and LLL; sites requested in the linear basis are converted
+    amplitude-wise with the transform from :func:`circular_linear_transform`.
     """
     if len(basis) != N_PHOTONS:
         raise DimensionError("basis must list one entry per photon")
@@ -80,8 +77,7 @@ def make_ortho_ps_state(
             amps = np.moveaxis(
                 np.tensordot(m_t, amps, axes=([1], [axis])), 0, axis
             )
-    labels = tuple(b.site_labels for b in basis)
-    return StateVector((2, 2, 2), amps.ravel(), labels)
+    return StateVector((2, 2, 2), amps.ravel())
 
 
 # An outcome word has one letter per photon: H/V a linear outcome, R/L a

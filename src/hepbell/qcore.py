@@ -52,10 +52,6 @@ def _complex_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
-def _default_labels(dim: int) -> tuple[str, ...]:
-    return tuple(str(k) for k in range(dim))
-
-
 def fix_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the first nonzero component is real > 0."""
     vec = np.asarray(vec, dtype=np.complex128)
@@ -70,15 +66,15 @@ def fix_phase(vec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized amplitudes over a labeled tensor-product basis.
+    """Normalized amplitudes over a tensor-product basis.
 
-    ``amps`` is stored in row-major tensor order over ``dims``; construction
-    normalizes and freezes the array.
+    ``amps`` is stored in row-major tensor order over ``dims``; which basis
+    state each index names is fixed by the builder that made the state.
+    Construction normalizes and freezes the array.
     """
 
     dims: tuple[int, ...]
     amps: np.ndarray
-    labels: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -94,18 +90,8 @@ class StateVector:
             raise ValueError("state has (near-)zero norm")
         amps = amps / norm
         amps.setflags(write=False)
-        labels = self.labels
-        if labels is None:
-            labels = tuple(_default_labels(d) for d in dims)
-        else:
-            labels = tuple(tuple(site) for site in labels)
-            if len(labels) != len(dims) or any(
-                len(site) != d for site, d in zip(labels, dims)
-            ):
-                raise DimensionError("labels do not match dims")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def site_count(self) -> int:
@@ -114,40 +100,23 @@ class StateVector:
     def as_tensor(self) -> np.ndarray:
         return self.amps.reshape(self.dims)
 
-    def amplitude(self, outcome: Sequence[str]) -> complex:
-        """Amplitude of the basis state named by per-site labels."""
-        if len(outcome) != self.site_count:
-            raise DimensionError("outcome length does not match site count")
-        idx = tuple(self.labels[s].index(lab) for s, lab in enumerate(outcome))
-        return complex(self.as_tensor()[idx])
-
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian matrix, optionally with basis labels."""
+    """Hermitian matrix."""
 
     matrix: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         mat = _complex_matrix(self.matrix, "observable matrix")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
             raise ValueError("observable matrix is not Hermitian within 1e-12")
         mat.setflags(write=False)
-        labels = self.labels
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != mat.shape[0]:
-                raise DimensionError("labels do not match matrix dimension")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 def _check_projector(mat: np.ndarray) -> None:
@@ -283,4 +252,4 @@ def eigenvector_for_eigenvalue(
     residual = float(np.linalg.norm(obs.matrix @ vec - lam * vec))
     if residual > 1e-9:
         raise FloatingPointError(f"eigenvector residual {residual} too large")
-    return StateVector((obs.dim,), vec, None if obs.labels is None else (obs.labels,))
+    return StateVector((obs.dim,), vec)

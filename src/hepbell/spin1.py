@@ -18,8 +18,6 @@ from .reports import (
     CH_VV_JOINTS, HARDY_TERMS, VIOLATION_TOL, InequalityReport, ch_vv_report, ch_vv_s,
 )
 
-SPIN1_LABELS = ("+1", "0", "-1")
-
 # Closed-form vs projector-route disagreement above this raises.
 _CROSS_CHECK_TOL = 1e-8
 
@@ -44,27 +42,24 @@ def spin1_operators() -> tuple[Observable, Observable, Observable]:
     jx = np.array([[0, s, 0], [s, 0, s], [0, s, 0]], dtype=np.complex128)
     jy = np.array([[0, -1j * s, 0], [1j * s, 0, -1j * s], [0, 1j * s, 0]])
     jz = np.diag([1.0, 0.0, -1.0]).astype(np.complex128)
-    return (
-        Observable(jx, SPIN1_LABELS),
-        Observable(jy, SPIN1_LABELS),
-        Observable(jz, SPIN1_LABELS),
-    )
+    return Observable(jx), Observable(jy), Observable(jz)
 
 
 def j_alpha(alpha: float) -> Observable:
     """In-plane spin operator Jx*cos(alpha) + Jy*sin(alpha)."""
     jx, jy, _ = spin1_operators()
-    return Observable(
-        math.cos(alpha) * jx.matrix + math.sin(alpha) * jy.matrix, SPIN1_LABELS
-    )
+    return Observable(math.cos(alpha) * jx.matrix + math.sin(alpha) * jy.matrix)
 
 
 def make_singlet_like() -> StateVector:
-    """Total-spin-1, z-projection-0 state (|+1>|-1> - |-1>|+1>)/sqrt(2)."""
+    """Total-spin-1, z-projection-0 state (|+1>|-1> - |-1>|+1>)/sqrt(2).
+
+    Each meson's basis is the Jz eigenbasis in the order (+1, 0, -1).
+    """
     amps = np.zeros(9, dtype=np.complex128)
     amps[0 * 3 + 2] = 1.0 / np.sqrt(2.0)
     amps[2 * 3 + 0] = -1.0 / np.sqrt(2.0)
-    return StateVector((3, 3), amps, (SPIN1_LABELS, SPIN1_LABELS))
+    return StateVector((3, 3), amps)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -18,6 +19,14 @@ from hypothesis import strategies as st
 from hepbell import _workers, cli, mesonlab
 
 SQ2 = math.sqrt(2.0)
+
+# Any JSON value, with the config's own field names among the object keys.
+_CONFIG_KEYS = st.sampled_from([f.name for f in fields(cli.RunConfig)]) | st.text(max_size=8)
+JSON_CONFIGS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_CONFIG_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
 
 
 @pytest.fixture(scope="module")
@@ -740,6 +749,33 @@ class TestEventPipeline:
 
     def test_missing_config_is_exit_3(self):
         assert run(["--config", "nope.json", "kinematics"]) == 3
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b'["seed"]', "must hold a JSON object, got list"),
+            (b"5", "must hold a JSON object, got int"),
+            (b'[{"a": 1}]', "must hold a JSON object, got list"),
+            (b"\xff\xfe{}", "is not UTF-8 (invalid start byte at byte 0)"),
+            (b'{"seed":', "is not JSON: Expecting value at line 1 column 9"),
+        ],
+        ids=["list", "number", "list-of-objects", "not-utf8", "truncated"],
+    )
+    def test_config_that_is_not_a_json_object_is_usage_error(self, tmp_path, capsys, body, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(body)
+        assert run(["--config", str(config), "--output-dir", str(tmp_path), "kinematics"]) == 2
+        assert capsys.readouterr().err == f"hepbell: error: config file {config} {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=JSON_CONFIGS)
+    def test_arbitrary_json_config_exits_cleanly(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("config")
+        config = directory / "config.json"
+        config.write_text(json.dumps(data))
+        args = ["--config", str(config), "kinematics", "--out", str(directory / "k.json")]
+        assert run(args) in (0, 2)
 
 
 def assert_no_child():

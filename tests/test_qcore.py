@@ -20,9 +20,9 @@ from conftest import random_state_amps
 SQ2 = np.sqrt(2.0)
 
 
-def ket(*amps, dims=None, labels=None):
+def ket(*amps, dims=None):
     amps = np.array(amps, dtype=complex)
-    return StateVector(dims or (len(amps),), amps, labels)
+    return StateVector(dims or (len(amps),), amps)
 
 
 class TestStateVector:
@@ -43,14 +43,11 @@ class TestStateVector:
         with pytest.raises(DimensionError):
             StateVector((2, 2), np.ones(3))
 
-    def test_rejects_bad_labels(self):
-        with pytest.raises(DimensionError):
-            StateVector((2,), np.array([1.0, 0.0]), (("a",),))
-
     def test_amplitude_lookup(self):
-        state = StateVector((2, 2), [0, 1, 0, 0], (("R", "L"), ("R", "L")))
-        assert state.amplitude(("R", "L")) == 1.0
-        assert state.amplitude(("R", "R")) == 0.0
+        # Basis order (R, L) on each site: index 0 is R, index 1 is L.
+        state = StateVector((2, 2), [0, 1, 0, 0])
+        assert state.as_tensor()[0, 1] == 1.0
+        assert state.as_tensor()[0, 0] == 0.0
 
     def test_amps_immutable(self):
         state = ket(1.0, 0.0)
@@ -104,7 +101,7 @@ class TestProjector:
 
 class TestBornProbability:
     def test_product_state_basis_projection(self):
-        state = StateVector((2, 2), [0, 1, 0, 0], (("R", "L"), ("R", "L")))
+        state = StateVector((2, 2), [0, 1, 0, 0])
         p_r = Projector.onto([1.0, 0.0])
         assert born_probability(state, [p_r, None]) == 1.0
 
@@ -181,7 +178,7 @@ class TestBornProbability:
 
 
 def spin1_jz():
-    return Observable(np.diag([1.0, 0.0, -1.0]).astype(complex), ("+1", "0", "-1"))
+    return Observable(np.diag([1.0, 0.0, -1.0]).astype(complex))
 
 
 def spin1_jx():
@@ -202,7 +199,7 @@ class TestEigenvectorForEigenvalue:
         for _ in range(20):
             h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             obs = Observable((h + h.conj().T) / 2)
-            lam = float(obs.eigenvalues()[0])
+            lam = float(np.linalg.eigvalsh(obs.matrix)[0])
             vec = eigenvector_for_eigenvalue(obs, lam).amps
             first = vec[np.abs(vec) > 1e-8 * np.max(np.abs(vec))][0]
             assert abs(first.imag) < 1e-12 and first.real > 0
@@ -219,7 +216,7 @@ class TestEigenvectorForEigenvalue:
         for _ in range(50):
             h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             obs = Observable((h + h.conj().T) / 2)
-            for lam in obs.eigenvalues():
+            for lam in np.linalg.eigvalsh(obs.matrix):
                 vec = eigenvector_for_eigenvalue(obs, float(lam)).amps
                 assert np.linalg.norm(obs.matrix @ vec - lam * vec) < 1e-9
 

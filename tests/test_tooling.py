@@ -1,8 +1,10 @@
 """The test session's own settings: ``filterwarnings = ["error"]`` in
-pyproject.toml, with the one third-party warning it ignores; and a guard
-that the spin-1 inequalities stay written once, as tables."""
+pyproject.toml, with the one third-party warning it ignores; a guard that
+the spin-1 inequalities stay written once, as tables; and one that the
+package defines no name that nothing uses."""
 
 import ast
+import re
 import shutil
 import subprocess
 import sys
@@ -71,3 +73,40 @@ def test_each_spin1_table_label_is_one_literal_in_the_package():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     )
     assert {label: literals[label] for label in labels} == dict.fromkeys(labels, 1)
+
+
+def _top_level_definitions(tree: ast.Module):
+    """(name, node) of each function, class and assigned name at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def test_every_package_name_is_used_outside_its_definition():
+    """Each top-level function, class and constant of ``src/hepbell/*.py``
+    is named somewhere besides its own definition: in ``src/``, ``tests/``,
+    ``perfbench/`` or the README.  Dunder names are exempt."""
+    texts = {
+        path: path.read_text()
+        for path in [
+            *(path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")),
+            ROOT / "README.md",
+        ]
+    }
+    unused = []
+    for path in sorted((ROOT / "src" / "hepbell").glob("*.py")):
+        lines = texts[path].splitlines(keepends=True)
+        for name, node in _top_level_definitions(ast.parse(texts[path])):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            own = len(word.findall("".join(lines[node.lineno - 1 : node.end_lineno])))
+            if sum(len(word.findall(text)) for text in texts.values()) == own:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
