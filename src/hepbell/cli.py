@@ -2,24 +2,20 @@
 writes schema-validatable JSON/CSV reports with the resolved configuration
 embedded for provenance."""
 
-from __future__ import annotations
-
 import argparse
 import gc
 import json
 import math
 import sys
-from contextlib import closing
-from dataclasses import asdict, dataclass, fields, replace
+from collections import namedtuple
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
 
 from .kinematics import SPACE_LIKE_BETA_MIN, KinematicsConfig, two_body_beta
 
 # The analysis modules are imported inside the handlers that run them, so a
-# command loads only what it uses (`kinematics` runs without numpy).
-if TYPE_CHECKING:
-    from . import mesonlab
+# command loads only what it uses (`kinematics` runs without numpy).  Start-up
+# loads no dataclasses, typing or contextlib either: the config types are
+# named tuples.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,24 +68,30 @@ def _parse_bool(token: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {token!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+# Each field of RunConfig and its default.
+_RUN_DEFAULTS = {
+    "seed": 12345,
+    "n_events": 1_000_000,
+    "workers": 1,
+    "eta_1": 1.0,
+    "eta_2": 1.0,
+    "background_fraction": 0.0,
+    "br_weight": 1.0,
+    "m_parent": 2.980,
+    "m_vector": 1.019461,
+    "settings": (0.0, 3 * _PI / 4, 3 * _PI / 8, _PI / 8),
+    "bin_width": 2 * _PI / 64,
+    "output_dir": ".",
+}
+
+
+class RunConfig(namedtuple("RunConfig", _RUN_DEFAULTS, defaults=_RUN_DEFAULTS.values())):
     """Fully resolved run parameters; flags override config-file fields."""
 
-    seed: int = 12345
-    n_events: int = 1_000_000
-    workers: int = 1
-    eta_1: float = 1.0
-    eta_2: float = 1.0
-    background_fraction: float = 0.0
-    br_weight: float = 1.0
-    m_parent: float = 2.980
-    m_vector: float = 1.019461
-    settings: tuple[float, float, float, float] = (0.0, 3 * _PI / 4, 3 * _PI / 8, _PI / 8)
-    bin_width: float = 2 * _PI / 64
-    output_dir: str = "."
+    __slots__ = ()
 
-    def detector(self) -> mesonlab.DetectorModel:
+    def detector(self):
+        """The run's ``mesonlab.DetectorModel``."""
         from . import mesonlab
 
         return mesonlab.DetectorModel(
@@ -104,7 +106,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """The fields a report embeds: all but ``output_dir``, where it is written."""
-        out = asdict(self)
+        out = self._asdict()
         del out["output_dir"]
         out["settings"] = [float(v) for v in self.settings]
         return out
@@ -127,11 +129,10 @@ def _load_config(path: str | None) -> RunConfig:
         ) from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {file_path} must hold a JSON object, got {type(data).__name__}")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known
+    unknown = set(data).difference(RunConfig._fields)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return replace(config, **{name: _config_value(name, value) for name, value in data.items()})
+    return config._replace(**{name: _config_value(name, value) for name, value in data.items()})
 
 
 # The lower bound report.schema.json gives each integer field of the config,
@@ -175,11 +176,11 @@ def _config_value(name: str, value):
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     """Every flag stores under its RunConfig field name; unset flags are None."""
     updates = {}
-    for field in fields(RunConfig):
-        value = getattr(args, field.name, None)
+    for name in RunConfig._fields:
+        value = getattr(args, name, None)
         if value is not None:
-            updates[field.name] = value
-    return replace(config, **updates) if updates else config
+            updates[name] = value
+    return config._replace(**updates) if updates else config
 
 
 def _out_path(config: RunConfig, out: str | None, default: str) -> Path:
@@ -250,10 +251,10 @@ def _cmd_hardy(config: RunConfig, args: argparse.Namespace) -> int:
     settings = spin1.HardySettings(args.alpha, args.beta, args.gamma)
     report = spin1.hardy_probabilities(settings)
     lhv_max, _ = lhv.max_hardy_spin1_lhv()
-    payload = {"settings": asdict(settings), "report": report.to_dict(), "lhv_max": lhv_max}
+    payload = {"settings": vars(settings), "report": report.to_dict(), "lhv_max": lhv_max}
     if args.optimize:
         best_settings, best_value = spin1.maximize_violation()
-        payload["optimum"] = {**asdict(best_settings), "value": best_value}
+        payload["optimum"] = {**vars(best_settings), "value": best_value}
     _write_report(config, "hardy", payload, args.out)
     return EXIT_OK
 
@@ -267,9 +268,11 @@ def _cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
     chunks = mesonlab.generate_event_chunks(
         config.n_events, config.detector(), seed=config.seed, workers=config.workers
     )
-    with closing(chunks):
+    try:
         path = _out_path(config, args.out, "events.csv")
         mesonlab.write_events_csv(chunks, path)
+    finally:
+        chunks.close()
     echo = {"kind": "generate", "config": config.to_dict(), "events_file": str(path)}
     print(json.dumps(echo, sort_keys=True, allow_nan=False))
     return EXIT_OK
@@ -320,7 +323,7 @@ def _cmd_efficiency(config: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_kinematics(config: RunConfig, args: argparse.Namespace) -> int:
     result = two_body_beta(config.kinematics())
-    payload = {**asdict(result), "beta_min": SPACE_LIKE_BETA_MIN}
+    payload = {**result._asdict(), "beta_min": SPACE_LIKE_BETA_MIN}
     _write_report(config, "kinematics", payload, args.out)
     return EXIT_OK
 
@@ -418,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-def entry() -> NoReturn:
+def entry():
     """The program: the ``hepbell`` console script and ``python -m
     hepbell.cli``.  Runs :func:`main` on the command line and exits with its
     code.

@@ -5,10 +5,8 @@ which each vector meson's speed decides.  Pure Python: the `kinematics`
 command runs without numpy.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Speed (units of c) each vector meson needs for a usable fraction of
 # space-like separated decay events.
@@ -19,25 +17,25 @@ class BelowThreshold(ValueError):
     """Parent mass does not allow the two-body decay."""
 
 
-@dataclass(frozen=True)
-class KinematicsConfig:
-    """Masses (GeV) of the parent and of each vector meson."""
+class KinematicsConfig(namedtuple("KinematicsConfig", ("m_parent", "m_vector"))):
+    """Masses (GeV) of the parent and of each vector meson, stored as floats."""
 
-    m_parent: float = 2.980
-    m_vector: float = 1.019461
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("m_parent", "m_vector"):
-            value = float(getattr(self, name))
+    def __new__(cls, m_parent=2.980, m_vector=1.019461):
+        masses = (float(m_parent), float(m_vector))
+        for name, value in zip(cls._fields, masses):
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be positive and finite")
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, *masses)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``: validate there too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TwoBodyBeta:
-    beta: float
-    space_like_ok: bool
+TwoBodyBeta = namedtuple("TwoBodyBeta", ("beta", "space_like_ok"))
 
 
 def two_body_beta(kin: KinematicsConfig) -> TwoBodyBeta:

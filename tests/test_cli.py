@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -17,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hepbell import _workers, cli, mesonlab
+from hepbell.kinematics import KinematicsConfig, TwoBodyBeta
 
 SQ2 = math.sqrt(2.0)
 
 # Any JSON value, with the config's own field names among the object keys.
-_CONFIG_KEYS = st.sampled_from([f.name for f in fields(cli.RunConfig)]) | st.text(max_size=8)
+_CONFIG_KEYS = st.sampled_from(cli.RunConfig._fields) | st.text(max_size=8)
 JSON_CONFIGS = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_CONFIG_KEYS, inner, max_size=4),
@@ -1157,6 +1157,98 @@ class TestScalarCommands:
             assert (tmp_path / "other" / name).read_bytes() == runs[0][index]
 
 
+
+class TestPrintedPaths:
+    """The paths the commands print and the exit codes of the path cases,
+    relative to the working directory."""
+
+    def test_default_output_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["kinematics"]) == 0
+        assert capsys.readouterr().out == "wrote kinematics.json\n"
+        assert (tmp_path / "kinematics.json").exists()
+
+    def test_output_dir_with_trailing_slash(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["--output-dir", "sub/", "kinematics"]) == 0
+        assert capsys.readouterr().out == "wrote sub/kinematics.json\n"
+        assert (tmp_path / "sub" / "kinematics.json").exists()
+
+    def test_out_is_normalized(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a").mkdir()
+        assert run(["kinematics", "--out", "./a//b.json"]) == 0
+        assert capsys.readouterr().out == "wrote a/b.json\n"
+        assert (tmp_path / "a" / "b.json").exists()
+
+    def test_empty_output_dir_in_config_is_the_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text('{"output_dir": ""}')
+        assert run(["--config", "config.json", "kinematics"]) == 0
+        assert capsys.readouterr().out == "wrote kinematics.json\n"
+        assert (tmp_path / "kinematics.json").exists()
+
+    def test_config_that_is_a_directory_is_exit_3(self, tmp_path, capsys):
+        assert run(["--config", str(tmp_path), "kinematics"]) == 3
+        assert capsys.readouterr().err.startswith("hepbell: error: ")
+
+    @pytest.mark.parametrize(
+        "flags, printed",
+        [(["--output-dir", "sub/", "generate"], "sub/events.csv"),
+         (["generate", "--out", "./x//e.csv"], "x/e.csv")],
+        ids=["output-dir", "out"],
+    )
+    def test_generate_echoes_the_printed_form(self, tmp_path, monkeypatch, capsys, flags, printed):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x").mkdir()
+        assert run([*flags, "--n", "100", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["events_file"] == printed
+        assert (tmp_path / printed).exists()
+
+
+class TestConfigTypes:
+    """RunConfig, KinematicsConfig and TwoBodyBeta are named tuples: built by
+    keyword, with defaults, compared and hashed by value, and immutable."""
+
+    def test_run_config(self):
+        config = cli.RunConfig(seed=7, output_dir="out")
+        assert (config.seed, config.n_events, config.output_dir) == (7, 1_000_000, "out")
+        assert config.settings == (0.0, 3 * math.pi / 4, 3 * math.pi / 8, math.pi / 8)
+        assert config == cli.RunConfig(seed=7, output_dir="out") != cli.RunConfig()
+        assert hash(config) == hash(cli.RunConfig(seed=7, output_dir="out"))
+        assert config._replace(seed=8).seed == 8
+        assert list(config._asdict()) == list(cli.RunConfig._fields)
+        assert "output_dir" not in config.to_dict()
+        with pytest.raises(AttributeError):
+            config.seed = 8
+        with pytest.raises(AttributeError):
+            config.extra = 1
+
+    def test_kinematics_config(self):
+        kin = KinematicsConfig(m_parent=3)
+        assert kin == KinematicsConfig(3.0, 1.019461)
+        assert hash(kin) == hash(KinematicsConfig(m_parent=3.0))
+        assert type(kin.m_parent) is float
+        assert KinematicsConfig() == (2.980, 1.019461)
+        assert cli.RunConfig(m_vector=1.0).kinematics() == KinematicsConfig(m_vector=1.0)
+        with pytest.raises(AttributeError):
+            kin.m_parent = 4.0
+        for bad in ({"m_parent": -1}, {"m_vector": 0.0}, {"m_parent": math.inf}, {"m_vector": math.nan}):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                KinematicsConfig(**bad)
+        with pytest.raises(ValueError, match="m_parent must be positive"):
+            kin._replace(m_parent=-1)
+
+    def test_two_body_beta(self):
+        result = TwoBodyBeta(beta=0.5, space_like_ok=False)
+        assert result == TwoBodyBeta(0.5, False)
+        assert hash(result) == hash(TwoBodyBeta(0.5, False))
+        assert result._asdict() == {"beta": 0.5, "space_like_ok": False}
+        with pytest.raises(AttributeError):
+            result.beta = 0.6
+
 LOADED_MODULES_SCRIPT = """
 import json, sys
 codes = []
@@ -1170,14 +1262,16 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
-def loaded_modules(*commands):
+def loaded_modules(*commands, site=True):
     """Run ``cli.main`` on each argument list in a fresh interpreter (or only
     ``import hepbell`` when none is given); returns the exit codes and the
-    names in ``sys.modules`` at the end."""
+    names in ``sys.modules`` at the end.  ``site=False`` runs ``python -S``,
+    so that no ``site`` hook (a ``.pth`` file) loads modules first."""
     src = str(Path(cli.__file__).resolve().parents[1])
     argv = [json.dumps(commands)] if commands else []
+    flags = [] if site else ["-S"]
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES_SCRIPT, *argv],
+        [sys.executable, *flags, "-c", LOADED_MODULES_SCRIPT, *argv],
         capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -1196,6 +1290,21 @@ class TestImports:
         assert "hepbell.kinematics" in modules
         assert "numpy" not in modules
         assert "hepbell.mesonlab" not in modules
+
+    def test_startup_loads_no_dataclasses_typing_or_numpy(self, tmp_path):
+        # Under -S: with site's hooks, a .pth file may load typing or
+        # contextlib before hepbell does, and would hide a regression.
+        config = tmp_path / "config.json"
+        config.write_text('{"m_parent": 3.1}')
+        codes, modules = loaded_modules(
+            ["--output-dir", str(tmp_path), "kinematics"],
+            ["--config", str(config), "kinematics", "--out", str(tmp_path / "k.json")],
+            ["kinematics", "--m-parent", "2", "--m-vector", "1"],
+            site=False,
+        )
+        assert codes == [0, 0, 2]
+        assert {"hepbell.cli", "hepbell.kinematics"} <= modules
+        assert not {"dataclasses", "inspect", "typing", "contextlib", "numpy"} & modules
 
     def test_event_commands_load_no_search_or_photon_modules(self, tmp_path):
         events = tmp_path / "events.csv"
