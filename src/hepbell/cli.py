@@ -6,6 +6,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -433,7 +434,13 @@ def entry():
     their reference counts, ``atexit`` handlers run and streams are flushed.
     No command leaves a file, pipe or worker for the collector to close.
     ``main`` itself does not freeze, so a caller's collector is unaffected.
+
+    Before any handler imports numpy, OpenBLAS is held to one thread unless
+    the environment says otherwise: hepbell's BLAS and LAPACK calls act on
+    2x2 and 3x3 matrices, which OpenBLAS never splits, yet its idle helper
+    threads spin for about 0.1 s of CPU per process.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -1,8 +1,12 @@
 """Spin-1 operator algebra, the two-vector-meson singlet-like state, the
 Hardy-type probabilities and the two-meson CH expression, read term by term
-from the tables in :mod:`hepbell.reports`, plus the maximal-violation
-searches used by the experimental scheme and the detection-efficiency
-threshold of the CH test, which rests on the CH maximum."""
+from the tables in :mod:`hepbell.reports`, plus the Hardy violation search,
+the CH maximum in closed form and the detection-efficiency threshold of the
+CH test, which rests on that maximum.
+
+numpy and :mod:`hepbell.qcore` are imported inside the functions that build
+operators, states and projectors or evaluate the vectorized closed forms, so
+``efficiency``, which reads only the CH maximum, loads neither."""
 
 from __future__ import annotations
 
@@ -11,9 +15,6 @@ from functools import lru_cache
 
 import math
 
-import numpy as np
-
-from .qcore import Observable, Projector, StateVector, born_probability, eigenvector_for_eigenvalue
 from .reports import (
     CH_VV_JOINTS, HARDY_TERMS, VIOLATION_TOL, InequalityReport, ch_vv_report, ch_vv_s,
 )
@@ -26,7 +27,7 @@ _CROSS_CHECK_TOL = 1e-8
 # but by 6.6e-8 at 10**9.5.
 MAX_ANGLE = 1e6
 
-# Grid step of the violation searches' coarse scan.
+# Grid step of the Hardy violation search's coarse scan.
 _GRID_STEP = math.pi / 16
 
 
@@ -38,6 +39,10 @@ class InternalInconsistency(RuntimeError):
 @lru_cache(maxsize=1)
 def spin1_operators() -> tuple[Observable, Observable, Observable]:
     """Spin-1 matrices (Jx, Jy, Jz) in the Jz eigenbasis ordered (+1, 0, -1)."""
+    import numpy as np
+
+    from .qcore import Observable
+
     s = 1.0 / np.sqrt(2.0)
     jx = np.array([[0, s, 0], [s, 0, s], [0, s, 0]], dtype=np.complex128)
     jy = np.array([[0, -1j * s, 0], [1j * s, 0, -1j * s], [0, 1j * s, 0]])
@@ -47,6 +52,8 @@ def spin1_operators() -> tuple[Observable, Observable, Observable]:
 
 def j_alpha(alpha: float) -> Observable:
     """In-plane spin operator Jx*cos(alpha) + Jy*sin(alpha)."""
+    from .qcore import Observable
+
     jx, jy, _ = spin1_operators()
     return Observable(math.cos(alpha) * jx.matrix + math.sin(alpha) * jy.matrix)
 
@@ -56,6 +63,10 @@ def make_singlet_like() -> StateVector:
 
     Each meson's basis is the Jz eigenbasis in the order (+1, 0, -1).
     """
+    import numpy as np
+
+    from .qcore import StateVector
+
     amps = np.zeros(9, dtype=np.complex128)
     amps[0 * 3 + 2] = 1.0 / np.sqrt(2.0)
     amps[2 * 3 + 0] = -1.0 / np.sqrt(2.0)
@@ -92,6 +103,8 @@ class HardyReport:
 
 def zero_projector(theta: float) -> Projector:
     """Projector onto the J=0 eigenvector of the in-plane operator at theta."""
+    from .qcore import Projector, eigenvector_for_eigenvalue
+
     return Projector.onto(eigenvector_for_eigenvalue(j_alpha(theta), 0.0))
 
 
@@ -105,6 +118,8 @@ def _joint(theta_1, theta_2, both_zero=True):
     """Joint probability on the singlet-like state: sin^2(theta_2 - theta_1)/2
     for J=0 on both sides, cos^2 for J != 0 on one (vectorizable).  s * s, not
     ``s ** 2``, which is C pow on a scalar and can differ in the last bit."""
+    import numpy as np
+
     s = np.sin(theta_2 - theta_1) if both_zero else np.cos(theta_2 - theta_1)
     return 0.5 * (s * s)
 
@@ -144,6 +159,8 @@ def hardy_probabilities(settings: HardySettings) -> HardyReport:
     a disagreement beyond ``_CROSS_CHECK_TOL`` (1e-8) raises
     :class:`InternalInconsistency`.
     """
+    from .qcore import born_probability
+
     closed = hardy_closed_forms(settings.alpha, settings.beta, settings.gamma)
     angles = _angles(settings.alpha, settings.beta, settings.gamma)
 
@@ -192,16 +209,20 @@ def ch_value_vv(t1: float, t1p: float, t2: float, t2p: float) -> InequalityRepor
 
 
 def maximize_ch_vv() -> tuple[tuple[float, float, float, float], float]:
-    """Grid (pi/16) + refinement maximum of the CH combination over all four angles."""
-    from ._search import maximize_on_grid
+    """The maximum of the CH value over all four angles, in closed form.
 
-    def objective(t1, t1p, t2, t2p):
-        return ch_vv_s(ch_vv_joint_combination(t1, t1p, t2, t2p))
+    With sin^2 x = (1 - cos 2x)/2 the joint combination is 1/2 + [cos 2a -
+    cos 2b - cos 2c - cos 2d]/4 at the setting differences a = t2' - t1,
+    b = t2 - t1, c = t2 - t1' and d = t2' - t1', which obey a = b - c + d.
+    Its maximum is Tsirelson's, C = (1 + sqrt 2)/2, where each cosine term
+    adds sqrt(2)/2, so the CH value C - 1 is (sqrt 2 - 1)/2.  The point is
+    the lexicographically smallest maximizer in [0, pi)^4, (0, pi/4, 5pi/8,
+    7pi/8), on which the grid search of the tests lands bit for bit.
+    """
+    point = (0.0, math.pi / 4, 5 * math.pi / 8, 7 * math.pi / 8)
+    return point, (math.sqrt(2.0) - 1.0) / 2.0
 
-    return maximize_on_grid(objective, 4, _GRID_STEP)
 
-
-@lru_cache(maxsize=1)
 def _max_joint_combination() -> float:
     """Maximum of the signed joint combination over settings: 1 + max CH value."""
     _, best = maximize_ch_vv()

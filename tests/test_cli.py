@@ -1046,23 +1046,23 @@ class TestPeakMemoryInOneProcess:
 
 # efficiency's max_s on its 51-point eta grid (0.50 to 1.00), as float.hex.
 MAX_S_BITS = """
-    -0x1.95f619980c432p-3 -0x1.9178fa1092498p-3 -0x1.8c7d4782754d2p-3
-    -0x1.870301edb54dep-3 -0x1.810a2952524bep-3 -0x1.7a92bdb04c470p-3
-    -0x1.739cbf07a33f4p-3 -0x1.6c282d585734cp-3 -0x1.643508a268278p-3
-    -0x1.5bc350e5d6178p-3 -0x1.52d30622a1048p-3 -0x1.49642858c8eecp-3
-    -0x1.3f76b7884dd62p-3 -0x1.350ab3b12fbacp-3 -0x1.2a201cd36e9cap-3
-    -0x1.1eb6f2ef0a7b8p-3 -0x1.12cf36040357cp-3 -0x1.0668e61259314p-3
-    -0x1.f3080634180f8p-4 -0x1.d8411a3637b78p-4 -0x1.bc7d082b11590p-4
-    -0x1.9fbbd012a4f50p-4 -0x1.81fd71ecf28c0p-4 -0x1.6341edb9fa1d0p-4
-    -0x1.43894379bba88p-4 -0x1.22d3732c372e0p-4 -0x1.01207cd16cae0p-4
-    -0x1.bce0c0d2b8520p-5 -0x1.75863be80b3b0p-5 -0x1.2c316ae2d2190p-5
-    -0x1.c1c49b8619d80p-6 -0x1.2731c91177680p-6 -0x1.1154bccf79c80p-7
-    0x1.9d1a47715ba00p-10 0x1.80847f1600d80p-7 0x1.6aa772d403360p-6
-    0x1.0c809f290f0b0p-5 0x1.65a7d102a8880p-5 0x1.c0c94ef6ce0e0p-5
-    0x1.0ef28c82bfd08p-4 0x1.3e7d97975e9f0p-4 0x1.6f05c8b943738p-4
-    0x1.a08b1fe86e4d8p-4 0x1.d30d9d24df2d8p-4 0x1.0346a0374b090p-3
-    0x1.1d8504e2c97e8p-3 0x1.3841fc94eaf68p-3 0x1.537d874daf718p-3
-    0x1.6f37a50d16ef0p-3 0x1.8b7055d321700p-3 0x1.a827999fcef38p-3
+    -0x1.95f619980c434p-3 -0x1.9178fa109249ap-3 -0x1.8c7d4782754d4p-3
+    -0x1.870301edb54e0p-3 -0x1.810a2952524c0p-3 -0x1.7a92bdb04c472p-3
+    -0x1.739cbf07a33f8p-3 -0x1.6c282d5857350p-3 -0x1.643508a26827ap-3
+    -0x1.5bc350e5d617ap-3 -0x1.52d30622a104ap-3 -0x1.49642858c8ef0p-3
+    -0x1.3f76b7884dd66p-3 -0x1.350ab3b12fbb0p-3 -0x1.2a201cd36e9cep-3
+    -0x1.1eb6f2ef0a7bcp-3 -0x1.12cf360403580p-3 -0x1.0668e61259314p-3
+    -0x1.f308063418100p-4 -0x1.d8411a3637b80p-4 -0x1.bc7d082b11598p-4
+    -0x1.9fbbd012a4f58p-4 -0x1.81fd71ecf28c8p-4 -0x1.6341edb9fa1e0p-4
+    -0x1.43894379bba90p-4 -0x1.22d3732c372e8p-4 -0x1.01207cd16caf0p-4
+    -0x1.bce0c0d2b8530p-5 -0x1.75863be80b3c0p-5 -0x1.2c316ae2d21a0p-5
+    -0x1.c1c49b8619da0p-6 -0x1.2731c911776a0p-6 -0x1.1154bccf79d00p-7
+    0x1.9d1a47715b800p-10 0x1.80847f1600d40p-7 0x1.6aa772d403340p-6
+    0x1.0c809f290f0a0p-5 0x1.65a7d102a8860p-5 0x1.c0c94ef6ce0d0p-5
+    0x1.0ef28c82bfcf8p-4 0x1.3e7d97975e9e8p-4 0x1.6f05c8b943728p-4
+    0x1.a08b1fe86e4c8p-4 0x1.d30d9d24df2c8p-4 0x1.0346a0374b088p-3
+    0x1.1d8504e2c97e0p-3 0x1.3841fc94eaf60p-3 0x1.537d874daf710p-3
+    0x1.6f37a50d16ee8p-3 0x1.8b7055d3216f8p-3 0x1.a827999fcef30p-3
 """.split()
 
 
@@ -1088,7 +1088,7 @@ class TestScalarCommands:
     def test_efficiency_threshold_bits(self, tmp_path):
         out = tmp_path / "e.json"
         assert run(["--output-dir", str(tmp_path), "efficiency", "--out", str(out)]) == 0
-        assert float.hex(load(out)["threshold"]) == "0x1.a827999fcef31p-1"
+        assert float.hex(load(out)["threshold"]) == "0x1.a827999fcef33p-1"
 
     def test_efficiency_max_s_bits(self, tmp_path):
         out = tmp_path / "e.json"
@@ -1332,15 +1332,18 @@ class TestImports:
         plain_codes, plain = loaded_modules(common)
         optimize_codes, optimize = loaded_modules([*common, "--optimize"])
         assert plain_codes + optimize_codes == [0, 0]
-        assert "hepbell.spin1" in plain
+        assert {"hepbell.spin1", "hepbell.qcore"} <= plain  # the Born cross-check
         assert "hepbell._search" not in plain
         assert "hepbell._search" in optimize
 
     def test_efficiency_loads_no_event_modules(self, tmp_path):
+        # The CH maximum is a closed form: no search, so no numpy either.
         codes, modules = loaded_modules(["--output-dir", str(tmp_path), "efficiency"])
         assert codes == [0]
-        assert {"hepbell.spin1", "hepbell._search"} <= modules
-        assert not {"hepbell.mesonlab", "hepbell._workers"} & modules
+        assert "hepbell.spin1" in modules
+        assert not {
+            "numpy", "hepbell.qcore", "hepbell._search", "hepbell.mesonlab", "hepbell._workers",
+        } & modules
 
     def test_insufficient_statistics_is_exit_4_as_a_script(self, tmp_path):
         # As ``python -m hepbell.cli`` the module is __main__, and main still
@@ -1409,6 +1412,18 @@ class TestProgramExit:
         assert out.read_bytes() == want
         if how == "console-script":
             assert proc.stdout.splitlines()[-1] == "frozen True"
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("4", "4")])
+    def test_program_holds_openblas_to_one_thread_unless_set(self, monkeypatch, preset, want):
+        environ = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        seen = []
+        monkeypatch.setattr(os, "environ", environ)
+        monkeypatch.setattr(cli, "main", lambda: seen.append(environ["OPENBLAS_NUM_THREADS"]) or 0)
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.entry()
+        assert excinfo.value.code == 0
+        assert seen == [want]
 
     @pytest.mark.parametrize("how", ["module", "console-script"])
     @pytest.mark.parametrize(

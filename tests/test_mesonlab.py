@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import os
 import re
@@ -8,6 +9,8 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,10 +97,10 @@ class TestAngularDensity:
 
 
 def interp_core_inverse(m):
-    """The core inversion seeded by np.interp, with four Newton steps on
-    every row: the reference."""
+    """The core inversion seeded by np.interp (by the cube root near 0), with
+    four Newton steps on every row: the reference."""
     x = np.interp(m, mesonlab._CORE_KNOTS_M, mesonlab._CORE_KNOTS_X)
-    x = np.where(m < mesonlab._CORE_KNOTS_M[1], np.cbrt(6.0 * m), x)
+    x = np.where(m < mesonlab._CORE_KNOTS_M[1], mesonlab._cube_root(6.0 * m), x)
     for _ in range(4):
         g = x - np.sin(x) - m
         dg = 1.0 - np.cos(x)
@@ -142,11 +145,76 @@ class TestCoreInverse:
     def test_matches_interp_form_at_knots_and_edges(self, edges):
         assert bits(mesonlab._core_inverse(edges)) == bits(interp_core_inverse(edges))
 
+    def test_cube_root_is_within_an_ulp(self, rng):
+        # Checked in exact rational arithmetic: np.cbrt is no reference, its
+        # last bits differ between numpy's SIMD paths.
+        a = np.concatenate([
+            6.0 * rng.uniform(0.0, mesonlab._CORE_KNOTS_M[1], 5000),
+            rng.uniform(0.0, 1e-300, 100),
+            [5e-324, 1e-310, 0.5, 1.0, 2.0, 4.0, np.nextafter(4.0, 0.0)],
+        ])
+        y = mesonlab._cube_root(a)
+        below, above = np.nextafter(y, 0.0), np.nextafter(y, np.inf)
+        for lo, x, hi in zip(below.tolist(), a.tolist(), above.tolist()):
+            assert Fraction(lo) ** 3 < Fraction(x) < Fraction(hi) ** 3
+
+    def test_cube_root_of_zero_and_of_exact_cubes(self):
+        roots = np.array([0.0, 2.0**-340, 0.5, 1.0, 1.5, 3.0, 2.0**100])
+        assert bits(mesonlab._cube_root(roots * roots * roots)) == bits(roots)
+
     def test_signal_cdf_inverse_matches_interp_form(self, rng, monkeypatch):
         u = np.concatenate([rng.random(1_000_000), [0.0, 5e-324, 0.25, 0.5, 0.75]])
         got = mesonlab._invert_signal_cdf(u)
         monkeypatch.setattr(mesonlab, "_core_inverse", interp_core_inverse)
         assert bits(got) == bits(mesonlab._invert_signal_cdf(u))
+
+
+# numpy's dispatch targets that use AVX-512, and the variable that turns
+# them off in one process, so that numpy takes its AVX2 paths instead.
+AVX512_TARGETS = ("X86_V4", "AVX512_SKX", "AVX512_ICL", "AVX512_SPR")
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+# Draws the seed-7 sample, writes its angles' bytes to argv[1] and prints
+# which dispatch targets numpy had.
+DISPATCH_SCRIPT = """
+import json, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+from hepbell import mesonlab
+det = mesonlab.DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
+events = mesonlab.generate_events(200_000, det, seed=7, workers=2)
+with open(sys.argv[1], "wb") as fh:
+    fh.write(events.phi.tobytes())
+print(json.dumps(__cpu_features__))
+"""
+
+
+def test_angles_do_not_depend_on_numpy_simd_paths(tmp_path):
+    """The angles drawn where numpy dispatches to AVX-512 and where it takes
+    its AVX2 paths are the same bits: the signal inversion uses only ufuncs
+    that round alike on both (np.cbrt, say, does not)."""
+    src = str(Path(mesonlab.__file__).resolve().parents[1])
+
+    def draw(extra_env):
+        out = tmp_path / ("avx2.bin" if extra_env else "native.bin")
+        proc = subprocess.run(
+            [sys.executable, "-c", DISPATCH_SCRIPT, str(out)],
+            capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, **extra_env},
+        )
+        features = json.loads(proc.stdout.splitlines()[-1])
+        return np.fromfile(out, dtype=np.float64), features
+
+    here, features = draw({})
+    if not any(features.get(name) for name in AVX512_TARGETS):
+        pytest.skip("numpy has no AVX-512 path on this CPU: there is no other path to compare")
+    there, disabled = draw(NO_AVX512)
+    if any(disabled.get(name) for name in AVX512_TARGETS):
+        pytest.skip(f"this numpy kept an AVX-512 path under {NO_AVX512}")
+    assert here.size == there.size == 200_000
+    assert np.flatnonzero(here.view(np.uint64) != there.view(np.uint64)).size == 0
 
 
 class TestGenerateEvents:

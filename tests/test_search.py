@@ -1,4 +1,5 @@
-"""The lockstep array refiner against its scalar twin.
+"""The lockstep array refiner against its scalar twin, and the grid search
+as the oracle of the closed-form spin-1 optima.
 
 ``golden_section_max``, ``line_max`` and ``refine_coordinatewise`` below
 are the refinement written for one point on Python lists, kept as the
@@ -16,6 +17,21 @@ from hypothesis import strategies as st
 
 from hepbell import _search, spin1
 from hepbell._search import _INVPHI, _INVPHI2, refine_lockstep
+from hepbell.reports import ch_vv_s
+
+# Tsirelson's value: the largest Hardy gap and the largest two-meson CH value.
+TSIRELSON_VALUE = (math.sqrt(2.0) - 1.0) / 2.0
+
+
+def ch_vv_value(t1, t1p, t2, t2p):
+    """The two-meson CH value at unit efficiency (vectorizable)."""
+    return ch_vv_s(spin1.ch_vv_joint_combination(t1, t1p, t2, t2p))
+
+
+def search_ch_vv():
+    """The grid search over all four CH angles, on spin1's grid step: the
+    oracle of the closed-form ``spin1.maximize_ch_vv``."""
+    return _search.maximize_on_grid(ch_vv_value, 4, spin1._GRID_STEP)
 
 
 def golden_section_max(func, lo, hi, x_tol=1e-8):
@@ -121,7 +137,11 @@ def assert_same_rows(func_vec, starts, half_width, x_tol=1e-8, max_sweeps=60):
 
 @pytest.mark.parametrize("x_tol", [1e-8, 1e-9, 1e-10])
 @pytest.mark.parametrize("steps", [16, 20, 24])
-@pytest.mark.parametrize("maximize", [spin1.maximize_violation, spin1.maximize_ch_vv])
+@pytest.mark.parametrize(
+    "maximize",
+    [spin1.maximize_violation, search_ch_vv],
+    ids=["maximize_violation", "maximize_ch_vv"],
+)
 def test_searches_match_scalar_search(monkeypatch, maximize, steps, x_tol):
     """The optimum is that of the scalar twin on Python floats, on the
     searches' own grid (pi/16) and finer ones, at the search's own bracket
@@ -244,7 +264,10 @@ def test_box_within_tolerance_returns_midpoint():
 @pytest.mark.parametrize(
     "maximize, objective, budget",
     [
-        (spin1.maximize_ch_vv, "ch_vv_joint_combination", 480),
+        pytest.param(
+            search_ch_vv, "ch_vv_joint_combination", 480,
+            id="maximize_ch_vv-ch_vv_joint_combination-480",
+        ),
         (spin1.maximize_violation, "hardy_difference_closed", 1_800),
     ],
 )
@@ -262,6 +285,34 @@ def test_search_call_budget(monkeypatch, maximize, objective, budget):
     monkeypatch.setattr(spin1, objective, counted)
     maximize()
     assert 0 < len(calls) < budget
+
+
+def search_hardy():
+    """``spin1.maximize_violation``, the grid search of Hardy's gap, with
+    its point as a tuple."""
+    settings, value = spin1.maximize_violation()
+    return (settings.alpha, settings.beta, settings.gamma), value
+
+
+def hardy_closed_form():
+    """The maximum of Hardy's gap and the point the search reaches."""
+    return (3 * math.pi / 8, math.pi / 4, 5 * math.pi / 8), TSIRELSON_VALUE
+
+
+@pytest.mark.parametrize(
+    "search, closed_form",
+    [(search_ch_vv, spin1.maximize_ch_vv), (search_hardy, hardy_closed_form)],
+    ids=["ch_vv", "hardy"],
+)
+def test_search_lands_on_the_closed_form_maximum(search, closed_form):
+    """The search finds the closed form's point bit for bit, and attains its
+    value, Tsirelson's, to within the search's tolerance, exceeding it by
+    no more than rounding."""
+    point, value = search()
+    want_point, want_value = closed_form()
+    assert want_value == TSIRELSON_VALUE
+    assert [float.hex(x) for x in point] == [float.hex(x) for x in want_point]
+    assert want_value - 1e-12 <= value <= want_value + 8 * math.ulp(want_value)
 
 
 class GridReached(Exception):
