@@ -1,12 +1,12 @@
 """Forked worker processes for the chunk loops of the event commands.
 
 ``generate`` hands chunk i to process i mod P and writes the results in
-order (:func:`round_robin`).  ``estimate`` and ``chtest`` put a claim on each
-chunk of the event file on a queue that every process takes from, and sum
-the counts each process sends back (:func:`summed_counts`).  Both take
-the number of rows and decide here how many processes share them
-(:func:`_processes`), so no caller forks while another thread runs.  The
-split is Linux only: elsewhere the usable cores are unknown, and P is 1.
+order (:func:`round_robin`).  ``estimate`` and ``chtest`` cut the event file
+into P byte ranges and count range i in process i, and this process gathers
+what each sends back (:func:`ranks_in_processes`).  P is decided here from
+the number of rows (:func:`_processes`), so no caller forks while another
+thread runs.  The split is Linux only: elsewhere the usable cores are
+unknown, and P is 1.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import io
 import os
 import pickle
 import signal
-import struct
 import threading
 from collections.abc import Callable, Iterator
 
@@ -26,9 +25,6 @@ _RESULT, _ERROR = b"r", b"e"
 # takes about 0.4 MB.  Measured at 1e6 events on 2 cores, it saves about 10 %
 # of `generate` against the default 64 KiB.
 _PIPE_BYTES = 1 << 20
-# A claim on a chunk of an event file: its index, file offset and length.
-# 24 bytes is below PIPE_BUF, so each claim is written and read whole.
-_CLAIM = struct.Struct("<3q")
 # The chunk loops are split over processes from this many rows on.  Below
 # it, a fork with its pipe and reap (about 2.3 ms) costs more than the
 # second core saves.
@@ -38,7 +34,7 @@ Workers = list[tuple[int, io.BufferedReader]]
 
 
 class WorkerExited(ChildProcessError):
-    """A worker process ended before it sent a chunk that was due."""
+    """A worker process ended before it sent a result that was due."""
 
 
 def _usable_cores() -> int:
@@ -106,6 +102,26 @@ def round_robin(tasks: range, work: Callable[[int], bytes], rows: int) -> Iterat
         _end(workers)
 
 
+def ranks_in_processes(work: Callable[[int], object], processes: int) -> list:
+    """``[work(0), ..., work(processes - 1)]``: ``work(0)`` in this process,
+    each other rank in a worker forked before, which sends its result back
+    pickled; one that sends none, as where ``work`` raises, raises
+    WorkerExited.  The workers are killed and reaped however this ends."""
+    workers: Workers = []
+    try:
+        for rank in range(1, processes):
+            workers.append(start_worker(rank, lambda r, out: out.write(pickle.dumps(work(r)))))
+        results = [work(0)]
+        for pid, reader in workers:
+            try:
+                results.append(pickle.loads(reader.read()))
+            except Exception:  # nothing sent, or a part
+                raise WorkerExited(f"worker process {pid} ended before it sent its counts")
+    finally:
+        _end(workers)
+    return results
+
+
 def start_worker(
     rank: int, run: Callable[[int, io.BufferedWriter], None]
 ) -> tuple[int, io.BufferedReader]:
@@ -162,124 +178,3 @@ def _picklable(exc: Exception) -> Exception:
     except Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
     return exc
-
-
-class _Share:
-    """The chunks one process claims from the queue: the sum of their
-    counts, their indices, and the first that raised, with its exception.
-    ``parse.read(fd, offset, size)`` reads a chunk, ``parse(index, run)``
-    parses it and ``count`` counts it; a chunk holds ``parse.rows`` rows."""
-
-    def __init__(self, fd: int, queue: int, parse, count: Callable, zero):
-        self.fd, self.queue, self.parse, self.count = fd, queue, parse, count
-        self.total, self.done, self.failed = zero.copy(), [], None
-
-    def take(self) -> bool:
-        """Claim the next chunk and count it; False once the queue is empty
-        and closed.  Chunks claimed after one that raised come after it, and
-        are dropped."""
-        claim = os.read(self.queue, _CLAIM.size)
-        if claim and self.failed is None:
-            index, offset, size = _CLAIM.unpack(claim)
-            try:
-                self.total += self.count(self.parse(index, self.parse.read(self.fd, offset, size)))
-                self.done.append(index)
-            except Exception as exc:  # raised once every chunk before it is known good
-                self.failed = index, exc
-        return bool(claim)
-
-
-def summed_counts(
-    fd: int,
-    runs: Iterator[tuple[int, object]],
-    parse,
-    count: Callable,
-    zero,
-    rows: int,
-    meanwhile: Callable[[], object],
-):
-    """``zero`` plus the counts of the chunks that ``runs`` cuts the file
-    ``fd`` of about ``rows`` rows into, as (offset, bytes) pairs, shared by
-    this process and P - 1 workers (:func:`_processes`; see :class:`_Share`
-    for ``parse`` and ``count``).  ``rows`` is 0 for a file that ``pread``
-    cannot read, such as a FIFO.  ``meanwhile()`` is called once the file
-    is cut.
-
-    For P = 1 nothing is forked: this process counts each chunk where
-    ``runs`` cuts it, reads every byte once and raises the first error.
-
-    Otherwise the workers are forked first.  This process cuts the file
-    and puts a claim on each chunk on a queue, a pipe; when the queue is
-    full, it takes a claim itself.  Every process takes claims, reads its
-    chunks with ``pread``, parses and counts them, so no process reads a
-    chunk it does not count, but this one cuts them all.  Once the file is
-    cut, this process calls ``meanwhile()`` while the workers parse, and
-    then takes claims too.  Each worker sends its share once the queue is
-    empty.  The error of the lowest failed chunk is raised once every chunk
-    before it is known good, and a worker that sent no share is named with
-    the first chunk no process counted.  The workers are killed and reaped
-    however this ends.
-    """
-    processes = _processes(rows, -(-rows // parse.rows))
-    if processes == 1:
-        total = zero.copy()
-        for index, (_, run) in enumerate(runs):
-            total += count(parse(index, run))
-        meanwhile()
-        return total
-    queue, claims = os.pipe()
-    put = open(claims, "wb", buffering=0)
-
-    def work(rank: int, out: io.BufferedWriter) -> None:
-        put.close()
-        share = _Share(fd, queue, parse, count, zero)
-        while share.take():
-            pass
-        failed = share.failed and (share.failed[0], _picklable(share.failed[1]))
-        out.write(pickle.dumps((share.total, share.done, failed)))
-
-    workers: Workers = []
-    try:
-        workers += [start_worker(rank, work) for rank in range(1, processes)]
-        own, chunks = _Share(fd, queue, parse, count, zero), 0
-        os.set_blocking(claims, False)
-        for chunks, (offset, run) in enumerate(runs, 1):
-            while put.write(_CLAIM.pack(chunks - 1, offset, len(run))) is None:
-                own.take()  # the queue is full
-        put.close()
-        meanwhile()
-        while own.take():
-            pass
-        shares = [(os.getpid(), (own.total, own.done, own.failed))]
-        shares += [(pid, _unpickled(reader.read())) for pid, reader in workers]
-    finally:
-        put.close()
-        os.close(queue)
-        _end(workers)
-    total, settled, failures, ended = zero.copy(), bytearray(chunks + 1), {}, []
-    for pid, share in shares:
-        if share is None:
-            ended.append(pid)
-            continue
-        counts, done, failed = share
-        total += counts
-        for index in done:
-            settled[index] = 1
-        if failed:
-            failures[failed[0]] = failed[1]
-            settled[failed[0]] = 1
-    missing = settled.index(0)  # chunk ``chunks`` is never settled
-    first_failed = min(failures, default=chunks)
-    if first_failed < missing:
-        raise failures[first_failed]
-    if missing < chunks:
-        raise WorkerExited(f"worker process {ended[0]} ended before it sent chunk {missing}")
-    return total
-
-
-def _unpickled(data: bytes):
-    """A worker's share, or None where it ended before it sent it whole."""
-    try:
-        return pickle.loads(data)
-    except Exception:
-        return None

@@ -12,7 +12,8 @@ formats the rows that :func:`write_events_csv` writes, and
 :func:`estimate_probability` and :func:`ch_from_events` count a sample, or
 an event file chunk by chunk, in half-open arcs of the circle of plane
 angles, histogram bins or CH windows, by one counter (:func:`_arc_estimates`).
-:mod:`hepbell._workers` decides how many processes share those chunks.
+Every reader parses by one chunk generator (:func:`_chunks`); a file counted
+in P processes is cut into P byte ranges, one each (:func:`_event_counts`).
 """
 
 from __future__ import annotations
@@ -772,25 +773,25 @@ def _write_rows(events: EventSample | Iterator[bytes | memoryview], path: Path) 
             fh.write(_csv_rows(start, *(column[rows] for column in _columns(events)), buffers))
 
 
-def _runs(fh) -> Iterator[tuple[int, np.ndarray]]:
-    """A binary file cut after its first LF and then after every
-    ``_CSV_CHUNK_ROWS``-th, as (file offset, bytes) pairs: the header line,
-    runs of ``_CSV_CHUNK_ROWS`` lines, and what follows the last cut, if
-    anything.  The file is read ``_READ_BLOCK`` bytes at a time into one
-    buffer, and each run is a view of it, valid until the next is asked for.
+def _runs(fh, need: int = 1) -> Iterator[np.ndarray]:
+    """A binary file cut after its ``need``-th LF and then after every
+    ``_CSV_CHUNK_ROWS``-th: the header line (for ``need`` = 1), runs of
+    ``_CSV_CHUNK_ROWS`` lines, and what follows the last cut, if anything.
+    The file is read ``_READ_BLOCK`` bytes at a time into one buffer, and
+    each run is a view of it, valid until the next is asked for.
     """
     rows, block = _CSV_CHUNK_ROWS, _READ_BLOCK
     buffer, is_lf = np.empty(2 * block, dtype=np.uint8), np.empty(block, dtype=bool)
-    # buffer[0] is byte ``base`` of the file; buffer[start:end] is read and
-    # not yet cut off, and lacks ``need`` LFs to the next cut.
-    base, start, end, need = 0, 0, 0, 1
+    # buffer[start:end] is read and not yet cut off, and lacks ``need`` LFs
+    # to the next cut.
+    start, end = 0, 0
     while True:
         if end + block > buffer.size:  # move what is not cut off to the front
             kept = buffer[start:end]
             if kept.size + block > buffer.size:
                 buffer = np.empty(2 * (kept.size + block), dtype=np.uint8)
             buffer[: kept.size] = kept
-            base, start, end = base + start, 0, kept.size
+            start, end = 0, kept.size
         read = fh.readinto(buffer[end : end + block])
         if not read:
             break
@@ -798,22 +799,21 @@ def _runs(fh) -> Iterator[tuple[int, np.ndarray]]:
         lf += end
         cuts = lf[need - 1 :: rows]
         for cut in cuts.tolist():
-            yield base + start, buffer[start : cut + 1]
+            yield buffer[start : cut + 1]
             start = cut + 1
         need = (rows if cuts.size else need) - int(np.count_nonzero(lf >= start))
         end += read
     if end > start:
-        yield base + start, buffer[start:end]
+        yield buffer[start:end]
 
 
 class _ChunkParser:
-    """Parses the runs of one event file, of up to ``_CSV_CHUNK_ROWS`` lines,
-    into arrays allocated once: each sample it returns is overwritten by the
-    next."""
+    """The arrays, allocated once, that :func:`_canonical_chunk` parses the
+    runs of one event file, of up to ``_CSV_CHUNK_ROWS`` lines, into."""
 
     def __init__(self, path: Path):
         rows = self.rows = _CSV_CHUNK_ROWS
-        self.path, self.run, self.is_lf = path, np.empty(0, np.uint8), np.empty(0, bool)
+        self.path, self.is_lf = path, np.empty(0, bool)
         self.indices = np.empty((5, rows), dtype=np.intp)
         self.window = np.empty((_PHI_WINDOW.size, rows), dtype=np.uint8)
         self.tail = np.empty((_ROW_TAIL.size, rows), dtype=np.uint8)
@@ -822,20 +822,16 @@ class _ChunkParser:
         self.flags = np.empty((3, rows), dtype=bool)
         _keep_heap_top()
 
-    def read(self, fd: int, offset: int, size: int) -> np.ndarray:
-        """``size`` bytes of the file ``fd`` from ``offset``, read by ``pread``."""
-        if self.run.size < size:
-            self.run = np.empty(2 * size, dtype=np.uint8)
-        if os.preadv(fd, [self.run[:size]], offset) < size:
-            raise ValueError(f"{self.path} became shorter while it was read")
-        return self.run[:size]
 
-    def __call__(self, index: int, run: np.ndarray) -> EventSample:
-        """Run ``index``, parsed by :func:`_canonical_chunk`; a run it
-        rejects raises the error :func:`_parse_lines` names."""
-        first_id = index * self.rows
-        chunk = _canonical_chunk(run, first_id, self)
-        return _parse_lines(run, first_id, self) if chunk is None else chunk
+def _chunks(runs: Iterator[np.ndarray], path: Path, first_id: int = 0) -> Iterator[EventSample]:
+    """The runs of lines of the event file ``path``, ids from ``first_id``,
+    parsed by :func:`_canonical_chunk` into one :class:`_ChunkParser`, each
+    chunk overwriting the last; a bad run raises :func:`_parse_lines`'s error."""
+    parse = _ChunkParser(path)
+    for run in runs:
+        chunk = _canonical_chunk(run, first_id, parse)
+        yield _parse_lines(run, first_id, parse) if chunk is None else chunk
+        first_id += len(chunk)
 
 
 def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> EventSample | None:
@@ -1012,11 +1008,11 @@ def _columns(sample: EventSample) -> tuple[np.ndarray, ...]:
     return sample.phi, sample.detected_1, sample.detected_2, sample.is_background
 
 
-def _runs_after_header(fh, path: Path) -> Iterator[tuple[int, np.ndarray]]:
+def _runs_after_header(fh, path: Path) -> Iterator[np.ndarray]:
     """The runs of :func:`_runs` after the header line, which is checked:
     like every row, it must end in a line feed."""
     runs = _runs(fh)
-    line = next(runs, (0, np.empty(0, dtype=np.uint8)))[1].tobytes()
+    line = next(runs, np.empty(0, dtype=np.uint8)).tobytes()
     header = line.split(b"\r", 1)[0].rstrip(b"\n")
     if header != _CSV_HEADER_BYTES:
         fields = header.decode("ascii", "surrogateescape").split(",")
@@ -1033,18 +1029,16 @@ def iter_events_csv(path) -> Iterator[EventSample]:
     (one empty sample for a header-only file), in this process, enforcing
     the header and ids that count up from 0.
 
-    The file is read once, in binary blocks, and each run of lines is
-    parsed by :func:`_canonical_chunk`, whose rows are the only ones the
-    reader accepts.  A run it rejects raises ValueError naming the file and
-    the first bad line, found by :func:`_parse_lines`.  A chunk is yielded
+    The file is read once, in binary blocks, and parsed by :func:`_chunks`,
+    whose rows are the only ones the reader accepts; a malformed run raises
+    ValueError naming the file and its first bad line.  A chunk is yielded
     only once every one of its rows has been read, so no row of a malformed
     chunk reaches the caller, nor any chunk after it.
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        runs, parse, n = _runs_after_header(fh, path), _ChunkParser(path), 0
-        for index, (_, run) in enumerate(runs):
-            chunk = parse(index, run)
+        n = 0
+        for chunk in _chunks(_runs_after_header(fh, path), path):
             n += len(chunk)
             yield EventSample(*(np.array(column) for column in _columns(chunk)))
         if not n:
@@ -1057,22 +1051,82 @@ def read_events_csv(path) -> EventSample:
     return EventSample(*(np.concatenate(column) for column in zip(*chunks)))
 
 
+class _Span:
+    """Bytes [``at``, ``stop``) of the file ``fd``, read by ``pread`` as
+    :func:`_runs` reads a binary file."""
+
+    def __init__(self, fd: int, at: int, stop: int):
+        self.fd, self.at, self.stop = fd, at, stop
+
+    def readinto(self, buffer: np.ndarray) -> int:
+        read = os.preadv(self.fd, [buffer[: self.stop - self.at]], self.at)
+        self.at += read
+        return read
+
+
+def _cuts(fd: int, size: int, processes: int) -> list[int]:
+    """The cuts of the event file ``fd`` of ``size`` bytes into ``processes``
+    ranges: the first line start at or after k/P of the body after the
+    header for 0 < k < P, each found by a few small ``pread``s."""
+
+    def line_start(at: int, probe: int = _ROW_BYTES) -> int:
+        while read := os.pread(fd, probe, at - 1):
+            if (lf := read.find(b"\n")) >= 0:
+                return at + lf
+            at, probe = at + len(read), min(2 * probe, _READ_BLOCK)
+        return at - 1  # the end of the file
+
+    body = line_start(1)
+    return [line_start(body + k * (size - body) // processes) for k in range(1, processes)]
+
+
+def _range_counts(file, path: Path, start: int, count: Callable, zero) -> tuple:
+    """The first id, the rows and ``zero`` plus the counts of the chunks that
+    ``file`` reads of the event file ``path`` from byte ``start``: from 0 the
+    header, then ids from 0; from a later line, through a :class:`_Span`,
+    ids from that line's id."""
+    if start:
+        first_id = int(os.pread(file.fd, _ROW_BYTES, start).partition(b",")[0])
+        runs = _runs(file, _CSV_CHUNK_ROWS)
+    else:
+        runs, first_id = _runs_after_header(file, path), 0
+    total, rows = zero.copy(), 0
+    for chunk in _chunks(runs, path, first_id):
+        total += count(chunk)
+        rows += len(chunk)
+    return first_id, rows, total
+
+
 def _event_counts(path, count: Callable[[EventSample], np.ndarray]) -> np.ndarray:
     """``count(chunk)``, integer counts, summed over the chunks of the event
-    file ``path`` as :func:`iter_events_csv` reads them, with its errors, by
-    :func:`hepbell._workers.summed_counts`.  That may split a regular file
-    over processes, and derives ``kappa``, needed by both estimators, while
-    they parse.  A FIFO or a device, which ``pread`` cannot read, is counted
-    in this process, as is any file where the platform has no ``pread``
-    (Windows)."""
+    file ``path`` as :func:`iter_events_csv` reads them, with its errors.
+    Where :func:`hepbell._workers._processes` gives a regular file P > 1
+    processes, each counts one of its P byte ranges (:func:`_cuts`), this
+    one deriving ``kappa`` too.  Where a range fails or the ranges' ids do
+    not chain, this one counts the file again as for P = 1, to name a fault."""
     from . import _workers
 
-    path = Path(path)
+    path, zero = Path(path), count(_no_events())
     with open(path, "rb") as fh:
-        runs, parse = _runs_after_header(fh, path), _ChunkParser(path)
-        info = os.fstat(fh.fileno())
-        splittable = stat.S_ISREG(info.st_mode) and hasattr(os, "preadv")
-        rows = info.st_size // _ROW_BYTES if splittable else 0
-        return _workers.summed_counts(
-            fh.fileno(), runs, parse, count, count(_no_events()), rows, derive_kappa
-        )
+        fd, info = fh.fileno(), os.fstat(fh.fileno())
+        rows = info.st_size // _ROW_BYTES if stat.S_ISREG(info.st_mode) else 0
+        processes = _workers._processes(rows, -(-rows // _CSV_CHUNK_ROWS))
+        if processes > 1:
+            cuts = [0, *_cuts(fd, info.st_size, processes), info.st_size]
+
+            def counted(k: int) -> tuple | None:
+                if not k:
+                    derive_kappa()  # while the workers count
+                try:
+                    return _range_counts(_Span(fd, *cuts[k : k + 2]), path, cuts[k], count, zero)
+                except Exception:
+                    return None  # a fault, named below as one process names it
+
+            total, next_id = zero.copy(), 0
+            for share in _workers.ranks_in_processes(counted, processes):
+                if share is None or share[0] != next_id:
+                    break
+                next_id, total = next_id + share[1], total + share[2]
+            else:
+                return total
+        return _range_counts(fh, path, 0, count, zero)[2]

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -784,6 +783,20 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def range_cuts(path, processes):
+    """The byte offsets that cut the event file ``path`` into ``processes``
+    ranges for the readers, with 0 and its size."""
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        return [0, *mesonlab._cuts(fh.fileno(), size, processes), size]
+
+
+def range_first_rows(path, processes):
+    """The first row of each range of :func:`range_cuts`."""
+    data = path.read_bytes()
+    return [0] + [data.count(b"\n", 0, cut) - 1 for cut in range_cuts(path, processes)[1:-1]]
+
+
 class TestProcessSplit:
     """The event commands with their chunk loops split over 1, 2 or 3
     processes (the ``forced_split`` fixture), at sizes below the threshold."""
@@ -839,46 +852,83 @@ class TestProcessSplit:
             mesonlab.write_events_csv(sample, reference)
             assert outputs[0][0] == reference.read_bytes()
 
-    # With 7-row chunks, row 8 lies in chunk 1, row 15 in chunk 2 and row 22
-    # in chunk 3.
-    @pytest.mark.parametrize("bad_rows", [(8, 15), (15, 22)])
+    # Each bad row as (range, rows after the range's first row): in range 0
+    # and the last, or first in range 1 and in the last.
+    @pytest.mark.parametrize("bad_rows", [((0, 8), (-1, 5)), ((1, 0), (-1, 3))])
     @pytest.mark.parametrize("processes", [2, 3])
     def test_first_bad_line_is_named_as_in_one_process(
         self, tmp_path, capsys, monkeypatch, forced_split, bad_rows, processes
     ):
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
         rows = [f"{i},0.5,1,1,0\r\n" for i in range(100)]
-        for row in bad_rows:
-            rows[row] = f"{row},0.5x,1,1,0\r\n"
         events = tmp_path / "bad.csv"
+        events.write_text(EVENTS_HEADER + "".join(rows), newline="")
+        starts = range_first_rows(events, processes)
+        bad = sorted(starts[rank] + offset for rank, offset in bad_rows)
+        for row in bad:
+            rows[row] = f"{row},0x5,1,1,0\r\n"  # as long as before, so the cuts stay
         events.write_text(EVENTS_HEADER + "".join(rows), newline="")
         args = ["--output-dir", str(tmp_path), "estimate", "--events", str(events)]
         forced_split(1)
         assert run(args) == 2
         alone = capsys.readouterr().err
-        assert alone == (
-            f"hepbell: error: {events}, line {bad_rows[0] + 2}: phi '0.5x' is not a number\n"
-        )
-        # The process that takes the lower bad chunk dwells on it, so a
-        # different process claims the higher one and fails first.  kappa is
-        # derived before, so that the command's process claims chunks at once.
-        mesonlab.derive_kappa()
+        assert alone == f"hepbell: error: {events}, line {bad[0] + 2}: phi '0x5' is not a number\n"
+        # Each range that holds a bad row fails in its own process, and this
+        # process then counts the file again.
         parse_lines, parsed = mesonlab._parse_lines, tmp_path / "parsed"
 
-        def dwelling(run, first_id, scratch):
+        def logged(run, first_id, scratch):
             with open(parsed, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            if first_id == bad_rows[0] // 7 * 7:
-                time.sleep(0.5)
             return parse_lines(run, first_id, scratch)
 
-        monkeypatch.setattr(mesonlab, "_parse_lines", dwelling)
+        monkeypatch.setattr(mesonlab, "_parse_lines", logged)
         forked = forced_split(processes)
         assert run(args) == 2
         assert capsys.readouterr().err == alone
         assert forked == list(range(1, processes))
         assert_no_child()
-        assert len(set(parsed.read_text().split())) == 2
+        failed = {rank % processes for rank, _ in bad_rows}
+        assert len(set(parsed.read_text().split())) == len(failed | {0})
+
+    # Each edit makes row ``j`` of the events the first row of the last range.
+    CUT_FAULTS = {
+        "unreadable-id": lambda rows, j: [*rows[:j], b"x" + rows[j][1:], *rows[j + 1 :]],
+        "duplicated": lambda rows, j: [*rows[:j], rows[j - 1], *rows[j:]],
+        "dropped": lambda rows, j: [*rows[:j], *rows[j + 1 :]],
+        "two-ranges": lambda rows, j: [
+            *rows[: j - 1], *(row.replace(b".", b"x", 1) for row in rows[j - 1 : j + 1]),
+            *rows[j + 1 :],
+        ],
+        "no-line-end": lambda rows, j: [*rows[:-1], rows[-1].rstrip(b"\r\n")],
+    }
+
+    @pytest.mark.parametrize("fault", list(CUT_FAULTS))
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_fault_at_a_cut_is_named_as_in_one_process(
+        self, tmp_path, capsys, monkeypatch, forced_split, fault, processes
+    ):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        events = tmp_path / "events.csv"
+        mesonlab.write_events_csv(mesonlab.generate_events(200, seed=3), events)
+        header, *rows = events.read_bytes().splitlines(keepends=True)
+        for j in range(1, len(rows) - 1):
+            edited = self.CUT_FAULTS[fault](rows, j)
+            events.write_bytes(header + b"".join(edited))
+            start = len(header) + sum(map(len, edited[:j]))
+            if fault == "no-line-end" or start == range_cuts(events, processes)[-2]:
+                break
+        else:
+            pytest.fail("no row starts the last range")
+        for command in (["estimate"], ["chtest", "--eta1", "0.9", "--eta2", "0.9"]):
+            args = ["--output-dir", str(tmp_path), *command, "--events", str(events)]
+            forced_split(1)
+            alone = run(args), capsys.readouterr().err
+            assert alone[0] == 2
+            forked = forced_split(processes)
+            assert (run(args), capsys.readouterr().err) == alone
+            assert forked == list(range(1, processes))
+            assert_no_child()
 
     @pytest.mark.parametrize("older", [False, True], ids=["no-file", "older-file"])
     @pytest.mark.parametrize("processes", [2, 3])
@@ -918,18 +968,10 @@ class TestProcessSplit:
         parent = os.getpid()
         name = {"generate": "generate_events", "estimate": "_canonical_chunk"}[command]
         task = getattr(mesonlab, name)
-        # generate's worker draws chunk 1 first; a reader's worker writes
-        # down the chunk it claimed first.
-        died = tmp_path / "died"
-        died.write_text("1")
 
         def ending(*args, **kwargs):
             if os.getpid() != parent:
-                if command == "estimate":
-                    died.write_text(str(args[1] // 7))
                 os._exit(1)
-            if command == "estimate":
-                time.sleep(0.01)  # leaves chunks for the worker to claim
             return task(*args, **kwargs)
 
         monkeypatch.setattr(mesonlab, name, ending)
@@ -940,10 +982,10 @@ class TestProcessSplit:
         }[command]
         assert run(args) == 3
         err = capsys.readouterr().err
-        chunk = died.read_text()
-        assert re.fullmatch(
-            rf"hepbell: error: worker process \d+ ended before it sent chunk {chunk}\n", err
-        )
+        # generate's worker draws chunk 1 first; a reader's worker sends the
+        # counts of its range once.
+        sent = {"generate": "chunk 1", "estimate": "its counts"}[command]
+        assert re.fullmatch(rf"hepbell: error: worker process \d+ ended before it sent {sent}\n", err)
         assert_no_child()
 
 

@@ -1357,6 +1357,32 @@ class TestChunkBuffers:
         assert peak < 1.25e6
 
     @pytest.mark.parametrize("chunks", [3, 12])
+    def test_counting_a_range_allocates_a_bounded_amount(self, tmp_path, monkeypatch, chunks):
+        # A range that starts after the first chunk's rows, as a worker's does.
+        path = tmp_path / "events.csv"
+        rows = mesonlab._CSV_CHUNK_ROWS
+        write_events_csv(generate_events((chunks + 1) * rows, self.DET, seed=7, workers=2), path)
+        data = path.read_bytes()
+        start = int(np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))[rows]) + 1
+        edges = np.linspace(0.0, 2 * np.pi, 65)
+
+        def count(sample):
+            phis = np.compress(sample.coincidence_mask, sample.phi)
+            phis.sort()
+            return np.append(np.searchsorted(phis, edges), phis.size)
+
+        zero = count(mesonlab._no_events())
+        with open(path, "rb") as fh:
+            span, counted = mesonlab._Span(fh.fileno(), start, len(data)), []
+
+            def run():
+                counted.append(mesonlab._range_counts(span, path, start, count, zero))
+
+            peak = traced_peak_from_second_call(monkeypatch, "_canonical_chunk", run)
+        assert counted[0][:2] == (rows, chunks * rows)
+        assert peak < 1.25e6
+
+    @pytest.mark.parametrize("chunks", [3, 12])
     def test_drawing_and_writing_a_chunk_allocates_a_bounded_amount(
         self, monkeypatch, chunks
     ):
@@ -1404,6 +1430,47 @@ class TestProcessSplit:
             assert counted[1].to_dict() == expected[1].to_dict()
             assert forked == list(range(1, processes)) * 2
             assert_no_child()
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_counting_reads_each_byte_once(self, tmp_path, monkeypatch, forced_split, processes):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        path, log = tmp_path / "events.csv", tmp_path / "reads"
+        write_events_csv(generate_events(100, seed=2), path)
+        preadv, chunks = os.preadv, mesonlab._chunks
+
+        def logged(what, *numbers):
+            with open(log, "a") as fh:
+                fh.write(" ".join(map(str, [what, os.getpid(), *numbers])) + "\n")
+
+        def logged_preadv(fd, buffers, offset):
+            read = preadv(fd, buffers, offset)
+            logged("read", offset, read)
+            return read
+
+        def logged_chunks(*args):
+            logged("chunks")
+            return chunks(*args)
+
+        # Wrapped before the fork, so in the workers too; the small reads
+        # that find the cuts go through os.pread, and are not logged.
+        monkeypatch.setattr(os, "preadv", logged_preadv)
+        monkeypatch.setattr(mesonlab, "_chunks", logged_chunks)
+        forked = forced_split(processes)
+        estimate = estimate_probability(path)
+        assert forked == list(range(1, processes))
+        entries = [line.split() for line in log.read_text().splitlines()]
+        # Each process parses one range; none counts the file again.
+        chunk_pids = [pid for what, pid, *_ in entries if what == "chunks"]
+        assert len(chunk_pids) == len(set(chunk_pids)) == processes
+        read_entries = [entry for entry in entries if entry[0] == "read"]
+        reads = sorted((int(offset), int(size), pid) for _, pid, offset, size in read_entries)
+        assert {pid for *_, pid in reads} == set(chunk_pids)
+        # The reads tile the file: every byte is read once, by one process.
+        ends = [offset + size for offset, size, _ in reads]
+        assert [offset for offset, _, _ in reads] == [0, *ends[:-1]]
+        assert ends[-1] == path.stat().st_size
+        reference = estimate_probability(reference_read_events_csv(path))
+        assert estimate.to_dict() == reference.to_dict()
 
     @pytest.mark.parametrize("stop", ["close", "drop"])
     @pytest.mark.parametrize("source", ["generate", "read"])
