@@ -1,12 +1,11 @@
 """Forked worker processes for the chunk loops of the event commands.
 
-``generate`` hands chunk i to process i mod P and writes the results in
-order (:func:`round_robin`).  ``estimate`` and ``chtest`` cut the event file
-into P byte ranges and count range i in process i, and this process gathers
-what each sends back (:func:`ranks_in_processes`).  P is decided here from
-the number of rows (:func:`_processes`), so no caller forks while another
-thread runs.  The split is Linux only: elsewhere the usable cores are
-unknown, and P is 1.
+:func:`round_robin` runs a command's tasks, task i in process i mod P, and
+yields their results in order.  ``generate``'s tasks are its chunks, and
+``estimate``'s and ``chtest``'s the P byte ranges of the event file.  P is
+decided here from the number of rows (:func:`_processes`), so no caller
+forks while another thread runs.  The split is Linux only: elsewhere the
+usable cores are unknown, and P is 1.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ import signal
 import threading
 from collections.abc import Callable, Iterator
 
-# The tags of a generate worker's messages: a chunk, or the exception its
-# draw raised.
+# The tags of a worker's messages: a task's result, or the exception it raised.
 _RESULT, _ERROR = b"r", b"e"
 # The size asked for each worker's pipe: a formatted chunk of 16 384 rows
 # takes about 0.4 MB.  Measured at 1e6 events on 2 cores, it saves about 10 %
@@ -56,16 +54,16 @@ def _processes(rows: int, chunks: int) -> int:
 
 
 def round_robin(tasks: range, work: Callable[[int], bytes], rows: int) -> Iterator:
-    """``work(task)`` for each of ``tasks``, the chunks of ``rows`` rows, in
+    """``work(task)`` for each of ``tasks``, of ``rows`` rows in all, in
     order, task i done by process ``i % P`` (:func:`_processes`): this one
     for 0, forked workers for the others.
 
-    The workers are forked once the first result has been yielded.  Each
-    sends its results through a pipe, which holds them until this process
-    reads each, into one buffer it reuses, as it is due; a result is valid
-    until the next is asked for.  An exception in a worker's task is sent in
-    its result's place and raised where that result is due.  However this
-    generator ends, it closes the pipes and kills and reaps every worker.
+    The workers are forked before the first task.  Each sends its results
+    through a pipe, which holds them until this process reads each, into one
+    buffer it reuses, as it is due; a result is valid until the next is
+    asked for.  An exception in a worker's task is sent in its result's place
+    and raised where that result is due.  However this generator ends, it
+    closes the pipes and kills and reaps every worker.
     """
 
     processes = _processes(rows, len(tasks))
@@ -80,9 +78,9 @@ def round_robin(tasks: range, work: Callable[[int], bytes], rows: int) -> Iterat
     workers: Workers = []
     received = bytearray()
     try:
+        for rank in range(1, processes):
+            workers.append(start_worker(rank, send))
         for i, task in enumerate(tasks):
-            if i == 1:
-                workers += [start_worker(rank, send) for rank in range(1, processes)]
             if i % processes == 0:
                 yield work(task)
                 continue
@@ -97,29 +95,9 @@ def round_robin(tasks: range, work: Callable[[int], bytes], rows: int) -> Iterat
                 if reader.readinto(result := memoryview(received)[:size]) == size:
                     yield result
                     continue
-            raise WorkerExited(f"worker process {pid} ended before it sent chunk {i}")
+            raise WorkerExited(f"worker process {pid} ended before it sent the result of task {i}")
     finally:
         _end(workers)
-
-
-def ranks_in_processes(work: Callable[[int], object], processes: int) -> list:
-    """``[work(0), ..., work(processes - 1)]``: ``work(0)`` in this process,
-    each other rank in a worker forked before, which sends its result back
-    pickled; one that sends none, as where ``work`` raises, raises
-    WorkerExited.  The workers are killed and reaped however this ends."""
-    workers: Workers = []
-    try:
-        for rank in range(1, processes):
-            workers.append(start_worker(rank, lambda r, out: out.write(pickle.dumps(work(r)))))
-        results = [work(0)]
-        for pid, reader in workers:
-            try:
-                results.append(pickle.loads(reader.read()))
-            except Exception:  # nothing sent, or a part
-                raise WorkerExited(f"worker process {pid} ended before it sent its counts")
-    finally:
-        _end(workers)
-    return results
 
 
 def start_worker(

@@ -39,11 +39,14 @@ TwoBodyBeta = namedtuple("TwoBodyBeta", ("beta", "space_like_ok"))
 
 
 def two_body_beta(kin: KinematicsConfig) -> TwoBodyBeta:
-    """Vector-meson speed beta = sqrt(1 - 4 m_V^2 / m_parent^2) and whether it
-    clears the space-like-separation lower bound 0.59."""
+    """Vector-meson speed beta = sqrt(1 - r^2), r = 2 m_V / m_parent, and
+    whether it clears the space-like-separation lower bound 0.59.  Taken from
+    the mass ratio, which lies in (0, 1) above threshold, so no mass is
+    squared: any positive finite masses above threshold give beta in [0, 1]."""
     if kin.m_parent <= 2.0 * kin.m_vector:
         raise BelowThreshold(
             f"m_parent {kin.m_parent} GeV is not above 2*m_vector {2 * kin.m_vector} GeV"
         )
-    beta = math.sqrt(1.0 - 4.0 * kin.m_vector**2 / kin.m_parent**2)
+    ratio = 2.0 * kin.m_vector / kin.m_parent
+    beta = math.sqrt(1.0 - ratio * ratio)
     return TwoBodyBeta(beta=beta, space_like_ok=beta > SPACE_LIKE_BETA_MIN)

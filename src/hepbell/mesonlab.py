@@ -13,13 +13,15 @@ formats the rows that :func:`write_events_csv` writes, and
 an event file chunk by chunk, in half-open arcs of the circle of plane
 angles, histogram bins or CH windows, by one counter (:func:`_arc_estimates`).
 Every reader parses by one chunk generator (:func:`_chunks`); a file counted
-in P processes is cut into P byte ranges, one each (:func:`_event_counts`).
+in P processes is cut into P byte ranges, which run as ``generate``'s chunks
+do, through :func:`hepbell._workers.round_robin` (:func:`_event_counts`).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 import stat
 import threading
 from collections.abc import Callable, Iterator
@@ -39,14 +41,6 @@ DEFAULT_BIN_COUNT = 64
 # The most bins `estimate_probability` makes: its edge and count arrays take
 # 8 B a bin each, in every process (0.8 GB apiece at a width of 2*pi/1e8).
 MAX_BIN_COUNT = 2**20
-
-# ch_from_events reads windows centered on the setting differences.  The
-# window-average bias at the paper settings grows as width**2.5 * sqrt(N) in
-# units of the statistical error.  With eta = 0.9 this default keeps it near
-# 0.12 sigma at 1e7 events, but `chtest` passes its `bin_width` (2*pi/64),
-# whose bias is 0.70 sigma at 1e7 and 2.2 sigma at 1e8 (ROADMAP item 3).
-DEFAULT_CH_WINDOW = TWO_PI / 128
-
 
 class NoData(ValueError):
     """No detected coincidences to estimate from."""
@@ -476,14 +470,16 @@ def _checked_width(width: float) -> float:
 
 def _arc_estimates(
     events: EventSample | str | os.PathLike, lo: np.ndarray, hi: np.ndarray, width: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Counts, p_hat = kappa * count / (N * width), its Poisson errors and
-    kappa for the coincidences of ``events`` in the half-open arcs [lo, hi)
-    of [0, 2*pi), N being all coincidences.  An arc with lo > hi wraps past
-    2*pi and is split there; one with lo == hi is empty.  A chunk's sorted
-    coincidences give how many lie below each arc end, as numpy's histogram
-    of an array of bins counts them; these add up over the chunks, and an
-    arc's count is the difference at its ends."""
+) -> tuple[np.ndarray, float, float]:
+    """Counts, the scale kappa / (N * width) that makes a count p_hat (and
+    its square root p_hat's Poisson error), and kappa, for the coincidences
+    of ``events`` in the half-open arcs [lo, hi) of [0, 2*pi), N being all
+    coincidences.  Below a width of about 1e-308 / N the scale is inf, and
+    an arc holds a count only where a coincidence lies at 0.  An arc with
+    lo > hi wraps past 2*pi and is split there; one with lo == hi is empty.
+    A chunk's sorted coincidences give how many lie below each arc end, as
+    numpy's histogram of an array of bins counts them; these add up over the
+    chunks, and an arc's count is the difference at its ends."""
     # np.unique's edges, without the numpy.ma import its first call costs.
     edges = np.sort(np.concatenate((lo, hi)))
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
@@ -503,8 +499,7 @@ def _arc_estimates(
         raise NoData("no detected coincidences in the event sample")
     counts = below[last] - below[first] + n_detected * (first > last)
     kappa = derive_kappa()
-    scale = kappa / (n_detected * width)
-    return counts, counts * scale, np.sqrt(counts) * scale, kappa
+    return counts, kappa / (n_detected * width), kappa
 
 
 def estimate_probability(
@@ -525,7 +520,8 @@ def estimate_probability(
     if n_bins < 1 or abs(TWO_PI - n_bins * bin_width) > 1e-9:
         raise ValueError(f"bin_width {bin_width} does not divide 2*pi within 1e-9")
     edges = np.linspace(0.0, TWO_PI, n_bins + 1)
-    counts, p_hat, stat_err, kappa = _arc_estimates(events, edges[:-1], edges[1:], bin_width)
+    counts, scale, kappa = _arc_estimates(events, edges[:-1], edges[1:], bin_width)
+    p_hat, stat_err = counts * scale, np.sqrt(counts) * scale
     return HistogramEstimate(
         bin_edges=edges, counts=counts, p_hat=p_hat, stat_err=stat_err, kappa=kappa
     )
@@ -535,15 +531,17 @@ def ch_from_events(
     events: EventSample | str | os.PathLike,
     settings: tuple[float, float, float, float],
     det: DetectorModel | None = None,
-    window: float = DEFAULT_CH_WINDOW,
+    *,
+    window: float,
 ) -> InequalityReport:
     """Event-based CH evaluation at passive (relative-angle) settings.
 
     The joints of ``CH_VV_JOINTS`` are read from the angle histogram in
-    windows centered on their setting differences; the singles are the
-    analytic eta/2 per side.  Because decay directions cannot be chosen,
-    only this restricted class of local models is being tested.  The
-    reported value is efficiency-scaled (:func:`hepbell.reports.ch_vv_s`),
+    windows of width ``window`` (``chtest``'s bin width) centered on their
+    setting differences; the singles are the analytic eta/2 per side.
+    Because decay directions cannot be chosen, only this restricted class
+    of local models is being tested.  The reported value is
+    efficiency-scaled (:func:`hepbell.reports.ch_vv_s`),
 
         S = eta1*eta2*(joint combination) - (eta1 + eta2)/2,
 
@@ -571,12 +569,14 @@ def ch_from_events(
 
     lo = [(center - 0.5 * window) % TWO_PI for center in centers]
     hi = [(start + window) % TWO_PI for start in lo]
-    counts, values, errors, _ = _arc_estimates(events, np.array(lo), np.array(hi), window)
+    counts, scale, _ = _arc_estimates(events, np.array(lo), np.array(hi), window)
     for (label, *_), center, count in zip(CH_VV_JOINTS, centers, counts.tolist()):
         if count == 0:
             raise InsufficientStatistics(
                 f"empty histogram window for {label} at phi={center:.6f} (width {window:.6g})"
             )
+    # Scaled once no window is empty: 0 times an inf scale would be NaN.
+    values, errors = counts * scale, np.sqrt(counts) * scale
     return ch_vv_report(values.tolist(), det.eta_1, det.eta_2, errors=errors.tolist())
 
 
@@ -1101,9 +1101,10 @@ def _event_counts(path, count: Callable[[EventSample], np.ndarray]) -> np.ndarra
     """``count(chunk)``, integer counts, summed over the chunks of the event
     file ``path`` as :func:`iter_events_csv` reads them, with its errors.
     Where :func:`hepbell._workers._processes` gives a regular file P > 1
-    processes, each counts one of its P byte ranges (:func:`_cuts`), this
-    one deriving ``kappa`` too.  Where a range fails or the ranges' ids do
-    not chain, this one counts the file again as for P = 1, to name a fault."""
+    processes, its P byte ranges (:func:`_cuts`) are the tasks of
+    :func:`hepbell._workers.round_robin`, one a process.  Where a range
+    fails or the ranges' ids do not chain, this one counts the file again as
+    for P = 1, to name a fault."""
     from . import _workers
 
     path, zero = Path(path), count(_no_events())
@@ -1114,16 +1115,18 @@ def _event_counts(path, count: Callable[[EventSample], np.ndarray]) -> np.ndarra
         if processes > 1:
             cuts = [0, *_cuts(fd, info.st_size, processes), info.st_size]
 
-            def counted(k: int) -> tuple | None:
-                if not k:
-                    derive_kappa()  # while the workers count
+            def counted(k: int) -> bytes:
                 try:
-                    return _range_counts(_Span(fd, *cuts[k : k + 2]), path, cuts[k], count, zero)
+                    share = _range_counts(_Span(fd, *cuts[k : k + 2]), path, cuts[k], count, zero)
                 except Exception:
-                    return None  # a fault, named below as one process names it
+                    share = None  # a fault, named below as one process names it
+                return pickle.dumps(share)
 
+            # Every range is counted, each in its own process, before any is checked.
+            results = _workers.round_robin(range(processes), counted, rows)
+            shares = [pickle.loads(result) for result in results]
             total, next_id = zero.copy(), 0
-            for share in _workers.ranks_in_processes(counted, processes):
+            for share in shares:
                 if share is None or share[0] != next_id:
                     break
                 next_id, total = next_id + share[1], total + share[2]

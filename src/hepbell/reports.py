@@ -37,16 +37,17 @@ class InequalityReport:
     """Per-term probabilities plus the combined value against a classical bound.
 
     ``terms`` keeps the (label, probability) pairs in display order; ``value``
-    is the signed combination the inequality bounds.  ``term_errors`` and
-    ``stat_err`` are filled only for event-based evaluations.
+    is the signed combination the inequality bounds, by ``bound`` = 0 for
+    every inequality here.  ``term_errors`` and ``stat_err`` are filled only
+    for event-based evaluations.
     """
 
     terms: tuple[tuple[str, float], ...]
     value: float
-    bound: float
     violated: bool
     term_errors: tuple[float, ...] | None = None
     stat_err: float | None = None
+    bound = 0.0  # a class constant, not a field
 
     def term(self, label: str) -> float:
         for name, value in self.terms:
@@ -71,15 +72,13 @@ class InequalityReport:
 def make_report(
     terms: list[tuple[str, float]],
     value: float,
-    bound: float = 0.0,
     term_errors: list[float] | None = None,
     stat_err: float | None = None,
 ) -> InequalityReport:
     return InequalityReport(
         terms=tuple(terms),
         value=float(value),
-        bound=float(bound),
-        violated=bool(value > bound + VIOLATION_TOL),
+        violated=bool(value > VIOLATION_TOL),
         term_errors=None if term_errors is None else tuple(term_errors),
         stat_err=stat_err,
     )

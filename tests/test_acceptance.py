@@ -142,7 +142,9 @@ def test_criterion_07_ch_for_vv():
     assert abs(closed_max - MAX_GAP) < 1e-6
 
     events = mesonlab.generate_events(10_000_000, seed=20260810)
-    rep = mesonlab.ch_from_events(events, (0.0, 3 * math.pi / 4, 3 * math.pi / 8, math.pi / 8))
+    rep = mesonlab.ch_from_events(
+        events, (0.0, 3 * math.pi / 4, 3 * math.pi / 8, math.pi / 8), window=2 * math.pi / 128
+    )
     elapsed = time.perf_counter() - start
     pull = (rep.value - 0.2071) / rep.stat_err
     assert abs(rep.value - 0.2071) < 3.0 * rep.stat_err

@@ -777,6 +777,51 @@ class TestEventPipeline:
         assert run(args) in (0, 2)
 
 
+# A numeric flag's value: the edges of the doubles among any others.
+FLAG_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-200, 1e200, 1e308, -1e308,
+    math.inf, -math.inf, math.nan,
+]) | st.floats()
+# The numeric flags of each command; ``--settings`` takes four values.
+NUMERIC_FLAGS = {
+    "kinematics": ["--m-parent", "--m-vector"],
+    "hardy": ["--alpha"],
+    "estimate": ["--bin-width"],
+    "chtest": ["--bin-width", "--eta1", "--settings"],
+    "generate": ["--eta1", "--background", "--br-weight"],
+}
+
+
+class TestNumericFlags:
+    @pytest.fixture(scope="class")
+    def events(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("numeric") / "events.csv"
+        det = mesonlab.DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
+        mesonlab.write_events_csv(mesonlab.generate_events(2000, det, seed=7), path)
+        return path
+
+    @pytest.mark.parametrize("command", list(NUMERIC_FLAGS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_numeric_flags_exit_with_a_documented_code(
+        self, events, tmp_path_factory, command, data
+    ):
+        directory = tmp_path_factory.mktemp("numeric")
+        args = ["--output-dir", str(directory), command]
+        if command in ("estimate", "chtest"):
+            args += ["--events", str(events)]
+        if command == "generate":
+            args += ["--n", str(data.draw(st.integers(1, 200), label="n"))]
+        for flag in NUMERIC_FLAGS[command]:
+            if data.draw(st.booleans(), label=f"with {flag}"):
+                size = 4 if flag == "--settings" else 1
+                values = data.draw(st.lists(FLAG_FLOATS, min_size=size, max_size=size), label=flag)
+                # "--flag=value", so that argparse does not take "-1e+308" for a flag.
+                args.append(f"{flag}={','.join(map(repr, values))}")
+        # A value argparse's type refuses ends in its usage exit, code 2.
+        assert exit_code(args) in (0, 2, 3, 4)
+
+
 def assert_no_child():
     """Every process the test started has ended and been reaped."""
     with pytest.raises(ChildProcessError):
@@ -982,10 +1027,11 @@ class TestProcessSplit:
         }[command]
         assert run(args) == 3
         err = capsys.readouterr().err
-        # generate's worker draws chunk 1 first; a reader's worker sends the
-        # counts of its range once.
-        sent = {"generate": "chunk 1", "estimate": "its counts"}[command]
-        assert re.fullmatch(rf"hepbell: error: worker process \d+ ended before it sent {sent}\n", err)
+        # Task 1 is generate's chunk 1 and a reader's range 1, each the
+        # first that the worker sends.
+        assert re.fullmatch(
+            r"hepbell: error: worker process \d+ ended before it sent the result of task 1\n", err
+        )
         assert_no_child()
 
 

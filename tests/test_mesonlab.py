@@ -378,7 +378,7 @@ class TestEstimateProbability:
 class TestChFromEvents:
     def test_perfect_detector_million_events(self):
         events = generate_events(1_000_000, seed=42)
-        report = ch_from_events(events, OPTIMAL)
+        report = ch_from_events(events, OPTIMAL, window=TWO_PI / 128)
         assert abs(report.value - MAX_GAP) < 3 * report.stat_err
         assert report.violated
 
@@ -393,12 +393,14 @@ class TestChFromEvents:
         assert abs(report.value - (sinc * (MAX_GAP + 0.5) - 0.5)) < 5 * report.stat_err
         assert report.violated
         with pytest.raises(ValueError, match="distinct angle differences"):
-            ch_from_events(events, (np.pi / 4, 0.0, 5 * np.pi / 8, 3 * np.pi / 8))
+            ch_from_events(
+                events, (np.pi / 4, 0.0, 5 * np.pi / 8, 3 * np.pi / 8), window=TWO_PI / 128
+            )
 
     def test_reduced_efficiency_kills_violation(self):
         det = DetectorModel(eta_1=0.7, eta_2=0.7)
         events = generate_events(300_000, det, seed=43)
-        report = ch_from_events(events, OPTIMAL, det)
+        report = ch_from_events(events, OPTIMAL, det, window=TWO_PI / 128)
         expected = 0.49 * (1 + SQ2) / 2 - 0.7
         assert report.value < 0.0
         assert abs(report.value - expected) < 3 * report.stat_err
@@ -407,7 +409,7 @@ class TestChFromEvents:
     def test_pure_background_gives_uncorrelated_value(self):
         det = DetectorModel(background_fraction=1.0)
         events = generate_events(1_000_000, det, seed=44)
-        report = ch_from_events(events, OPTIMAL, det)
+        report = ch_from_events(events, OPTIMAL, det, window=TWO_PI / 128)
         assert abs(report.value + 0.5) < 3 * report.stat_err
 
     def test_branching_weight_thins_sample_without_shifting_value(self):
@@ -417,27 +419,27 @@ class TestChFromEvents:
         assert int(thin_events.coincidence_mask.sum()) < int(
             full_events.coincidence_mask.sum()
         )
-        full = ch_from_events(full_events, OPTIMAL)
-        thin = ch_from_events(thin_events, OPTIMAL, thinned)
+        full = ch_from_events(full_events, OPTIMAL, window=TWO_PI / 128)
+        thin = ch_from_events(thin_events, OPTIMAL, thinned, window=TWO_PI / 128)
         combined = math.hypot(full.stat_err, thin.stat_err)
         assert abs(full.value - thin.value) < 3 * combined
 
     def test_empty_window_raises_named_insufficient_statistics(self):
         events = generate_events(3, seed=1)
         with pytest.raises(InsufficientStatistics) as excinfo:
-            ch_from_events(events, OPTIMAL)
+            ch_from_events(events, OPTIMAL, window=TWO_PI / 128)
         assert "phi=" in str(excinfo.value)
 
     def test_coincident_settings_rejected(self):
         events = generate_events(1_000, seed=1)
         with pytest.raises(ValueError):
-            ch_from_events(events, (0.0, 0.0, 0.0, 0.0))
+            ch_from_events(events, (0.0, 0.0, 0.0, 0.0), window=TWO_PI / 128)
 
     @pytest.mark.parametrize("settings", [(0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0, 4.0), (0.0, np.nan, 1.0, 2.0)])
     def test_settings_must_be_four_finite_angles(self, settings):
         events = generate_events(1_000, seed=1)
         with pytest.raises(ValueError, match="^settings must be four finite angles, got "):
-            ch_from_events(events, settings)
+            ch_from_events(events, settings, window=TWO_PI / 128)
 
 
 def reference_histogram(phis, edges):
@@ -532,7 +534,7 @@ class TestArcCounter:
         "setting_angles, window",
         [
             (OPTIMAL, TWO_PI / 64),
-            (OPTIMAL, mesonlab.DEFAULT_CH_WINDOW),
+            (OPTIMAL, TWO_PI / 128),
             ((0.0, 1.0, 2.0, 6.2), 0.3),  # one window wraps past 2*pi
         ],
     )
@@ -622,6 +624,24 @@ class TestKinematics:
     def test_below_threshold_raises(self):
         with pytest.raises(BelowThreshold):
             two_body_beta(KinematicsConfig(m_parent=2.0, m_vector=1.0))
+
+    def test_paper_masses_keep_their_bits(self):
+        result = two_body_beta(KinematicsConfig())
+        assert result.beta.hex() == "0x1.7565d4d90e3d4p-1"
+
+    @pytest.mark.parametrize(
+        "m_parent, m_vector, beta",
+        [
+            (1e200, 1.019461, 1.0),  # m_parent squared would overflow
+            (1e-200, 1e-201, math.sqrt(0.96)),  # each mass squared would underflow to 0
+            (1e308, 5e-324, 1.0),
+            (1.7e308, 8e307, math.sqrt(1.0 - (1.6 / 1.7) ** 2)),
+        ],
+    )
+    def test_extreme_masses_give_beta_from_their_ratio(self, m_parent, m_vector, beta):
+        result = two_body_beta(KinematicsConfig(m_parent=m_parent, m_vector=m_vector))
+        assert 0.0 <= result.beta <= 1.0
+        assert result.beta == pytest.approx(beta, rel=1e-12)
 
     def test_beta_monotone_decreasing_in_vector_mass(self):
         betas = [
@@ -1351,7 +1371,7 @@ class TestChunkBuffers:
         derive_kappa()  # cached before, so that its arrays are not counted
         run = {
             "estimate": lambda: estimate_probability(path),
-            "chtest": lambda: ch_from_events(path, OPTIMAL, self.DET),
+            "chtest": lambda: ch_from_events(path, OPTIMAL, self.DET, window=TWO_PI / 128),
         }[estimator]
         peak = traced_peak_from_second_call(monkeypatch, "_canonical_chunk", run)
         assert peak < 1.25e6
@@ -1486,12 +1506,23 @@ class TestProcessSplit:
         else:
             chunks = mesonlab.generate_event_chunks(100, seed=2)
         next(chunks)
-        next(chunks)  # generate's workers start with the second chunk
+        next(chunks)  # generate's second chunk comes from a worker
         assert forked == ([1, 2] if source == "generate" else [])
         if stop == "close":
             chunks.close()
         else:
             del chunks
+        assert_no_child()
+
+    def test_generate_forks_its_workers_before_the_first_chunk(self, monkeypatch, forced_split):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        forked = forced_split(2)
+        chunks = mesonlab.generate_event_chunks(100, seed=2)
+        assert forked == []
+        # The worker draws chunk 1 while this process draws chunk 0.
+        next(chunks)
+        assert forked == [1]
+        chunks.close()
         assert_no_child()
 
     @pytest.mark.parametrize("processes", [2, 3])
@@ -1518,12 +1549,12 @@ class TestProcessSplit:
         path = tmp_path / "events.csv"
         write_events_csv(generate_events(100, seed=2), path)
 
-        def interrupted():
-            # Called in this process once the file is cut, while the
-            # worker parses.
+        def interrupted(*args):
+            # Called in this process alone, as it starts range 0, the one
+            # that holds the header, once the worker has been forked.
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(mesonlab, "derive_kappa", interrupted)
+        monkeypatch.setattr(mesonlab, "_runs_after_header", interrupted)
         forked = forced_split(2)
         with pytest.raises(KeyboardInterrupt):
             estimate_probability(path)
