@@ -28,7 +28,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -697,7 +696,7 @@ def _csv_rows(
     detected_1: np.ndarray,
     detected_2: np.ndarray,
     is_background: np.ndarray,
-    buffers: _RowBuffers | None = None,
+    buffers: _RowBuffers,
 ) -> bytes:
     """Event rows with ids from ``start``, byte for byte
     ``b"%d,%.9g,%d,%d,%d\r\n"`` of each event, phi in [0, 2*pi) and at most
@@ -711,7 +710,6 @@ def _csv_rows(
     last = start + k - 1
     id_width = len(str(last))
     ids = np.arange(start, start + k, dtype=np.uint64 if last >= 1 << 32 else np.uint32)
-    buffers = buffers or _RowBuffers(k, last)
     table = buffers.table[: (id_width + 1 + _PHI_WIDTH + 8) * k].reshape(-1, k)
     _ascii_digits(ids, table[:id_width])
     for row in range(id_width - 1):
@@ -811,9 +809,9 @@ class _ChunkParser:
     """The arrays, allocated once, that :func:`_canonical_chunk` parses the
     runs of one event file, of up to ``_CSV_CHUNK_ROWS`` lines, into."""
 
-    def __init__(self, path: Path):
-        rows = self.rows = _CSV_CHUNK_ROWS
-        self.path, self.is_lf = path, np.empty(0, bool)
+    def __init__(self):
+        rows = _CSV_CHUNK_ROWS
+        self.is_lf = np.empty(0, bool)
         self.indices = np.empty((5, rows), dtype=np.intp)
         self.window = np.empty((_PHI_WINDOW.size, rows), dtype=np.uint8)
         self.tail = np.empty((_ROW_TAIL.size, rows), dtype=np.uint8)
@@ -826,26 +824,31 @@ class _ChunkParser:
 def _chunks(runs: Iterator[np.ndarray], path: Path, first_id: int = 0) -> Iterator[EventSample]:
     """The runs of lines of the event file ``path``, ids from ``first_id``,
     parsed by :func:`_canonical_chunk` into one :class:`_ChunkParser`, each
-    chunk overwriting the last; a bad run raises :func:`_parse_lines`'s error."""
-    parse = _ChunkParser(path)
+    chunk overwriting the last; a run with a bad row raises ValueError
+    naming ``path`` and the line of the first."""
+    parse = _ChunkParser()
     for run in runs:
         chunk = _canonical_chunk(run, first_id, parse)
-        yield _parse_lines(run, first_id, parse) if chunk is None else chunk
+        if isinstance(chunk, int):
+            lines = run.tobytes().split(b"\n")  # the last one has no line feed
+            row, line = first_id + chunk, lines[chunk] + b"\n" * (chunk + 1 < len(lines))
+            raise ValueError(f"{path}, line {row + 2}: {_line_fault(line, row, parse)}")
+        yield chunk
         first_id += len(chunk)
 
 
-def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> EventSample | None:
+def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> EventSample | int:
     """The rows of ``run``, bytes as uint8, if every one is an event row;
-    None otherwise.  This is the reader's one grammar: a row is laid out as
-    the writer writes it, ``id,phi,f,f,f\\r\\n``, or ends in LF alone, with
-    the expected id without sign or leading zeros and each flag 0 or 1, and
-    every row, the last included, ends in a line feed.  phi is fixed point,
-    ``d`` or ``d.ddd...`` in at most ``_PHI_FIXED_WIDTH`` bytes, or a token
-    of at most ``_PHI_WIDTH`` bytes that ``b"%.9g" % float(token)`` gives
-    back, the writer's own rule for the exponent forms below 1e-4.  Each row
-    is judged on its own, so a prefix of ``run`` cut after a line feed
-    parses exactly when each of its rows does.  The sample and every large
-    intermediate live in the arrays of ``scratch``.
+    else the index of the first that is not.  This is the reader's one
+    grammar: a row is laid out as the writer writes it,
+    ``id,phi,f,f,f\\r\\n``, or ends in LF alone, with the expected id
+    without sign or leading zeros and each flag 0 or 1, and every row, the
+    last included, ends in a line feed.  phi is fixed point, ``d`` or
+    ``d.ddd...`` in at most ``_PHI_FIXED_WIDTH`` bytes, or a token of at
+    most ``_PHI_WIDTH`` bytes that ``b"%.9g" % float(token)`` gives back,
+    the writer's own rule for the exponent forms below 1e-4.  Each row is
+    judged on its own.  The sample and every large intermediate live in the
+    arrays of ``scratch``.
 
     The digits of a fixed-point phi weighted by powers of ten give
     phi * 10**12, an integer below 2**53, and 10**12 is exact, so one
@@ -855,17 +858,20 @@ def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> E
     if scratch.is_lf.size < run.size:
         scratch.is_lf = np.empty(2 * run.size, dtype=bool)
     ends = np.flatnonzero(np.equal(run, ord("\n"), out=scratch.is_lf[: run.size]))
-    k = ends.size
-    if not k or ends[-1] != run.size - 1 or k > scratch.rows:
-        return None
+    # A last line with no line feed is one row more, and bad.  So are ids
+    # past 10**15, for which the gathers below have no room: only the
+    # first k rows are parsed.
+    lines = ends.size + (run[-1] != ord("\n"))
+    k = min(ends.size, max(0, 10**_PHI_WINDOW.size - first_id))
+    if not k:
+        return 0
+    ends = ends[:k]
     starts, id_width, tail_end, phi_width, at = scratch.indices[:, :k]
     starts[0] = 0
     np.add(ends[:-1], 1, out=starts[1:])
     ids = np.arange(first_id, first_id + k)
     # Ids are consecutive, so each digit count covers one slice of the rows.
     id_widths = range(len(str(first_id)), len(str(first_id + k - 1)) + 1)
-    if id_widths[-1] > _PHI_WINDOW.size:
-        return None  # ids past 10**15: the gathers below have no room
     id_slices = [
         slice(max(0, 10 ** (width - 1) - first_id) if width > 1 else 0, 10**width - first_id)
         for width in id_widths
@@ -876,13 +882,12 @@ def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> E
     # else at its LF.  ends - 1 is -1 only for an empty first row, which the
     # length check below rejects.
     np.subtract(ends, run[ends - 1] == ord("\r"), out=tail_end)
-    # The row lengths are checked first, so every gather below stays inside
-    # its row, but for the phi window, which may run past the last one.
+    # Every gather below stays inside its row where the row's length is
+    # right, but for the phi window, which may run past the last one.
     np.subtract(tail_end, starts, out=phi_width)
     phi_width -= id_width
     phi_width -= 7
-    if np.any((phi_width < 1) | (phi_width > _PHI_WIDTH)):
-        return None
+    bad = (phi_width < 1) | (phi_width > _PHI_WIDTH)
 
     def gathered(first: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
         """Bytes ``first + j`` of ``run``, one row of ``out`` per j < ``width``."""
@@ -894,17 +899,13 @@ def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> E
     for width, rows in zip(id_widths, id_slices):
         expected = np.empty((width, ids[rows].size), dtype=np.uint8)
         _ascii_digits(ids[rows], expected)
-        if not np.array_equal(gathered(starts[rows], width, scratch.window), expected):
-            return None
+        bad[rows] |= np.any(gathered(starts[rows], width, scratch.window) != expected, axis=0)
     # The comma before phi, then phi's bytes from its first.  ``ends`` is
     # not needed any more, and holds where phi starts.
     window = gathered(np.add(starts, id_width, out=ends), _PHI_WINDOW.size, scratch.window)
     tail = gathered(tail_end - _ROW_TAIL.size, _ROW_TAIL.size, scratch.tail)
-    if not (
-        np.all(window[0] == ord(","))
-        and np.all((tail | _ROW_TAIL_FLAGS[:, None]) == _ROW_TAIL[:, None])
-    ):
-        return None
+    bad |= window[0] != ord(",")
+    bad |= np.any((tail | _ROW_TAIL_FLAGS[:, None]) != _ROW_TAIL[:, None], axis=0)
     # Bytes below "0" wrap past 9.  Bytes after phi and its point count 0.
     digits = np.subtract(window[1:], np.uint8(ord("0")), out=scratch.digits[:, :k])
     digits *= _PHI_WINDOW[1:, None] <= phi_width
@@ -922,41 +923,22 @@ def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> E
         if weight:
             phi += np.multiply(row, weight, out=term)
     phi /= 1e12
-    for row in np.flatnonzero(~fixed).tolist():
+    # A token float() refuses or gives another form of is bad, and so is a
+    # phi outside [0, 2*pi), which a fixed-point one can be only above.
+    for row in np.flatnonzero(~(fixed | bad)).tolist():
         begin = starts[row] + id_width[row] + 1
         token = run[begin : begin + phi_width[row]].tobytes()
         try:
-            value = float(token)
+            phi[row] = value = float(token)
         except ValueError:
-            return None
-        if b"%.9g" % value != token:
-            return None
-        phi[row] = value
-    flags = np.equal(tail[1:6:2], ord("1"), out=scratch.flags[:, :k])
-    try:
-        return EventSample(phi, *flags)
-    except ValueError:
-        return None  # phi out of range or not finite
-
-
-def _parse_lines(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> NoReturn:
-    """Raise ValueError naming ``scratch.path`` and the first line of
-    ``run``, lines from row ``first_id`` on, that :func:`_canonical_chunk`
-    rejects.  A prefix cut after a line feed parses exactly when each of its
-    lines does, so bisecting over those prefixes finds the line in about
-    log2(lines) vectorised calls.  Returns no rows."""
-    # Where each line starts, and the end of the run, where the last one ends
-    # with or without a line feed.
-    starts = [0, *(np.flatnonzero(run[:-1] == ord("\n")) + 1).tolist(), run.size]
-    good, bad = 0, len(starts) - 1  # the first ``good`` lines parse, the first ``bad`` do not
-    while bad - good > 1:
-        middle = (good + bad) // 2
-        if _canonical_chunk(run[: starts[middle]], first_id, scratch) is None:
-            bad = middle
-        else:
-            good = middle
-    row, line = first_id + good, run[starts[good] : starts[bad]].tobytes()
-    raise ValueError(f"{scratch.path}, line {row + 2}: {_line_fault(line, row, scratch)}")
+            bad[row] = True
+            continue
+        bad[row] = b"%.9g" % value != token or not 0.0 <= value < TWO_PI
+    bad |= phi >= TWO_PI
+    first = int(bad.argmax()) if bad.any() else k
+    if first < lines:
+        return first
+    return EventSample(phi, *np.equal(tail[1:6:2], ord("1"), out=scratch.flags[:, :k]))
 
 
 def _line_fault(line: bytes, row: int, scratch: _ChunkParser) -> str:
@@ -993,7 +975,7 @@ def _line_fault(line: bytes, row: int, scratch: _ChunkParser) -> str:
     if event_id != str(row):
         return f"event_id {event_id!r} is not in the form hepbell writes"
     probe = np.frombuffer(f"{row},{phi},0,0,0\n".encode(), dtype=np.uint8)
-    if _canonical_chunk(probe, row, scratch) is None:
+    if isinstance(_canonical_chunk(probe, row, scratch), int):
         return f"phi {phi!r} is not in the form hepbell writes"
     if not text.endswith("\n"):
         return "no line end after the last row"
@@ -1086,7 +1068,10 @@ def _range_counts(file, path: Path, start: int, count: Callable, zero) -> tuple:
     header, then ids from 0; from a later line, through a :class:`_Span`,
     ids from that line's id."""
     if start:
-        first_id = int(os.pread(file.fd, _ROW_BYTES, start).partition(b",")[0])
+        head = os.pread(file.fd, _ROW_BYTES, start).partition(b",")[0]
+        if not head.isdigit():  # a sign, a space or no id, which int() may read
+            raise ValueError(f"{path}: no event id at byte {start}")
+        first_id = int(head)
         runs = _runs(file, _CSV_CHUNK_ROWS)
     else:
         runs, first_id = _runs_after_header(file, path), 0
@@ -1118,7 +1103,7 @@ def _event_counts(path, count: Callable[[EventSample], np.ndarray]) -> np.ndarra
             def counted(k: int) -> bytes:
                 try:
                     share = _range_counts(_Span(fd, *cuts[k : k + 2]), path, cuts[k], count, zero)
-                except Exception:
+                except ValueError:
                     share = None  # a fault, named below as one process names it
                 return pickle.dumps(share)
 

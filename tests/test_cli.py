@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import math
@@ -920,21 +921,23 @@ class TestProcessSplit:
         assert alone == f"hepbell: error: {events}, line {bad[0] + 2}: phi '0x5' is not a number\n"
         # Each range that holds a bad row fails in its own process, and this
         # process then counts the file again.
-        parse_lines, parsed = mesonlab._parse_lines, tmp_path / "parsed"
+        canonical_chunk, rejected = mesonlab._canonical_chunk, tmp_path / "rejected"
 
         def logged(run, first_id, scratch):
-            with open(parsed, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return parse_lines(run, first_id, scratch)
+            chunk = canonical_chunk(run, first_id, scratch)
+            if isinstance(chunk, int):
+                with open(rejected, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+            return chunk
 
-        monkeypatch.setattr(mesonlab, "_parse_lines", logged)
+        monkeypatch.setattr(mesonlab, "_canonical_chunk", logged)
         forked = forced_split(processes)
         assert run(args) == 2
         assert capsys.readouterr().err == alone
         assert forked == list(range(1, processes))
         assert_no_child()
         failed = {rank % processes for rank, _ in bad_rows}
-        assert len(set(parsed.read_text().split())) == len(failed | {0})
+        assert len(set(rejected.read_text().split())) == len(failed | {0})
 
     # Each edit makes row ``j`` of the events the first row of the last range.
     CUT_FAULTS = {
@@ -1032,6 +1035,29 @@ class TestProcessSplit:
         assert re.fullmatch(
             r"hepbell: error: worker process \d+ ended before it sent the result of task 1\n", err
         )
+        assert_no_child()
+
+    @pytest.mark.parametrize("command", [["estimate"], ["chtest", "--eta1", "0.9", "--eta2", "0.9"]])
+    def test_read_error_in_a_worker_exits_3(
+        self, tmp_path, capsys, monkeypatch, forced_split, command
+    ):
+        # An error other than a malformed range is not read again in this
+        # process: it ends the command as it would in one process.
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 7)
+        events = tmp_path / "events.csv"
+        mesonlab.write_events_csv(mesonlab.generate_events(100, seed=3), events)
+        parent, preadv = os.getpid(), os.preadv
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return preadv(*args)
+
+        monkeypatch.setattr(os, "preadv", failing)
+        forked = forced_split(2)
+        assert run(["--output-dir", str(tmp_path), *command, "--events", str(events)]) == 3
+        assert capsys.readouterr().err == f"hepbell: error: [Errno 5] {os.strerror(errno.EIO)}\n"
+        assert forked == [1]
         assert_no_child()
 
 

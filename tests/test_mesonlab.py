@@ -749,18 +749,21 @@ def assert_same_events(a, b):
 
 
 @pytest.fixture
-def line_parser_calls(monkeypatch):
-    """The first ids of the chunks whose fault ``mesonlab._parse_lines``
-    named while the test runs, one entry per call."""
-    calls = []
-    parse_lines = mesonlab._parse_lines
+def rejected_chunks(monkeypatch):
+    """The first ids of the runs that ``mesonlab._canonical_chunk`` rejects
+    while the test runs, one entry per call: the one-row probe by which
+    ``_line_fault`` tells a phi in a form hepbell never writes counts too."""
+    rejected = []
+    canonical_chunk = mesonlab._canonical_chunk
 
-    def counting(run, first_id, scratch):
-        calls.append(first_id)
-        return parse_lines(run, first_id, scratch)
+    def recording(run, first_id, scratch):
+        chunk = canonical_chunk(run, first_id, scratch)
+        if isinstance(chunk, int):
+            rejected.append(first_id)
+        return chunk
 
-    monkeypatch.setattr(mesonlab, "_parse_lines", counting)
-    return calls
+    monkeypatch.setattr(mesonlab, "_canonical_chunk", recording)
+    return rejected
 
 
 # The dtype and options np.loadtxt reads an event file body with: every
@@ -827,7 +830,7 @@ class TestCsvMatchesReference:
     # Every id width from 1 to 5 digits in the first chunk, and a last chunk
     # of one row.
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_reader_is_exact_at_the_chunk_size(self, tmp_path, line_parser_calls, offset):
+    def test_reader_is_exact_at_the_chunk_size(self, tmp_path, rejected_chunks, offset):
         n = mesonlab._CSV_CHUNK_ROWS + offset
         det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
         events = generate_events(n, det, seed=23, workers=2)
@@ -839,7 +842,7 @@ class TestCsvMatchesReference:
         write_events_csv(sample, path)
         assert b"\r\n4,4.94065646e-324," in path.read_bytes()
         reread = read_events_csv(path)
-        assert line_parser_calls == []
+        assert rejected_chunks == []
         assert_same_events(reread, reference_read_events_csv(path))
 
     def test_largest_phi_below_two_pi_reads_back(self, tmp_path):
@@ -878,7 +881,8 @@ class TestCsvMatchesReference:
             b"%d,%.9g,%d,%d,%d\r\n" % (start + i, *row)
             for i, row in enumerate(zip(phi.tolist(), d1.tolist(), (~d1).tolist(), bg.tolist()))
         )
-        assert mesonlab._csv_rows(start, phi, d1, ~d1, bg) == expected
+        buffers = mesonlab._RowBuffers(phi.size, start + phi.size - 1)
+        assert mesonlab._csv_rows(start, phi, d1, ~d1, bg, buffers) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1161,7 +1165,7 @@ class TestReaderFuzz:
     def test_one_edited_row_is_named_by_its_line(
         self, tmp_path_factory, row, start, length, token
     ):
-        # 64-row chunks: the fault namer bisects over up to 64 lines.
+        # 64-row chunks: the first bad row may lie anywhere in a chunk.
         path = tmp_path_factory.mktemp("edit") / "events.csv"
         det = DetectorModel(eta_1=0.9, eta_2=0.8, background_fraction=0.1)
         write_events_csv(generate_events(5 * 64 + 17, det, seed=5), path)
@@ -1188,16 +1192,16 @@ def event_file_bytes(n):
 
 
 class TestReaderPaths:
-    def test_writer_output_reads_without_np_loadtxt(self, tmp_path, line_parser_calls):
+    def test_writer_output_reads_without_np_loadtxt(self, tmp_path, rejected_chunks):
         n = 2 * mesonlab._CSV_CHUNK_ROWS + 5
         det = DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
         path = tmp_path / "events.csv"
         write_events_csv(generate_events(n, det, seed=7, workers=2), path)
         sizes = [len(chunk) for chunk in iter_events_csv(path)]
         assert sizes == [mesonlab._CSV_CHUNK_ROWS] * 2 + [5]
-        assert line_parser_calls == []
+        assert rejected_chunks == []
 
-    def test_lf_only_file_reads_without_the_line_parser(self, tmp_path, line_parser_calls):
+    def test_lf_only_file_reads_without_the_line_parser(self, tmp_path, rejected_chunks):
         n = 2 * mesonlab._CSV_CHUNK_ROWS + 5
         det = DetectorModel(eta_1=0.9, eta_2=0.9, background_fraction=0.02)
         events = generate_events(n, det, seed=7, workers=2)
@@ -1212,7 +1216,7 @@ class TestReaderPaths:
         sizes = [len(chunk) for chunk in iter_events_csv(lf)]
         assert sizes == [mesonlab._CSV_CHUNK_ROWS] * 2 + [5]
         assert_same_events(read_events_csv(lf), read_events_csv(crlf))
-        assert line_parser_calls == []
+        assert rejected_chunks == []
 
     # Of the forms the writer never writes, "0.50", which has the writer's
     # layout and an exact value, and a row ending in LF alone read as
@@ -1240,7 +1244,7 @@ class TestReaderPaths:
         ],
     )
     def test_forms_the_writer_never_writes_read_as_loadtxt_reads_them(
-        self, tmp_path, monkeypatch, line_parser_calls, row, line, message
+        self, tmp_path, monkeypatch, rejected_chunks, row, line, message
     ):
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 4)
         rows = [b"%d,0.%d,1,%d,0\r\n" % (i, i + 1, i % 2) for i in range(14)]
@@ -1249,7 +1253,7 @@ class TestReaderPaths:
         path.write_bytes(HEADER_BYTES + b"".join(rows))
         if message is None:
             assert [len(chunk) for chunk in iter_events_csv(path)] == [4, 4, 4, 2]
-            assert line_parser_calls == []
+            assert rejected_chunks == []
             sample = read_events_csv(path)
             assert_same_events(sample, reference_read_events_csv(path))
             assert_reads_as_loadtxt(sample, b"".join(rows))
@@ -1257,7 +1261,9 @@ class TestReaderPaths:
             with pytest.raises(ValueError) as raised:
                 read_events_csv(path)
             assert str(raised.value) == f"{path}, line {row + 2}: {message}"
-            assert line_parser_calls == [row // 4 * 4]
+            # The chunk is parsed once; a phi's form is told by one probe.
+            probed = message.startswith("phi") and message.endswith("form hepbell writes")
+            assert rejected_chunks == [row // 4 * 4] + [row] * probed
 
     def test_a_fault_the_messages_do_not_explain_is_still_named(self, tmp_path, monkeypatch):
         path = tmp_path / "events.csv"
@@ -1266,13 +1272,44 @@ class TestReaderPaths:
 
         def refusing_row_3(run, first_id, scratch):
             if b"\n3,0.4,1,1,0\r\n" in b"\n" + run.tobytes():
-                return None
+                return 3 - first_id
             return canonical_chunk(run, first_id, scratch)
 
         monkeypatch.setattr(mesonlab, "_canonical_chunk", refusing_row_3)
         with pytest.raises(ValueError) as raised:
             read_events_csv(path)
         assert str(raised.value) == f"{path}, line 5: not an event row as hepbell writes it"
+
+    def test_a_bad_row_is_named_from_one_parse_of_its_chunk_and_one_probe(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 4)
+        path = tmp_path / "events.csv"
+        path.write_bytes(event_file_bytes(14).replace(b"\r\n9,0.10,", b"\r\n9,1e-1,"))
+        calls, canonical_chunk = [], mesonlab._canonical_chunk
+
+        def counting(run, first_id, scratch):
+            calls.append(first_id)
+            return canonical_chunk(run, first_id, scratch)
+
+        monkeypatch.setattr(mesonlab, "_canonical_chunk", counting)
+        with pytest.raises(ValueError) as raised:
+            read_events_csv(path)
+        assert str(raised.value) == f"{path}, line 11: phi '1e-1' is not in the form hepbell writes"
+        # Chunks 0 and 4 parse, chunk 8 is parsed once, and row 9 is probed.
+        assert calls == [0, 4, 8, 9]
+
+    def test_a_range_that_starts_at_a_signed_id_is_a_fault(self, tmp_path):
+        rows = [b"%d,0.5,1,1,0\r\n" % i for i in range(6)]
+        rows[3] = b"-" + rows[3]  # int() reads -3
+        path = tmp_path / "events.csv"
+        path.write_bytes(HEADER_BYTES + b"".join(rows))
+        start = len(HEADER_BYTES) + sum(map(len, rows[:3]))
+        zero = np.zeros(1, dtype=np.int64)
+        with open(path, "rb") as fh:
+            span = mesonlab._Span(fh.fileno(), start, path.stat().st_size)
+            with pytest.raises(ValueError, match=f"no event id at byte {start}$"):
+                mesonlab._range_counts(span, path, start, lambda chunk: zero + len(chunk), zero)
 
 
 class TestStreamedEvents:
@@ -1318,7 +1355,7 @@ class TestStreamedEvents:
             next(chunks)
 
     def test_fault_in_the_last_row_is_named_from_its_chunk(
-        self, tmp_path, monkeypatch, line_parser_calls
+        self, tmp_path, monkeypatch, rejected_chunks
     ):
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", 4)
         path = tmp_path / "events.csv"
@@ -1326,7 +1363,7 @@ class TestStreamedEvents:
         with pytest.raises(ValueError) as raised:
             read_events_csv(path)
         assert str(raised.value) == f"{path}, line 11: event_id 'x9' is not a 64-bit integer"
-        assert line_parser_calls == [8]
+        assert rejected_chunks == [8]
 
 
 def traced_peak_from_second_call(monkeypatch, name, run):

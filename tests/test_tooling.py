@@ -1,9 +1,12 @@
 """The test session's own settings: ``filterwarnings = ["error"]`` in
 pyproject.toml, with the one third-party warning it ignores; a guard that
-the spin-1 inequalities stay written once, as tables; and one that the
-package defines no name that nothing uses."""
+the spin-1 inequalities stay written once, as tables; one that the
+package defines no name that nothing uses; and one that every function the
+benchmark wraps still exists."""
 
 import ast
+import importlib
+import importlib.util
 import re
 import shutil
 import subprocess
@@ -110,3 +113,22 @@ def test_every_package_name_is_used_outside_its_definition():
             if sum(len(word.findall(text)) for text in texts.values()) == own:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_function_the_benchmark_wraps_exists():
+    """``perfbench/spans.py`` wraps hepbell functions by (module, attribute).
+    Each must exist, ``derive_kappa`` must keep the ``cache_info`` that its
+    cold calls are counted by, and ``hepbell._search``, which the tracer
+    imports, must import.  A rename or a removal then fails here, by name,
+    and not only as a traceback in the benchmark's traced subprocess."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"hepbell.{module}.{attr}"
+        for module, attr in [*spans.SPANNED, *spans.COUNTED]
+        if not hasattr(importlib.import_module(f"hepbell.{module}"), attr)
+    ]
+    assert missing == []
+    assert callable(importlib.import_module("hepbell.mesonlab").derive_kappa.cache_info)
+    importlib.import_module("hepbell._search")
