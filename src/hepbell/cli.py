@@ -199,7 +199,10 @@ def _write_report(config: RunConfig, kind: str, payload: dict, out: str | None) 
     document = {"kind": kind, "config": config.to_dict()}
     document.update(payload)
     text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n")
+    try:
+        path.write_text(text + "\n")
+    except OSError as exc:  # a failed write names no file of its own
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     print(f"wrote {path}")
     return path
 

@@ -19,6 +19,7 @@ do, through :func:`hepbell._workers.round_robin` (:func:`_event_counts`).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -599,8 +600,8 @@ _PHI_DECADES = np.array([1e-3, 1e-2, 1e-1, 1.0])
 _PHI_TO_MANTISSA = np.array([1e12, 1e11, 1e10, 1e9, 1e8])
 _MANTISSA_TO_FIXED = 1e12 / _PHI_TO_MANTISSA
 _CSV_HEADER_BYTES = ",".join(CSV_HEADER).encode("ascii")
-# iter_events_csv reads the file in blocks of this many bytes.
-_READ_BLOCK = 1 << 20
+# The longest event row: a 15-digit id, a comma, a 15-byte phi, ",f,f,f", CRLF.
+_LINE_MAX = 39
 # The widest phi token the canonical reader parses: one digit, the point and
 # 12 decimals, as "%.9g" writes phi in [1e-4, 1e-3).  Column k of its
 # window holds byte k - 1 of phi, column 0 the comma before it.
@@ -744,11 +745,11 @@ def write_events_csv(events: EventSample | Iterator[bytes | memoryview], path) -
     target = path
     path = Path(os.path.realpath(path))
     if path.exists() and not path.is_file():
-        _write_rows(events, path)
+        _write_rows(events, path, target)
         return
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        _write_rows(events, partial)
+        _write_rows(events, partial, target)
         os.replace(partial, path)
     except OSError as exc:
         if exc.filename is None:
@@ -759,60 +760,35 @@ def write_events_csv(events: EventSample | Iterator[bytes | memoryview], path) -
         partial.unlink(missing_ok=True)
 
 
-def _write_rows(events: EventSample | Iterator[bytes | memoryview], path: Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_CSV_HEADER_BYTES + b"\r\n")
-        if not isinstance(events, EventSample):
-            fh.writelines(events)
-            return
+def _write_rows(events: EventSample | Iterator[bytes | memoryview], path: Path, target) -> None:
+    """Write the header and ``events`` to ``path``.  A failed write raises
+    OSError naming ``target``; an error of the chunks, a worker's say, stays."""
+    if isinstance(events, EventSample):
         buffers = _RowBuffers(min(_CSV_CHUNK_ROWS, len(events)), len(events) - 1)
-        for start in range(0, len(events), _CSV_CHUNK_ROWS):
-            rows = slice(start, start + _CSV_CHUNK_ROWS)
-            fh.write(_csv_rows(start, *(column[rows] for column in _columns(events)), buffers))
-
-
-def _runs(fh, need: int = 1) -> Iterator[np.ndarray]:
-    """A binary file cut after its ``need``-th LF and then after every
-    ``_CSV_CHUNK_ROWS``-th: the header line (for ``need`` = 1), runs of
-    ``_CSV_CHUNK_ROWS`` lines, and what follows the last cut, if anything.
-    The file is read ``_READ_BLOCK`` bytes at a time into one buffer, and
-    each run is a view of it, valid until the next is asked for.
-    """
-    rows, block = _CSV_CHUNK_ROWS, _READ_BLOCK
-    buffer, is_lf = np.empty(2 * block, dtype=np.uint8), np.empty(block, dtype=bool)
-    # buffer[start:end] is read and not yet cut off, and lacks ``need`` LFs
-    # to the next cut.
-    start, end = 0, 0
-    while True:
-        if end + block > buffer.size:  # move what is not cut off to the front
-            kept = buffer[start:end]
-            if kept.size + block > buffer.size:
-                buffer = np.empty(2 * (kept.size + block), dtype=np.uint8)
-            buffer[: kept.size] = kept
-            start, end = 0, kept.size
-        read = fh.readinto(buffer[end : end + block])
-        if not read:
-            break
-        lf = np.flatnonzero(np.equal(buffer[end : end + read], ord("\n"), out=is_lf[:read]))
-        lf += end
-        cuts = lf[need - 1 :: rows]
-        for cut in cuts.tolist():
-            yield buffer[start : cut + 1]
-            start = cut + 1
-        need = (rows if cuts.size else need) - int(np.count_nonzero(lf >= start))
-        end += read
-    if end > start:
-        yield buffer[start:end]
+        columns = _columns(events)
+        events = (
+            _csv_rows(start, *(c[start : start + _CSV_CHUNK_ROWS] for c in columns), buffers)
+            for start in range(0, len(events), _CSV_CHUNK_ROWS)
+        )
+    # Unbuffered, so that no write is left for closing the file to fail.
+    with open(path, "wb", buffering=0) as fh:
+        for rows in itertools.chain([_CSV_HEADER_BYTES + b"\r\n"], events):
+            try:
+                rows = memoryview(rows)
+                while rows:
+                    rows = rows[fh.write(rows) :]
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, os.fspath(target)) from exc
 
 
 class _ChunkParser:
-    """The arrays, allocated once, that :func:`_canonical_chunk` parses the
-    runs of one event file, of up to ``_CSV_CHUNK_ROWS`` lines, into."""
+    """The arrays, allocated once, that :func:`_chunks` reads an event file
+    into and parses it in, ``_CSV_CHUNK_ROWS`` rows at a time."""
 
     def __init__(self):
         rows = _CSV_CHUNK_ROWS
-        self.is_lf = np.empty(0, bool)
-        self.indices = np.empty((5, rows), dtype=np.intp)
+        self.buffer = np.empty(rows * _LINE_MAX, dtype=np.uint8)
+        self.indices = np.empty((6, rows), dtype=np.intp)
         self.window = np.empty((_PHI_WINDOW.size, rows), dtype=np.uint8)
         self.tail = np.empty((_ROW_TAIL.size, rows), dtype=np.uint8)
         self.digits = np.empty((_PHI_FIXED_WIDTH, rows), dtype=np.uint8)
@@ -821,27 +797,48 @@ class _ChunkParser:
         _keep_heap_top()
 
 
-def _chunks(runs: Iterator[np.ndarray], path: Path, first_id: int = 0) -> Iterator[EventSample]:
-    """The runs of lines of the event file ``path``, ids from ``first_id``,
-    parsed by :func:`_canonical_chunk` into one :class:`_ChunkParser`, each
-    chunk overwriting the last; a run with a bad row raises ValueError
-    naming ``path`` and the line of the first."""
-    parse = _ChunkParser()
-    for run in runs:
-        chunk = _canonical_chunk(run, first_id, parse)
+def _chunks(file, path: Path, first_id: int = 0) -> Iterator[EventSample]:
+    """The rows that ``file.readinto`` reads of the event file ``path`` from
+    a line start on, ids from ``first_id``, in chunks of ``_CSV_CHUNK_ROWS``
+    parsed by :func:`_canonical_chunk`, each overwriting the last; a bad row
+    raises ValueError naming its line.  The buffer holds ``_CSV_CHUNK_ROWS``
+    rows of ``_LINE_MAX`` bytes, so a full one with fewer line feeds holds a
+    line too long to be a row, named without reading on."""
+    rows, parse = _CSV_CHUNK_ROWS, _ChunkParser()
+    buffer = parse.buffer
+    # buffer[:end] is read and not yet parsed, and has its line feeds at lf.
+    end, lf, read = 0, np.empty(0, dtype=np.intp), True
+    while True:
+        while lf.size < rows and end < buffer.size and read:
+            read = file.readinto(buffer[end:])
+            lf = np.append(lf, end + np.flatnonzero(buffer[end : end + read] == ord("\n")))
+            end += read
+        if not end:
+            return
+        ends = lf[:rows]
+        run = buffer[: ends[-1] + 1] if ends.size == rows else buffer[:end]
+        chunk = _canonical_chunk(run, ends, first_id, parse)
         if isinstance(chunk, int):
-            lines = run.tobytes().split(b"\n")  # the last one has no line feed
-            row, line = first_id + chunk, lines[chunk] + b"\n" * (chunk + 1 < len(lines))
-            raise ValueError(f"{path}, line {row + 2}: {_line_fault(line, row, parse)}")
+            if chunk == ends.size and end == buffer.size:  # the rest of the line is not read
+                fault = f"longer than {_LINE_MAX} bytes, the longest event row"
+            else:
+                start = ends[chunk - 1] + 1 if chunk else 0
+                line = run[start : ends[chunk] + 1 if chunk < ends.size else end].tobytes()
+                fault = _line_fault(line, first_id + chunk, parse)
+            raise ValueError(f"{path}, line {first_id + chunk + 2}: {fault}")
         yield chunk
         first_id += len(chunk)
+        lf, end = lf[rows:] - run.size, end - run.size
+        buffer[:end] = buffer[run.size : run.size + end]
 
 
-def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> EventSample | int:
-    """The rows of ``run``, bytes as uint8, if every one is an event row;
-    else the index of the first that is not.  This is the reader's one
-    grammar: a row is laid out as the writer writes it,
-    ``id,phi,f,f,f\\r\\n``, or ends in LF alone, with the expected id
+def _canonical_chunk(
+    run: np.ndarray, ends: np.ndarray, first_id: int, scratch: _ChunkParser
+) -> EventSample | int:
+    """The rows of ``run``, bytes as uint8 with its line feeds at ``ends``,
+    if every one is an event row; else the index of the first that is not.
+    This is the reader's one grammar: a row is laid out as the writer writes
+    it, ``id,phi,f,f,f\\r\\n``, or ends in LF alone, with the expected id
     without sign or leading zeros and each flag 0 or 1, and every row, the
     last included, ends in a line feed.  phi is fixed point, ``d`` or
     ``d.ddd...`` in at most ``_PHI_FIXED_WIDTH`` bytes, or a token of at
@@ -855,9 +852,6 @@ def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> E
     division by it rounds the token's value correctly, as float() does.
     The few other tokens go through float() one by one.
     """
-    if scratch.is_lf.size < run.size:
-        scratch.is_lf = np.empty(2 * run.size, dtype=bool)
-    ends = np.flatnonzero(np.equal(run, ord("\n"), out=scratch.is_lf[: run.size]))
     # A last line with no line feed is one row more, and bad.  So are ids
     # past 10**15, for which the gathers below have no room: only the
     # first k rows are parsed.
@@ -866,7 +860,7 @@ def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> E
     if not k:
         return 0
     ends = ends[:k]
-    starts, id_width, tail_end, phi_width, at = scratch.indices[:, :k]
+    starts, id_width, tail_end, phi_width, phi_start, at = scratch.indices[:, :k]
     starts[0] = 0
     np.add(ends[:-1], 1, out=starts[1:])
     ids = np.arange(first_id, first_id + k)
@@ -900,9 +894,8 @@ def _canonical_chunk(run: np.ndarray, first_id: int, scratch: _ChunkParser) -> E
         expected = np.empty((width, ids[rows].size), dtype=np.uint8)
         _ascii_digits(ids[rows], expected)
         bad[rows] |= np.any(gathered(starts[rows], width, scratch.window) != expected, axis=0)
-    # The comma before phi, then phi's bytes from its first.  ``ends`` is
-    # not needed any more, and holds where phi starts.
-    window = gathered(np.add(starts, id_width, out=ends), _PHI_WINDOW.size, scratch.window)
+    # The comma before phi, then phi's bytes from its first.
+    window = gathered(np.add(starts, id_width, out=phi_start), _PHI_WINDOW.size, scratch.window)
     tail = gathered(tail_end - _ROW_TAIL.size, _ROW_TAIL.size, scratch.tail)
     bad |= window[0] != ord(",")
     bad |= np.any((tail | _ROW_TAIL_FLAGS[:, None]) != _ROW_TAIL[:, None], axis=0)
@@ -953,33 +946,38 @@ def _line_fault(line: bytes, row: int, scratch: _ChunkParser) -> str:
         return "carriage return without a line feed"
     if not body.strip():
         return "blank line"
-    fields = body.split(",")
-    if len(fields) != len(CSV_HEADER):
-        return f"expected {len(CSV_HEADER)} fields, got {len(fields)}"
-    event_id, phi, *flags = fields
+    # Counted, not split: a line of a buffer's length may hold that many commas.
+    if (fields := body.count(",") + 1) != len(CSV_HEADER):
+        return f"expected {len(CSV_HEADER)} fields, got {fields}"
+    event_id, phi, *flags = body.split(",")
     try:
         value = int(event_id)
     except ValueError:
-        return f"event_id {event_id!r} is not a 64-bit integer"
+        return f"event_id {_quoted(event_id)} is not a 64-bit integer"
     try:
         angle = float(phi)
     except ValueError:
-        return f"phi {phi!r} is not a number"
+        return f"phi {_quoted(phi)} is not a number"
     for name, token in zip(CSV_HEADER[2:], flags):
         if token not in ("0", "1"):
-            return f"{name} {token!r} is not 0 or 1"
+            return f"{name} {_quoted(token)} is not 0 or 1"
     if value != row:
         return f"event_id {value} out of order (expected {row})"
     if not 0.0 <= angle < TWO_PI:
         return f"phi {angle} is not in [0, 2*pi)"
     if event_id != str(row):
-        return f"event_id {event_id!r} is not in the form hepbell writes"
+        return f"event_id {_quoted(event_id)} is not in the form hepbell writes"
     probe = np.frombuffer(f"{row},{phi},0,0,0\n".encode(), dtype=np.uint8)
-    if isinstance(_canonical_chunk(probe, row, scratch), int):
-        return f"phi {phi!r} is not in the form hepbell writes"
+    if isinstance(_canonical_chunk(probe, np.array([probe.size - 1]), row, scratch), int):
+        return f"phi {_quoted(phi)} is not in the form hepbell writes"
     if not text.endswith("\n"):
         return "no line end after the last row"
     return "not an event row as hepbell writes it"
+
+
+def _quoted(token: str) -> str:
+    """``repr`` of at most 40 characters of ``token``, "…" after a longer one."""
+    return repr(token[:40]) + "…" * (len(token) > 40)
 
 
 def _no_events() -> EventSample:
@@ -990,20 +988,22 @@ def _columns(sample: EventSample) -> tuple[np.ndarray, ...]:
     return sample.phi, sample.detected_1, sample.detected_2, sample.is_background
 
 
-def _runs_after_header(fh, path: Path) -> Iterator[np.ndarray]:
-    """The runs of :func:`_runs` after the header line, which is checked:
-    like every row, it must end in a line feed."""
-    runs = _runs(fh)
-    line = next(runs, np.empty(0, dtype=np.uint8)).tobytes()
-    header = line.split(b"\r", 1)[0].rstrip(b"\n")
+def _header_end(file, path: Path) -> int:
+    """Read the header line of the event file ``path`` from ``file``, which
+    does no read-ahead, and not a byte after it; where the line ends.  Like
+    every row, it must end in a line feed."""
+    line = file.readline(len(_CSV_HEADER_BYTES) + 2)
+    header = line.split(b"\n", 1)[0].split(b"\r", 1)[0]
     if header != _CSV_HEADER_BYTES:
-        fields = header.decode("ascii", "surrogateescape").split(",")
-        raise ValueError(f"unexpected event file header {fields} in {path}")
+        fields = ", ".join(map(_quoted, header.decode("ascii", "surrogateescape").split(",")))
+        # The line goes on past the bytes read.
+        more = "…" * (len(header) > len(_CSV_HEADER_BYTES) + 1)
+        raise ValueError(f"unexpected event file header [{fields}]{more} in {path}")
     if line[len(header) :] not in (b"", b"\n", b"\r\n"):
         raise ValueError(f"{path}, line 1: carriage return without a line feed")
     if not line.endswith(b"\n"):
         raise ValueError(f"{path}, line 1: no line end after the header")
-    return runs
+    return len(line)
 
 
 def iter_events_csv(path) -> Iterator[EventSample]:
@@ -1011,16 +1011,17 @@ def iter_events_csv(path) -> Iterator[EventSample]:
     (one empty sample for a header-only file), in this process, enforcing
     the header and ids that count up from 0.
 
-    The file is read once, in binary blocks, and parsed by :func:`_chunks`,
-    whose rows are the only ones the reader accepts; a malformed run raises
+    The file is read once, in binary, and parsed by :func:`_chunks`, whose
+    rows are the only ones the reader accepts; a malformed chunk raises
     ValueError naming the file and its first bad line.  A chunk is yielded
     only once every one of its rows has been read, so no row of a malformed
     chunk reaches the caller, nor any chunk after it.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
+        _header_end(fh, path)
         n = 0
-        for chunk in _chunks(_runs_after_header(fh, path), path):
+        for chunk in _chunks(fh, path):
             n += len(chunk)
             yield EventSample(*(np.array(column) for column in _columns(chunk)))
         if not n:
@@ -1035,7 +1036,7 @@ def read_events_csv(path) -> EventSample:
 
 class _Span:
     """Bytes [``at``, ``stop``) of the file ``fd``, read by ``pread`` as
-    :func:`_runs` reads a binary file."""
+    :func:`_chunks` reads a file object."""
 
     def __init__(self, fd: int, at: int, stop: int):
         self.fd, self.at, self.stop = fd, at, stop
@@ -1046,37 +1047,25 @@ class _Span:
         return read
 
 
-def _cuts(fd: int, size: int, processes: int) -> list[int]:
-    """The cuts of the event file ``fd`` of ``size`` bytes into ``processes``
-    ranges: the first line start at or after k/P of the body after the
-    header for 0 < k < P, each found by a few small ``pread``s."""
-
-    def line_start(at: int, probe: int = _ROW_BYTES) -> int:
-        while read := os.pread(fd, probe, at - 1):
-            if (lf := read.find(b"\n")) >= 0:
-                return at + lf
-            at, probe = at + len(read), min(2 * probe, _READ_BLOCK)
-        return at - 1  # the end of the file
-
-    body = line_start(1)
-    return [line_start(body + k * (size - body) // processes) for k in range(1, processes)]
+def _cuts(fd: int, body: int, size: int, processes: int) -> list[int]:
+    """The cuts of the event file ``fd`` of ``size`` bytes, whose rows start
+    at byte ``body``, into ``processes`` ranges: for 0 < k < P, the first
+    line start at or after k/P of the rows, by one ``pread`` of ``_LINE_MAX``
+    bytes.  If they hold no line feed, the cut after them is inside a line
+    longer than any row, and the range before it ends in a fault."""
+    cuts = []
+    for k in range(1, processes):
+        at = body + k * (size - body) // processes
+        read = os.pread(fd, _LINE_MAX, at - 1)
+        cuts.append(at + read.find(b"\n") if b"\n" in read else at - 1 + len(read))
+    return cuts
 
 
-def _range_counts(file, path: Path, start: int, count: Callable, zero) -> tuple:
-    """The first id, the rows and ``zero`` plus the counts of the chunks that
-    ``file`` reads of the event file ``path`` from byte ``start``: from 0 the
-    header, then ids from 0; from a later line, through a :class:`_Span`,
-    ids from that line's id."""
-    if start:
-        head = os.pread(file.fd, _ROW_BYTES, start).partition(b",")[0]
-        if not head.isdigit():  # a sign, a space or no id, which int() may read
-            raise ValueError(f"{path}: no event id at byte {start}")
-        first_id = int(head)
-        runs = _runs(file, _CSV_CHUNK_ROWS)
-    else:
-        runs, first_id = _runs_after_header(file, path), 0
+def _range_counts(file, path: Path, first_id: int, count: Callable, zero) -> tuple:
+    """The first id, the rows and ``zero`` plus the counts of the chunks of
+    ``_chunks(file, path, first_id)``."""
     total, rows = zero.copy(), 0
-    for chunk in _chunks(runs, path, first_id):
+    for chunk in _chunks(file, path, first_id):
         total += count(chunk)
         rows += len(chunk)
     return first_id, rows, total
@@ -1086,28 +1075,34 @@ def _event_counts(path, count: Callable[[EventSample], np.ndarray]) -> np.ndarra
     """``count(chunk)``, integer counts, summed over the chunks of the event
     file ``path`` as :func:`iter_events_csv` reads them, with its errors.
     Where :func:`hepbell._workers._processes` gives a regular file P > 1
-    processes, its P byte ranges (:func:`_cuts`) are the tasks of
-    :func:`hepbell._workers.round_robin`, one a process.  Where a range
-    fails or the ranges' ids do not chain, this one counts the file again as
+    processes, the P byte ranges of its rows (:func:`_cuts`) are the tasks
+    of :func:`hepbell._workers.round_robin`, one a process.  Where a range
+    fails or the ranges' ids do not chain, this one counts them again as
     for P = 1, to name a fault."""
     from . import _workers
 
     path, zero = Path(path), count(_no_events())
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
+        body = _header_end(fh, path)
         fd, info = fh.fileno(), os.fstat(fh.fileno())
         rows = info.st_size // _ROW_BYTES if stat.S_ISREG(info.st_mode) else 0
         processes = _workers._processes(rows, -(-rows // _CSV_CHUNK_ROWS))
         if processes > 1:
-            cuts = [0, *_cuts(fd, info.st_size, processes), info.st_size]
+            cuts = [body, *_cuts(fd, body, info.st_size, processes), info.st_size]
 
             def counted(k: int) -> bytes:
-                try:
-                    share = _range_counts(_Span(fd, *cuts[k : k + 2]), path, cuts[k], count, zero)
-                except ValueError:
-                    share = None  # a fault, named below as one process names it
+                head, share = os.pread(fd, _ROW_BYTES, cuts[k]).partition(b",")[0], None
+                # A sign, a space or no id, which int() may read, is a fault.
+                if head.isdigit():
+                    span = _Span(fd, *cuts[k : k + 2])
+                    try:
+                        share = _range_counts(span, path, int(head), count, zero)
+                    except ValueError:
+                        pass  # a fault, named below as one process names it
                 return pickle.dumps(share)
 
-            # Every range is counted, each in its own process, before any is checked.
+            # Every range is counted, each in its own process, before any is
+            # checked.  No range moves the file offset the count below reads from.
             results = _workers.round_robin(range(processes), counted, rows)
             shares = [pickle.loads(result) for result in results]
             total, next_id = zero.copy(), 0

@@ -84,3 +84,9 @@ def forced_split(monkeypatch):
         return forked
 
     return split_over
+
+
+def assert_no_child():
+    """Every process the test started has ended and been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from hepbell import _workers, cli, mesonlab
 from hepbell.kinematics import KinematicsConfig, TwoBodyBeta
 
+from conftest import assert_no_child
+
 SQ2 = math.sqrt(2.0)
 
 # Any JSON value, with the config's own field names among the object keys.
@@ -612,6 +614,35 @@ class TestEventPipeline:
         assert err == f"hepbell: error: [Errno 2] No such file or directory: '{events}'\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", [["generate", "--n", "100"], ["kinematics"]])
+    def test_failed_write_names_the_out_path(self, tmp_path, capsys, command):
+        # A link, so that the error names the path asked for, not the device.
+        out = tmp_path / "full"
+        out.symlink_to("/dev/full")
+        assert run([*command, "--out", str(out)]) == 3
+        message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out}'"
+        assert capsys.readouterr().err == f"hepbell: error: {message}\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_write_past_the_file_size_limit_names_the_out_path(self, tmp_path):
+        events = tmp_path / "events.csv"
+        limited = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (200 * 1024, 200 * 1024))\n"
+            "from hepbell import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, "generate", "--n", "100000", "--out", str(events)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 3
+        message = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{events}'"
+        assert proc.stderr == f"hepbell: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flags, config, message",
         [
@@ -823,18 +854,13 @@ class TestNumericFlags:
         assert exit_code(args) in (0, 2, 3, 4)
 
 
-def assert_no_child():
-    """Every process the test started has ended and been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def range_cuts(path, processes):
-    """The byte offsets that cut the event file ``path`` into ``processes``
-    ranges for the readers, with 0 and its size."""
-    size = path.stat().st_size
+    """The byte offsets that cut the rows of the event file ``path`` into
+    ``processes`` ranges for the readers, with the header's end and the
+    file's size."""
+    size, body = path.stat().st_size, len(EVENTS_HEADER)
     with open(path, "rb") as fh:
-        return [0, *mesonlab._cuts(fh.fileno(), size, processes), size]
+        return [body, *mesonlab._cuts(fh.fileno(), body, size, processes), size]
 
 
 def range_first_rows(path, processes):
@@ -923,8 +949,8 @@ class TestProcessSplit:
         # process then counts the file again.
         canonical_chunk, rejected = mesonlab._canonical_chunk, tmp_path / "rejected"
 
-        def logged(run, first_id, scratch):
-            chunk = canonical_chunk(run, first_id, scratch)
+        def logged(run, ends, first_id, scratch):
+            chunk = canonical_chunk(run, ends, first_id, scratch)
             if isinstance(chunk, int):
                 with open(rejected, "a") as fh:
                     fh.write(f"{os.getpid()}\n")
@@ -942,6 +968,8 @@ class TestProcessSplit:
     # Each edit makes row ``j`` of the events the first row of the last range.
     CUT_FAULTS = {
         "unreadable-id": lambda rows, j: [*rows[:j], b"x" + rows[j][1:], *rows[j + 1 :]],
+        # int() reads "-j" as an id.
+        "signed-id": lambda rows, j: [*rows[:j], b"-" + rows[j], *rows[j + 1 :]],
         "duplicated": lambda rows, j: [*rows[:j], rows[j - 1], *rows[j:]],
         "dropped": lambda rows, j: [*rows[:j], *rows[j + 1 :]],
         "two-ranges": lambda rows, j: [
@@ -1156,6 +1184,58 @@ class TestPeakMemoryInOneProcess:
             assert peaks[reader, 2_000_000][1] == 2_000_000
         else:
             assert peaks[reader, 2_000_000][1] == 0  # no worker ran
+
+
+BAD_INPUT_SCRIPT = """
+import contextlib, io, re, time
+# A reader that grows without bound fails here, not by taking the machine's memory.
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from hepbell import cli
+err, start = io.StringIO(), time.monotonic()
+with contextlib.redirect_stderr(err):
+    code = cli.main(sys.argv[1:])
+millis = int(1000 * (time.monotonic() - start))
+text = err.getvalue()
+# The line named: the header is line 1.
+named = re.match(r"hepbell: error: (unexpected event file header |.*, line (\\d+): )", text)
+line = 0 if not named else int(named[2] or 1)
+print(peak_rss_bytes(), code, line, millis, len(text.encode()))
+"""
+
+# Files with a line longer than any event row, ``size`` bytes of it.
+BAD_LINES = {
+    "no-line-feed": lambda size: b"x" * size,
+    "one-long-line": lambda size: EVENTS_HEADER.encode() + b"0," + b"5" * size + b",1,1,0\r\n",
+    "nuls": lambda size: EVENTS_HEADER.encode() + b"\0" * size,
+}
+
+
+class TestBoundedReading:
+    """A reader holds one buffer of rows, whatever its input: a line longer
+    than any row is named from the bytes the buffer holds."""
+
+    @pytest.mark.parametrize("shape", list(BAD_LINES))
+    def test_peak_memory_does_not_grow_with_a_bad_line(self, tmp_path, peak_rss, shape):
+        events, peaks = tmp_path / "bad.csv", []
+        for size in (1 << 20, 64 << 20):
+            events.write_bytes(BAD_LINES[shape](size))
+            peak, code, line, millis, message = peak_rss(
+                BAD_INPUT_SCRIPT, "--output-dir", str(tmp_path), "estimate", "--events", str(events)
+            )
+            assert (code, line) == (2, 1 if shape == "no-line-feed" else 2)
+            assert millis < 10_000
+            assert message < 500
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) <= 4 << 20
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/zero as on Linux")
+    def test_an_endless_device_is_named_at_its_header(self, tmp_path, peak_rss):
+        code, line, millis, message = peak_rss(
+            BAD_INPUT_SCRIPT, "--output-dir", str(tmp_path), "estimate", "--events", "/dev/zero"
+        )[1:]
+        assert (code, line) == (2, 1)
+        assert millis < 10_000
+        assert message < 500
 
 
 # efficiency's max_s on its 51-point eta grid (0.50 to 1.00), as float.hex.

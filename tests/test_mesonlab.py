@@ -39,6 +39,8 @@ from hepbell.mesonlab import (
 from hepbell.qcore import Projector, born_probability
 from hepbell.spin1 import efficiency_threshold, max_s_of_eta
 
+from conftest import assert_no_child
+
 SQ2 = np.sqrt(2.0)
 MAX_GAP = (SQ2 - 1.0) / 2.0
 OPTIMAL = (0.0, 3 * np.pi / 4, 3 * np.pi / 8, np.pi / 8)
@@ -756,8 +758,8 @@ def rejected_chunks(monkeypatch):
     rejected = []
     canonical_chunk = mesonlab._canonical_chunk
 
-    def recording(run, first_id, scratch):
-        chunk = canonical_chunk(run, first_id, scratch)
+    def recording(run, ends, first_id, scratch):
+        chunk = canonical_chunk(run, ends, first_id, scratch)
         if isinstance(chunk, int):
             rejected.append(first_id)
         return chunk
@@ -1095,31 +1097,32 @@ class TestReaderFuzz:
             assert estimate_outcome(path) == estimate_outcome(sample)
 
     @pytest.mark.parametrize("bare_cr", [False, True], ids=["crlf", "bare-cr"])
-    def test_line_end_across_read_blocks(self, tmp_path, bare_cr):
-        block = mesonlab._READ_BLOCK  # iter_events_csv reads the file in blocks of this size
+    def test_line_end_across_buffer_fills(self, tmp_path, bare_cr):
+        # The reader's first fill of its buffer reads this many bytes of rows.
+        fill = mesonlab._CSV_CHUNK_ROWS * mesonlab._LINE_MAX
         # A phi token of each width the writer writes: 1 and 3 to 14 bytes.
         tokens = {len(token): token for token in (b"%.9g" % 2.0**-k for k in range(13))}
-        rows, size = [HEADER_BYTES], len(HEADER_BYTES)
-        while block - 1 - size > 54:
-            rows.append(b"%d,0.5,1,1,0\r\n" % (len(rows) - 1))
+        rows, size = [], 0
+        while fill - 1 - size > 54:
+            rows.append(b"%d,0.5,1,1,0\r\n" % len(rows))
             size += len(rows[-1])
         # Two rows whose phi widths put the second one's CR last in the
-        # first block.
+        # first fill.
         last = len(rows)
-        width = block - 1 - size - len(b"%d,,1,1,0\r\n%d,,1,1,0" % (last - 1, last))
+        width = fill - 1 - size - len(b"%d,,1,1,0\r\n%d,,1,1,0" % (last, last + 1))
         first, second = next((a, b) for a in tokens for b in tokens if a + b == width)
-        rows.append(b"%d,%s,1,1,0\r\n" % (last - 1, tokens[first]))
-        rows.append(b"%d,%s,1,1,0\r%s" % (last, tokens[second], b"" if bare_cr else b"\n"))
-        rows.append(b"%d,0.5,1,1,0\r\n" % (last + 1))
-        data = b"".join(rows)
-        assert data[block - 1 : block] == b"\r"
+        rows.append(b"%d,%s,1,1,0\r\n" % (last, tokens[first]))
+        rows.append(b"%d,%s,1,1,0\r%s" % (last + 1, tokens[second], b"" if bare_cr else b"\n"))
+        rows.append(b"%d,0.5,1,1,0\r\n" % (last + 2))
+        body = b"".join(rows)
+        assert body[fill - 1 : fill] == b"\r"
         path = tmp_path / "events.csv"
-        path.write_bytes(data)
+        path.write_bytes(HEADER_BYTES + body)
         if bare_cr:
-            with pytest.raises(ValueError, match=rf", line {last + 2}: carriage return"):
+            with pytest.raises(ValueError, match=rf", line {last + 3}: carriage return"):
                 read_events_csv(path)
         else:
-            assert len(read_events_csv(path)) == last + 2
+            assert len(read_events_csv(path)) == last + 3
 
     @pytest.mark.parametrize(
         "body, lineno",
@@ -1270,15 +1273,66 @@ class TestReaderPaths:
         path.write_bytes(event_file_bytes(6))
         canonical_chunk = mesonlab._canonical_chunk
 
-        def refusing_row_3(run, first_id, scratch):
+        def refusing_row_3(run, ends, first_id, scratch):
             if b"\n3,0.4,1,1,0\r\n" in b"\n" + run.tobytes():
                 return 3 - first_id
-            return canonical_chunk(run, first_id, scratch)
+            return canonical_chunk(run, ends, first_id, scratch)
 
         monkeypatch.setattr(mesonlab, "_canonical_chunk", refusing_row_3)
         with pytest.raises(ValueError) as raised:
             read_events_csv(path)
         assert str(raised.value) == f"{path}, line 5: not an event row as hepbell writes it"
+
+    @pytest.mark.parametrize("field", [0, 1, 2], ids=["event_id", "phi", "detected_1"])
+    def test_a_long_token_is_quoted_in_part(self, tmp_path, field):
+        tokens = [b"3", b"0.4", b"1", b"1", b"0"]
+        tokens[field] = b"x" * 100_000
+        path = tmp_path / "events.csv"
+        line = b"\r\n" + b",".join(tokens) + b"\r\n"
+        path.write_bytes(event_file_bytes(6).replace(b"\r\n3,0.4,1,1,0\r\n", line))
+        with pytest.raises(ValueError) as raised:
+            read_events_csv(path)
+        prefix, message = f"{path}, line 5: ", str(raised.value)
+        assert message.startswith(prefix)
+        assert len(message[len(prefix) :].encode()) < 200
+        assert f"'{'x' * 40}'… is not " in message
+
+    @pytest.mark.parametrize("chunk_rows", [4, 16_384])
+    def test_a_line_longer_than_the_buffer_holds_is_named_by_its_length(
+        self, tmp_path, monkeypatch, chunk_rows
+    ):
+        # Line 5 holds a phi of 202 bytes: 4 rows of 39 bytes do not hold it
+        # whole, 16 384 do.
+        monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "events.csv"
+        long_phi = b"\r\n3,0.4" + b"4" * 200 + b","
+        path.write_bytes(event_file_bytes(6).replace(b"\r\n3,0.4,", long_phi))
+        with pytest.raises(ValueError) as raised:
+            read_events_csv(path)
+        if chunk_rows == 4:
+            fault = "longer than 39 bytes, the longest event row"
+        else:
+            fault = f"phi '0.{'4' * 38}'… is not in the form hepbell writes"
+        assert str(raised.value) == f"{path}, line 5: {fault}"
+
+    @pytest.mark.parametrize(
+        "first_line, fields",
+        [
+            (b"phi,detected_1\n0.1,1\n", "['phi', 'detected_1']"),
+            (b"x" * 100_000 + b"\r\n", f"['{'x' * 40}'…]…"),
+            (HEADER_BYTES.replace(b"\r", b",extra\r"), None),
+        ],
+        ids=["short", "long", "one-more-field"],
+    )
+    def test_a_wrong_header_is_quoted_from_the_bytes_read(self, tmp_path, first_line, fields):
+        # The header is read with at most two bytes after its expected end:
+        # a longer line is quoted up to there, and "…" follows.
+        fields = fields or "[" + ", ".join(f"'{name}'" for name in CSV_HEADER) + ", 'e']…"
+        path = tmp_path / "events.csv"
+        path.write_bytes(first_line + event_file_bytes(2)[len(HEADER_BYTES) :])
+        with pytest.raises(ValueError) as raised:
+            read_events_csv(path)
+        assert str(raised.value) == f"unexpected event file header {fields} in {path}"
 
     def test_a_bad_row_is_named_from_one_parse_of_its_chunk_and_one_probe(
         self, tmp_path, monkeypatch
@@ -1288,9 +1342,9 @@ class TestReaderPaths:
         path.write_bytes(event_file_bytes(14).replace(b"\r\n9,0.10,", b"\r\n9,1e-1,"))
         calls, canonical_chunk = [], mesonlab._canonical_chunk
 
-        def counting(run, first_id, scratch):
+        def counting(run, ends, first_id, scratch):
             calls.append(first_id)
-            return canonical_chunk(run, first_id, scratch)
+            return canonical_chunk(run, ends, first_id, scratch)
 
         monkeypatch.setattr(mesonlab, "_canonical_chunk", counting)
         with pytest.raises(ValueError) as raised:
@@ -1298,18 +1352,6 @@ class TestReaderPaths:
         assert str(raised.value) == f"{path}, line 11: phi '1e-1' is not in the form hepbell writes"
         # Chunks 0 and 4 parse, chunk 8 is parsed once, and row 9 is probed.
         assert calls == [0, 4, 8, 9]
-
-    def test_a_range_that_starts_at_a_signed_id_is_a_fault(self, tmp_path):
-        rows = [b"%d,0.5,1,1,0\r\n" % i for i in range(6)]
-        rows[3] = b"-" + rows[3]  # int() reads -3
-        path = tmp_path / "events.csv"
-        path.write_bytes(HEADER_BYTES + b"".join(rows))
-        start = len(HEADER_BYTES) + sum(map(len, rows[:3]))
-        zero = np.zeros(1, dtype=np.int64)
-        with open(path, "rb") as fh:
-            span = mesonlab._Span(fh.fileno(), start, path.stat().st_size)
-            with pytest.raises(ValueError, match=f"no event id at byte {start}$"):
-                mesonlab._range_counts(span, path, start, lambda chunk: zero + len(chunk), zero)
 
 
 class TestStreamedEvents:
@@ -1320,13 +1362,23 @@ class TestStreamedEvents:
         whole = read_events_csv(path)
         monkeypatch.setattr(mesonlab, "_CSV_CHUNK_ROWS", chunk_rows)
         full, rest = divmod(21, chunk_rows)
-        # Read blocks of 16 bytes cut most rows and chunks across two blocks.
-        for block in (mesonlab._READ_BLOCK, 16):
-            monkeypatch.setattr(mesonlab, "_READ_BLOCK", block)
-            sizes = [len(chunk) for chunk in iter_events_csv(path)]
-            assert sizes == [chunk_rows] * full + [rest] * (rest > 0)
-            assert_same_events(read_events_csv(path), whole)
+        # The buffer holds chunk_rows rows of 39 bytes, so most buffer fills
+        # end inside a row.
+        sizes = [len(chunk) for chunk in iter_events_csv(path)]
+        assert sizes == [chunk_rows] * full + [rest] * (rest > 0)
+        assert_same_events(read_events_csv(path), whole)
         assert_same_events(whole, reference_read_events_csv(path))
+
+        # A file that gives at most 16 bytes a read, as a pipe may.
+        class Trickle(io.FileIO):
+            def readinto(self, buffer):
+                return super().readinto(buffer[:16])
+
+        with Trickle(path) as fh:
+            mesonlab._header_end(fh, path)
+            phis = [np.array(chunk.phi) for chunk in mesonlab._chunks(fh, path)]
+        assert [len(phi) for phi in phis] == sizes
+        assert np.concatenate(phis).tobytes() == whole.phi.tobytes()
 
     def test_header_only_file_is_one_empty_chunk(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -1433,7 +1485,7 @@ class TestChunkBuffers:
             span, counted = mesonlab._Span(fh.fileno(), start, len(data)), []
 
             def run():
-                counted.append(mesonlab._range_counts(span, path, start, count, zero))
+                counted.append(mesonlab._range_counts(span, path, rows, count, zero))
 
             peak = traced_peak_from_second_call(monkeypatch, "_canonical_chunk", run)
         assert counted[0][:2] == (rows, chunks * rows)
@@ -1451,12 +1503,6 @@ class TestChunkBuffers:
             write_events_csv(rows, os.devnull)
 
         assert traced_peak_from_second_call(monkeypatch, "generate_events", write) < 2.25e6
-
-
-def assert_no_child():
-    """Every process the test started has ended and been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestProcessSplit:
@@ -1522,9 +1568,10 @@ class TestProcessSplit:
         read_entries = [entry for entry in entries if entry[0] == "read"]
         reads = sorted((int(offset), int(size), pid) for _, pid, offset, size in read_entries)
         assert {pid for *_, pid in reads} == set(chunk_pids)
-        # The reads tile the file: every byte is read once, by one process.
+        # The reads tile the rows after the header, which this process read
+        # on its own: every byte is read once, by one process.
         ends = [offset + size for offset, size, _ in reads]
-        assert [offset for offset, _, _ in reads] == [0, *ends[:-1]]
+        assert [offset for offset, _, _ in reads] == [len(HEADER_BYTES), *ends[:-1]]
         assert ends[-1] == path.stat().st_size
         reference = estimate_probability(reference_read_events_csv(path))
         assert estimate.to_dict() == reference.to_dict()
@@ -1586,12 +1633,16 @@ class TestProcessSplit:
         path = tmp_path / "events.csv"
         write_events_csv(generate_events(100, seed=2), path)
 
-        def interrupted(*args):
-            # Called in this process alone, as it starts range 0, the one
-            # that holds the header, once the worker has been forked.
-            raise KeyboardInterrupt
+        parent, chunks = os.getpid(), mesonlab._chunks
 
-        monkeypatch.setattr(mesonlab, "_runs_after_header", interrupted)
+        def interrupted(*args):
+            # In this process, as it starts range 0, once the worker has
+            # been forked.
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return chunks(*args)
+
+        monkeypatch.setattr(mesonlab, "_chunks", interrupted)
         forked = forced_split(2)
         with pytest.raises(KeyboardInterrupt):
             estimate_probability(path)

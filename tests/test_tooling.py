@@ -1,8 +1,9 @@
 """The test session's own settings: ``filterwarnings = ["error"]`` in
 pyproject.toml, with the one third-party warning it ignores; a guard that
 the spin-1 inequalities stay written once, as tables; one that the
-package defines no name that nothing uses; and one that every function the
-benchmark wraps still exists."""
+package defines no name that nothing uses; one that no test helper is
+defined twice; and one that every function the benchmark wraps still
+exists."""
 
 import ast
 import importlib
@@ -113,6 +114,19 @@ def test_every_package_name_is_used_outside_its_definition():
             if sum(len(word.findall(text)) for text in texts.values()) == own:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_no_test_helper_is_defined_in_two_modules():
+    """Each top-level function of the test modules that is not a test is
+    defined once; a helper that two modules use lives in
+    ``tests/conftest.py``, and they import it from there."""
+    modules = {}
+    for path in sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("test_*.py")]):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("test_"):
+                    modules.setdefault(node.name, []).append(path.name)
+    assert {name: paths for name, paths in modules.items() if len(paths) > 1} == {}
 
 
 def test_every_function_the_benchmark_wraps_exists():
